@@ -9,13 +9,15 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .config import Config, apply_overrides, load_config
+from .config import Config, SystemConfig, apply_overrides, load_config
 from .errors import InvariantError, NumericsError
 from .modes import harmonic_mode_integrals, renormalized_q, validity_gamma
-from .sweeps import SweepSpec, emit_csv, emit_plot, load_csv, run_sweep
+from .protocols import STATE_KINDS
+from .sweeps import AXES, TARGETS, SweepSpec, emit_csv, emit_plot, load_csv, run_sweep
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -36,16 +38,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-c", "--config", help="YAML config file")
 
     def add_system_flags(p):
-        p.add_argument("--n-particles", type=int)
-        p.add_argument("--g", type=float)
-        p.add_argument("--delta-eps", type=float)
-        p.add_argument("--delta-a", type=float)
-        p.add_argument("--eta", type=float)
-        p.add_argument("--xi", type=float)
-        p.add_argument("--lambda", dest="lambda_acc", type=float)
-        p.add_argument("--chi", type=float)
-        p.add_argument("--kappa", type=float)
-        p.add_argument("--t", type=float)
+        # one flag per [system] field: --n-particles, --g, ..., with --lambda for lambda_acc
+        for f in fields(SystemConfig):
+            flag = "--lambda" if f.name == "lambda_acc" else "--" + f.name.replace("_", "-")
+            p.add_argument(flag, dest=f.name, type=int if f.name == "n_particles" else float)
 
     p_params = sub.add_parser("params", help="print derived model parameters")
     add_config(p_params)
@@ -58,14 +54,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
     add_config(p_sweep)
     add_system_flags(p_sweep)
-    p_sweep.add_argument("--target", choices=("cqfi_noninteracting", "cqfi_interacting", "protocol_qfi"))
-    p_sweep.add_argument("--sweep-axis", choices=("g", "delta_eps", "t", "lambda", "delta_a"))
+    p_sweep.add_argument("--target", choices=TARGETS)
+    p_sweep.add_argument("--sweep-axis", choices=AXES)
     p_sweep.add_argument("--min", dest="axis_min", type=float)
     p_sweep.add_argument("--max", dest="axis_max", type=float)
     p_sweep.add_argument("--steps", type=int)
     p_sweep.add_argument("--workers", type=int)
     p_sweep.add_argument("--theta", type=float)
-    p_sweep.add_argument("--state-kind", choices=("fragmented", "coherent"))
+    p_sweep.add_argument("--state-kind", choices=STATE_KINDS)
     p_sweep.add_argument("--log-scale", action="store_const", const=True, default=None)
     p_sweep.add_argument("--csv", help="CSV output path")
     p_sweep.add_argument("--svg", help="SVG output path")
@@ -79,21 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> Config:
     cfg = load_config(getattr(args, "config", None))
-    overrides = {
-        f"system.{name}": getattr(args, name, None)
-        for name in (
-            "n_particles",
-            "g",
-            "delta_eps",
-            "delta_a",
-            "eta",
-            "xi",
-            "lambda_acc",
-            "chi",
-            "kappa",
-            "t",
-        )
-    }
+    overrides = {f"system.{f.name}": getattr(args, f.name, None) for f in fields(SystemConfig)}
     if getattr(args, "command", None) == "sweep":
         overrides.update(
             {
@@ -164,17 +146,16 @@ def cmd_sweep(args, out) -> int:
         state_kind=cfg.protocol.state_kind,
         workers=cfg.sweep.workers,
         log_scale=cfg.sweep.log_scale,
-        csv_path=cfg.output.csv,
-        svg_path=cfg.output.svg,
     )
     result = run_sweep(spec)
-    if spec.csv_path:
-        emit_csv(result, spec.csv_path)
-        out.write(f"wrote {spec.csv_path}\n")
-    if spec.svg_path:
-        emit_plot(result, spec.svg_path)
-        out.write(f"wrote {spec.svg_path}\n")
-    if not spec.csv_path and not spec.svg_path:
+    csv_path, svg_path = cfg.output.csv, cfg.output.svg
+    if csv_path:
+        emit_csv(result, csv_path)
+        out.write(f"wrote {csv_path}\n")
+    if svg_path:
+        emit_plot(result, svg_path)
+        out.write(f"wrote {svg_path}\n")
+    if not csv_path and not svg_path:
         out.write(f"# computed {spec.steps} points for {spec.target} over {spec.axis}; "
                   "give output.csv/output.svg or --csv/--svg to save them\n")
     return EXIT_OK

@@ -69,7 +69,6 @@ class SystemConfig:
 class ProtocolConfig:
     theta: float = 0.5
     state_kind: str = "fragmented"
-    splitter_sign: int = -1
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,23 @@ encoded in the Hermitian generator G = i U(lambda)^dag d/dlambda U(lambda)
 with U = exp(-i t H(lambda)). Its seminorm (spectral spread) squared is
 the QFI maximized over initial pure states, and 4 Var_psi(G) is the QFI
 of a particular input psi.
+
+H is real symmetric, so one real eigendecomposition H = V diag(E) V^T
+carries both readouts. Centering the integration window on t/2 factors G
+as W G~ W^dag with W = V diag(exp(i E t/2)) and the real symmetric kernel
+
+    G~_kl = (V^T Jx V)_kl * t * sinc((E_k - E_l) t / 2 pi).
+
+The channel QFI is read from the spectrum of G~, the QFI of psi as
+4 Var of G~ over W^dag psi. The sinc is smooth through E_k = E_l, where
+it equals t, so exactly or nearly degenerate levels need no threshold and
+lose no precision to the cancellation in (e^{i w t} - 1) / (i w).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,12 +40,6 @@ __all__ = [
     "cqfi_upper_bound",
 ]
 
-# Below this spacing (relative to the spectral radius) two levels are treated
-# as degenerate and the generator element takes its t-linear limit.
-DEGENERACY_RTOL = 1e-9
-
-_RECONSTRUCTION_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -44,15 +50,11 @@ class SpectralDecomposition:
 
     def __post_init__(self):
         vals = np.array(self.eigenvalues, dtype=float)
-        vecs = np.array(self.eigenvectors, dtype=complex)
+        vecs = np.array(self.eigenvectors)
         vals.setflags(write=False)
         vecs.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
-        dim = vals.shape[0]
-        ortho = np.abs(vecs.conj().T @ vecs - np.eye(dim)).max()
-        if ortho > _RECONSTRUCTION_TOL:
-            raise NumericsError(f"eigenvectors deviate from unitarity by {ortho!r}")
 
     @property
     def dimension(self) -> int:
@@ -66,7 +68,8 @@ def decompose(h: HermitianOperator) -> SpectralDecomposition:
     """Full eigendecomposition with a deterministic phase convention.
 
     Eigenvalues come out ascending; each eigenvector is rotated so its
-    largest-magnitude component is real and positive.
+    largest-magnitude component is real and positive. Real matrices keep
+    real eigenvectors.
     """
     try:
         vals, vecs = np.linalg.eigh(h.matrix)
@@ -74,13 +77,7 @@ def decompose(h: HermitianOperator) -> SpectralDecomposition:
         raise NumericsError("eigendecomposition failed") from exc
     idx = np.abs(vecs).argmax(axis=0)
     anchors = vecs[idx, np.arange(vecs.shape[1])]
-    phases = anchors / np.abs(anchors)
-    vecs = vecs / phases[np.newaxis, :]
-    dec = SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
-    defect = np.abs(dec.reconstruct() - h.matrix).max()
-    if defect > _RECONSTRUCTION_TOL * dec.dimension:
-        raise NumericsError(f"spectral reconstruction defect {defect!r}")
-    return dec
+    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs / (anchors / np.abs(anchors)))
 
 
 def evolve(h: HermitianOperator, t: float, state: DickeState) -> DickeState:
@@ -97,64 +94,66 @@ def evolve(h: HermitianOperator, t: float, state: DickeState) -> DickeState:
 
 @dataclass(frozen=True)
 class GeneratorResult:
-    """Dynamical generator together with its seminorm, the channel QFI and
-    the state that saturates it (equal superposition of the extremal
-    eigenvectors)."""
+    """Dynamical generator as the spectrum of H plus the real kernel G~,
+    with its seminorm and the channel QFI.
 
-    generator: HermitianOperator
+    The Dicke-basis generator and the state that saturates the channel
+    QFI (equal superposition of the extremal eigenvectors) are built only
+    when read.
+    """
+
+    spectrum: SpectralDecomposition
+    kernel: np.ndarray
+    t: float
     seminorm: float
     cqfi: float
-    optimal_state: DickeState
+
+    @cached_property
+    def _frame(self) -> np.ndarray:
+        """W = V diag(exp(i E t/2)), so that G = W G~ W^dag."""
+        return self.spectrum.eigenvectors * np.exp(0.5j * self.t * self.spectrum.eigenvalues)
+
+    @cached_property
+    def generator(self) -> HermitianOperator:
+        mat = self._frame @ self.kernel @ self._frame.conj().T
+        return HermitianOperator(matrix=(mat + mat.conj().T) / 2.0)
+
+    @cached_property
+    def optimal_state(self) -> DickeState:
+        _, vecs = np.linalg.eigh(self.kernel)
+        amp = self._frame @ (vecs[:, -1] + vecs[:, 0])
+        return DickeState(amplitudes=amp / np.linalg.norm(amp))
 
 
 def dynamical_generator(p: SystemParams, ops: SpinOperators) -> GeneratorResult:
     """Generator of the acceleration imprint after time p.t.
 
-    In the eigenbasis {E_k, |k>} of H(lambda) the generator is
-    <k|G|l> = <k|Jx|l> (e^{i(E_k-E_l)t} - 1) / (i(E_k-E_l)), with the
-    limit t <k|Jx|l> on (near-)degenerate pairs. This realizes
-    G = int_0^t e^{iHs} Jx e^{-iHs} ds, since dH/dlambda = Jx. The channel
-    QFI is the squared spread of G's spectrum.
+    G = int_0^t e^{iHs} Jx e^{-iHs} ds, since dH/dlambda = Jx. In the
+    eigenbasis of H, int_0^t e^{i(E_k-E_l)s} ds = e^{i(E_k-E_l)t/2} t
+    sinc((E_k-E_l)t/2pi); the phases are the unitary frame W, which
+    leaves the spectrum alone, so the channel QFI is the squared spread
+    of eigvalsh(G~). Degenerate pairs need no special case: sinc(0) = 1.
     """
-    h = total_hamiltonian(p, ops)
-    dec = decompose(h)
-    energies = dec.eigenvalues
-    v = dec.eigenvectors
-    jx_eig = v.conj().T @ ops.jx @ v
-
-    gaps = energies[:, np.newaxis] - energies[np.newaxis, :]
-    tol = DEGENERACY_RTOL * np.abs(energies).max()
-    degenerate = np.abs(gaps) <= tol
-    safe = np.where(degenerate, 1.0, gaps)
-    phase_factor = np.where(
-        degenerate,
-        p.t,
-        (np.exp(1j * gaps * p.t) - 1.0) / (1j * safe),
-    )
-    gen_eig = jx_eig * phase_factor
-    gen_mat = v @ gen_eig @ v.conj().T
-    generator = HermitianOperator(matrix=(gen_mat + gen_mat.conj().T) / 2.0)
-
-    gen_dec = decompose(generator)
-    seminorm = float(gen_dec.eigenvalues[-1] - gen_dec.eigenvalues[0])
-    optimal = (gen_dec.eigenvectors[:, -1] + gen_dec.eigenvectors[:, 0]) / np.sqrt(2.0)
-    optimal /= np.linalg.norm(optimal)
+    spectrum = decompose(total_hamiltonian(p, ops))
+    v = spectrum.eigenvectors
+    gaps = spectrum.eigenvalues[:, np.newaxis] - spectrum.eigenvalues[np.newaxis, :]
+    kernel = (v.T @ ops.jx @ v) * (p.t * np.sinc(gaps * (p.t / (2.0 * np.pi))))
+    kernel = (kernel + kernel.T) / 2.0
+    kernel.setflags(write=False)
+    levels = np.linalg.eigvalsh(kernel)
+    seminorm = float(levels[-1] - levels[0])
     return GeneratorResult(
-        generator=generator,
-        seminorm=seminorm,
-        cqfi=seminorm * seminorm,
-        optimal_state=DickeState(amplitudes=optimal),
+        spectrum=spectrum, kernel=kernel, t=p.t, seminorm=seminorm, cqfi=seminorm * seminorm
     )
 
 
 def qfi_pure_state(gen: GeneratorResult, state: DickeState) -> float:
-    """QFI of a specific input state: 4 Var_psi(G)."""
-    if gen.generator.dimension != state.dimension:
-        raise ValueError(
-            f"generator dimension {gen.generator.dimension} does not match "
-            f"state dimension {state.dimension}"
-        )
-    return 4.0 * variance(gen.generator, state)
+    """QFI of a specific input state: 4 Var_psi(G), evaluated as 4 Var of G~."""
+    dim = gen.spectrum.dimension
+    if dim != state.dimension:
+        raise ValueError(f"generator dimension {dim} does not match state dimension {state.dimension}")
+    phi = gen._frame.conj().T @ state.amplitudes
+    return 4.0 * variance(gen.kernel, DickeState(amplitudes=phi))
 
 
 def cqfi_upper_bound(n_particles: int, t: float) -> float:

@@ -1,8 +1,9 @@
 """Dense Hamiltonian builders for the two-mode model.
 
-Matrices are dense complex arrays: at the particle numbers of interest
-(N up to a few hundred) the (N+1)^2 storage is negligible and dense
-eigensolvers dominate the runtime anyway. Builders take the spin
+Matrices are dense float64 arrays: only Jz, Jx, Jx^2 and Jy^2 enter, so
+every model Hamiltonian is real symmetric. At the particle numbers of
+interest (N up to a few hundred) the (N+1)^2 storage is negligible and
+dense eigensolvers dominate the runtime anyway. Builders take the spin
 operators explicitly so parameter sweeps construct them once per N.
 """
 
@@ -35,7 +36,7 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvariantError(f"expected a square matrix, got shape {mat.shape}")
         defect = np.abs(mat - mat.conj().T).max()
@@ -79,9 +80,9 @@ def single_well_hamiltonian(p: SystemParams, ops: SpinOperators) -> HermitianOpe
     _check_dimension(p, ops)
     n = p.n_particles
     linear = (-p.delta_eps + p.g * (n - 1) / (2.0 * n) * p.delta_a) * ops.jz
-    nonlinear = (p.eta * p.g / n) * (ops.jx @ ops.jx + p.xi * (ops.jy @ ops.jy))
+    nonlinear = (p.eta * p.g / n) * (ops.jx @ ops.jx + p.xi * (ops.jy @ ops.jy).real)
     mat = linear + nonlinear
-    return HermitianOperator(matrix=(mat + mat.conj().T) / 2.0)
+    return HermitianOperator(matrix=(mat + mat.T) / 2.0)
 
 
 def acceleration_hamiltonian(lambda_acc: float, ops: SpinOperators) -> HermitianOperator:

@@ -8,7 +8,7 @@ self-interaction integral equals one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -101,6 +101,9 @@ class SystemParams:
     t: float
 
     def __post_init__(self):
+        non_finite = [f.name for f in fields(self) if not np.isfinite(getattr(self, f.name))]
+        if non_finite:
+            raise InvariantError(f"parameters must be finite, got non-finite {', '.join(non_finite)}")
         if self.n_particles < 1:
             raise InvariantError("n_particles must be at least 1")
         if self.g < 0.0:
@@ -238,15 +241,19 @@ def validity_gamma(g_1d: float, n_particles: int) -> tuple[float, bool]:
     return float(gamma), bool(gamma <= 1.0)
 
 
+# Sweepable axis name -> SystemParams field.
+AXIS_FIELDS = {
+    "g": "g",
+    "delta_eps": "delta_eps",
+    "t": "t",
+    "lambda": "lambda_acc",
+    "delta_a": "delta_a",
+}
+
+
 def with_axis_value(p: SystemParams, axis: str, value: float) -> SystemParams:
     """Return a copy of p with one sweepable axis replaced."""
-    field = {
-        "g": "g",
-        "delta_eps": "delta_eps",
-        "t": "t",
-        "lambda": "lambda_acc",
-        "delta_a": "delta_a",
-    }.get(axis)
+    field = AXIS_FIELDS.get(axis)
     if field is None:
         raise ValueError(f"unknown sweep axis {axis!r}")
     return replace(p, **{field: float(value)})

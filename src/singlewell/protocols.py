@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -33,6 +32,8 @@ log = logging.getLogger(__name__)
 
 _CRB_SLACK = 1e-9
 
+STATE_KINDS = ("fragmented", "coherent")
+
 
 @dataclass(frozen=True)
 class ProtocolSpec:
@@ -40,12 +41,12 @@ class ProtocolSpec:
 
     params: SystemParams
     theta: float = 0.5
-    state_kind: Literal["fragmented", "coherent"] = "fragmented"
+    state_kind: str = "fragmented"
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= np.pi:
             raise InvariantError(f"theta must lie in [0, pi], got {self.theta!r}")
-        if self.state_kind not in ("fragmented", "coherent"):
+        if self.state_kind not in STATE_KINDS:
             raise InvariantError(f"unknown state kind {self.state_kind!r}")
 
 
@@ -62,7 +63,9 @@ def beam_splitter(ops: SpinOperators, sign: int = -1) -> np.ndarray:
 
     The default sign = -1 matches the rotated-state convention; sign = +1
     gives the rotation generated by free evolution under -delta_eps Jz.
-    Either choice shifts the coherent-state polar angle by a quarter turn.
+    Either choice turns the coherent-state azimuth phi by a quarter turn
+    and leaves the polar angle theta alone, so on a Jz eigenstate (the
+    theta = 0 coherent input) it is only a global phase.
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
@@ -70,7 +73,7 @@ def beam_splitter(ops: SpinOperators, sign: int = -1) -> np.ndarray:
     return np.diag(np.exp(sign * 1j * (np.pi / 2.0) * m))
 
 
-def run_protocol(spec: ProtocolSpec, ops: SpinOperators, splitter_sign: int = -1) -> ProtocolResult:
+def run_protocol(spec: ProtocolSpec, ops: SpinOperators) -> ProtocolResult:
     """Run the split-accumulate sequence and report QFI figures.
 
     Returns the QFI of the prepared-and-rotated state, the pure
@@ -95,7 +98,7 @@ def run_protocol(spec: ProtocolSpec, ops: SpinOperators, splitter_sign: int = -1
         prepared = fragmented_ground_state(n, spec.theta)
     fragmentation = degree_of_fragmentation(prepared, ops)
 
-    rotated = DickeState(amplitudes=beam_splitter(ops, sign=splitter_sign) @ prepared.amplitudes)
+    rotated = DickeState(amplitudes=beam_splitter(ops) @ prepared.amplitudes)
 
     gen = dynamical_generator(p, ops)
     qfi = qfi_pure_state(gen, rotated)

@@ -38,17 +38,16 @@ def _frozen_array(obj, field, values, dtype=complex):
 
 @dataclass(frozen=True)
 class SpinOperators:
-    """The collective operators Jx, Jy, Jz, J0 as dense (N+1) x (N+1) matrices."""
+    """The collective operators Jx, Jy, Jz as dense (N+1) x (N+1) matrices; only Jy is complex."""
 
     dimension: int
     jx: np.ndarray
     jy: np.ndarray
     jz: np.ndarray
-    j0: np.ndarray
 
     def __post_init__(self):
-        for name in ("jx", "jy", "jz", "j0"):
-            _frozen_array(self, name, getattr(self, name))
+        for name in ("jx", "jy", "jz"):
+            _frozen_array(self, name, getattr(self, name), dtype=None)
 
     @property
     def n_particles(self) -> int:
@@ -77,7 +76,7 @@ class DickeState:
 
 
 def build_spin_operators(n_particles: int) -> SpinOperators:
-    """Construct Jx, Jy, Jz, J0 for j = N/2 in the Dicke basis.
+    """Construct Jx, Jy, Jz for j = N/2 in the Dicke basis.
 
     Jz is diagonal with entries m = N/2 - k; Jx and Jy come from the
     ladder operators with the standard matrix elements
@@ -93,15 +92,14 @@ def build_spin_operators(n_particles: int) -> SpinOperators:
     k = np.arange(n + 1)
     m = j - k
 
-    jz = np.diag(m.astype(complex))
-    jplus = np.zeros((n + 1, n + 1), dtype=complex)
+    jz = np.diag(m)
+    jplus = np.zeros((n + 1, n + 1))
     # J+ raises m by one, i.e. moves a particle from mode 1 to mode 0 (k -> k-1).
     jplus[k[1:] - 1, k[1:]] = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
-    jminus = jplus.conj().T
+    jminus = jplus.T
     jx = (jplus + jminus) / 2.0
     jy = (jplus - jminus) / 2.0j
-    j0 = (n / 2.0) * np.eye(n + 1, dtype=complex)
-    return SpinOperators(dimension=n + 1, jx=jx, jy=jy, jz=jz, j0=j0)
+    return SpinOperators(dimension=n + 1, jx=jx, jy=jy, jz=jz)
 
 
 def spin_coherent_state(n_particles: int, theta: float, phi: float) -> DickeState:

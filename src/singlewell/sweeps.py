@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
 from .analytic import cqfi_noninteracting
 from .dynamics import cqfi_upper_bound, dynamical_generator
 from .errors import NumericsError
-from .modes import SystemParams, with_axis_value
+from .modes import AXIS_FIELDS, SystemParams, with_axis_value
 from .plotting import render_svg
 from .protocols import ProtocolSpec, run_protocol
 from .spin_core import build_spin_operators
@@ -35,7 +34,7 @@ __all__ = [
 ]
 
 TARGETS = ("cqfi_noninteracting", "cqfi_interacting", "protocol_qfi")
-AXES = ("g", "delta_eps", "t", "lambda", "delta_a")
+AXES = tuple(AXIS_FIELDS)
 
 
 class SweepPointError(Exception):
@@ -44,8 +43,8 @@ class SweepPointError(Exception):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    target: Literal["cqfi_noninteracting", "cqfi_interacting", "protocol_qfi"]
-    axis: Literal["g", "delta_eps", "t", "lambda", "delta_a"]
+    target: str
+    axis: str
     axis_min: float
     axis_max: float
     steps: int
@@ -54,14 +53,14 @@ class SweepSpec:
     state_kind: str = "fragmented"
     workers: int = 1
     log_scale: bool = False
-    csv_path: str | None = None
-    svg_path: str | None = None
 
     def __post_init__(self):
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}; expected one of {TARGETS}")
         if self.axis not in AXES:
             raise ValueError(f"unknown axis {self.axis!r}; expected one of {AXES}")
+        if not np.isfinite([self.axis_min, self.axis_max]).all():
+            raise ValueError(f"axis range must be finite, got [{self.axis_min!r}, {self.axis_max!r}]")
         if self.steps < 2:
             raise ValueError(f"a sweep needs at least 2 steps, got {self.steps}")
         if not self.axis_min < self.axis_max:

@@ -76,6 +76,10 @@ class TestParamsCommand:
     def test_invariant_violation_exits_one(self):
         code, _ = run_cli("params", "--eta", "0.5", "--xi", "2.0")
         assert code == EXIT_INVARIANT
+        for flag in ("--g", "--t", "--lambda", "--eta", "--chi"):
+            for bad in ("nan", "inf", "-inf"):
+                code, _ = run_cli("params", f"{flag}={bad}")
+                assert code == EXIT_INVARIANT, (flag, bad)
 
 
 class TestValidateCommand:
@@ -92,6 +96,14 @@ class TestValidateCommand:
         code, out = run_cli("validate", "-c", str(cfg))
         assert code == EXIT_INVARIANT
         assert "opposite signs" in out
+        for flag in ("--t", "--g", "--delta-eps"):
+            code, out = run_cli("validate", flag, "nan")
+            assert code == EXIT_INVARIANT
+            assert "FAIL" in out and "non-finite" in out
+        cfg.write_text("system:\n  t: .nan\n", encoding="utf-8")
+        code, out = run_cli("validate", "-c", str(cfg))
+        assert code == EXIT_INVARIANT
+        assert "non-finite t" in out
 
 
 class TestSweepCommand:
@@ -130,6 +142,11 @@ class TestSweepCommand:
     def test_bad_range_is_invariant_error(self):
         code, _ = run_cli("sweep", "--min", "5", "--max", "1")
         assert code == EXIT_INVARIANT
+        small = ("sweep", "--n-particles", "4", "--steps", "2")
+        for bad in (("--g", "nan"), ("--lambda", "nan"), ("--eta", "nan"), ("--max", "inf"),
+                    ("--min", "nan"), ("--sweep-axis", "t", "--g", "inf")):
+            code, _ = run_cli(*small, *bad)
+            assert code == EXIT_INVARIANT, bad
 
 
 class TestPlotCommand:

@@ -15,6 +15,7 @@ from singlewell import (
     evolve,
     qfi_pure_state,
     spin_coherent_state,
+    total_hamiltonian,
 )
 from conftest import finite_difference_generator, harmonic_params, random_valid_params
 
@@ -46,10 +47,16 @@ class TestDecompose:
     def test_reconstruction_and_unitarity(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-        h = HermitianOperator(matrix=(a + a.conj().T) / 2)
-        dec = decompose(h)
-        assert np.abs(dec.reconstruct() - h.matrix).max() < 1e-10 * 9
-        assert np.abs(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(9)).max() < 1e-10
+        cases = [HermitianOperator(matrix=(a + a.conj().T) / 2)]
+        for n in (50, 200):
+            ops = build_spin_operators(n)
+            for g in (0.0, 80.0, 200.0):
+                cases.append(total_hamiltonian(harmonic_params(n_particles=n, g=g, delta_eps=10.0), ops))
+        for h in cases:
+            dec = decompose(h)
+            dim = dec.dimension
+            assert np.abs(dec.reconstruct() - h.matrix).max() < 1e-10 * dim
+            assert np.abs(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(dim)).max() < 1e-10
 
     def test_phase_convention(self):
         ops = build_spin_operators(6)
@@ -89,8 +96,6 @@ class TestEvolve:
         rng = np.random.default_rng(seed)
         p = random_valid_params(rng, n_particles=int(rng.integers(1, 25)))
         ops = build_spin_operators(p.n_particles)
-        from singlewell import total_hamiltonian
-
         state = random_state(rng, p.n_particles + 1)
         out = evolve(total_hamiltonian(p, ops), p.t, state)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
@@ -134,6 +139,14 @@ class TestDynamicalGenerator:
         gen = dynamical_generator(p, ops).generator.matrix
         oracle = finite_difference_generator(p, ops)
         assert np.abs(gen - oracle).max() < 1e-5
+
+    def test_matches_finite_difference_oracle_at_exact_degeneracy(self):
+        # the parity blocks of H cross here: the smallest level gap is at rounding level
+        ops = build_spin_operators(50)
+        p = harmonic_params(g=26.0, delta_eps=1.0, lambda_acc=0.0)
+        assert np.diff(np.linalg.eigvalsh(total_hamiltonian(p, ops).matrix)).min() < 1e-12
+        gen = dynamical_generator(p, ops).generator.matrix
+        assert np.abs(gen - finite_difference_generator(p, ops)).max() < 1e-8
 
     def test_seminorm_invariances(self):
         ops = build_spin_operators(15)

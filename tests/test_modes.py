@@ -149,6 +149,14 @@ class TestSystemParamsInvariants:
         with pytest.raises(InvariantError):
             SystemParams(10, -1.0, 1.0, 0.1, 0.5, -0.5, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fields_rejected(self, bad):
+        valid = dict(n_particles=10, g=1.0, delta_eps=1.0, delta_a=0.1, eta=0.5, xi=-0.5,
+                     lambda_acc=1.0, t=1.0)
+        for name in valid:
+            with pytest.raises(InvariantError, match=name):
+                SystemParams(**{**valid, name: bad})
+
 
 def test_with_axis_value_maps_every_axis():
     p = SystemParams(10, 1.0, 2.0, 0.25, 0.625, -0.6, 3.0, 4.0)

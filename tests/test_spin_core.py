@@ -29,10 +29,6 @@ class TestBuildSpinOperators:
         ops = build_spin_operators(50)
         assert abs(np.linalg.eigvalsh(ops.jx).max() - 25.0) < 1e-10
 
-    def test_j0_is_half_n_identity(self):
-        ops = build_spin_operators(7)
-        assert np.array_equal(ops.j0, 3.5 * np.eye(8))
-
     @pytest.mark.parametrize("bad", [0, -3, 2.5, "4", True])
     def test_rejects_bad_particle_numbers(self, bad):
         with pytest.raises(ValueError):
@@ -56,7 +52,7 @@ class TestBuildSpinOperators:
 
     def test_hermiticity(self):
         ops = build_spin_operators(13)
-        for mat in (ops.jx, ops.jy, ops.jz, ops.j0):
+        for mat in (ops.jx, ops.jy, ops.jz):
             assert np.abs(mat - mat.conj().T).max() < 1e-12
 
 

@@ -30,6 +30,9 @@ class TestSweepSpec:
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError):
             small_spec(axis_min=5.0, axis_max=5.0)
+        for lo, hi in ((np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                small_spec(axis_min=lo, axis_max=hi)
 
     def test_rejects_unknown_target_and_axis(self):
         with pytest.raises(ValueError):
