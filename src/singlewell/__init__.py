@@ -2,88 +2,21 @@
 in a single trap: collective-spin model, dynamical generator, channel QFI,
 ground-state protocols and parameter sweeps."""
 
-from .analytic import cqfi_noninteracting, ideal_qfi
-from .dynamics import (
-    GeneratorResult,
-    SpectralDecomposition,
-    cqfi_upper_bound,
-    decompose,
-    dynamical_generator,
-    evolve,
-    qfi_pure_state,
-)
-from .errors import InvariantError, NumericsError
-from .hamiltonians import (
-    DoubleWellParams,
-    HermitianOperator,
-    acceleration_hamiltonian,
-    double_well_hamiltonian,
-    single_well_hamiltonian,
-    total_hamiltonian,
-)
-from .modes import (
-    ModeIntegrals,
-    SystemParams,
-    derive_params,
-    harmonic_mode_integrals,
-    renormalized_q,
-    validity_gamma,
-)
-from .protocols import ProtocolResult, ProtocolSpec, beam_splitter, run_protocol
-from .spin_core import (
-    DickeState,
-    SpinOperators,
-    build_spin_operators,
-    degree_of_fragmentation,
-    expectation,
-    fragmented_ground_state,
-    spin_coherent_state,
-    variance,
-)
-from .sweeps import SweepResult, SweepSpec, emit_csv, emit_plot, load_csv, run_sweep
+from . import analytic, dynamics, errors, hamiltonians, modes, protocols, spin_core, sweeps
+from .analytic import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .hamiltonians import *  # noqa: F401,F403
+from .modes import *  # noqa: F401,F403
+from .protocols import *  # noqa: F401,F403
+from .spin_core import *  # noqa: F401,F403
+from .sweeps import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# The public API is every module's __all__; each module lists its own names once.
 __all__ = [
-    "InvariantError",
-    "NumericsError",
-    "SpinOperators",
-    "DickeState",
-    "build_spin_operators",
-    "spin_coherent_state",
-    "fragmented_ground_state",
-    "degree_of_fragmentation",
-    "expectation",
-    "variance",
-    "ModeIntegrals",
-    "SystemParams",
-    "harmonic_mode_integrals",
-    "derive_params",
-    "renormalized_q",
-    "validity_gamma",
-    "HermitianOperator",
-    "DoubleWellParams",
-    "single_well_hamiltonian",
-    "acceleration_hamiltonian",
-    "double_well_hamiltonian",
-    "total_hamiltonian",
-    "SpectralDecomposition",
-    "GeneratorResult",
-    "decompose",
-    "evolve",
-    "dynamical_generator",
-    "qfi_pure_state",
-    "cqfi_upper_bound",
-    "cqfi_noninteracting",
-    "ideal_qfi",
-    "ProtocolSpec",
-    "ProtocolResult",
-    "beam_splitter",
-    "run_protocol",
-    "SweepSpec",
-    "SweepResult",
-    "run_sweep",
-    "emit_csv",
-    "emit_plot",
-    "load_csv",
+    name
+    for module in (errors, spin_core, modes, hamiltonians, dynamics, analytic, protocols, sweeps)
+    for name in module.__all__
 ]

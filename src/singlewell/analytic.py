@@ -6,7 +6,7 @@ import numpy as np
 
 from .spin_core import DickeState, SpinOperators, variance
 
-__all__ = ["cqfi_noninteracting", "ideal_qfi"]
+__all__ = ["cqfi_noninteracting", "ideal_qfi", "phase_shift_qfi"]
 
 
 def cqfi_noninteracting(n_particles: int, lambda_acc: float, delta_eps: float, t: float) -> float:
@@ -29,4 +29,9 @@ def cqfi_noninteracting(n_particles: int, lambda_acc: float, delta_eps: float, t
 
 def ideal_qfi(state: DickeState, t: float, ops: SpinOperators) -> float:
     """QFI under a pure phase shift lambda Jx: 4 t^2 Var_psi(Jx)."""
-    return 4.0 * t * t * variance(ops.jx, state)
+    return phase_shift_qfi(variance(ops.jx, state), t)
+
+
+def phase_shift_qfi(jx_variance: float, t: float) -> float:
+    """`ideal_qfi` of an input whose Var(Jx) is already known."""
+    return 4.0 * t * t * jx_variance

@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--min", dest="axis_min", type=float)
     p_sweep.add_argument("--max", dest="axis_max", type=float)
     p_sweep.add_argument("--steps", type=int)
-    p_sweep.add_argument("--workers", type=int)
+    p_sweep.add_argument("--workers", type=int, help="accepted and ignored")
     p_sweep.add_argument("--theta", type=float)
     p_sweep.add_argument("--state-kind", choices=STATE_KINDS)
     p_sweep.add_argument("--log-scale", action="store_const", const=True, default=None)
@@ -205,3 +205,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

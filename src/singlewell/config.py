@@ -8,8 +8,8 @@ values. Defaults are the harmonic-orbital parameter set with N = 50.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any
+from dataclasses import asdict, dataclass, field, replace
+from typing import Any, get_args, get_type_hints
 
 import yaml
 
@@ -101,13 +101,28 @@ _SYSTEM_KEYS = {"lambda": "lambda_acc"}
 _SWEEP_KEYS = {"min": "axis_min", "max": "axis_max"}
 
 
+def _has_type(value, annotation) -> bool:
+    """Whether a YAML value fits a field type; an int fits a float, a bool only a bool."""
+    allowed = get_args(annotation) or (annotation,)
+    if isinstance(value, bool):
+        return bool in allowed
+    if isinstance(value, int) and float in allowed:
+        return True
+    return isinstance(value, allowed)
+
+
 def _table_to_dataclass(cls, table: dict, key_map: dict[str, str], section: str):
-    known = {f.name for f in fields(cls)}
+    if not isinstance(table, dict):
+        raise ValueError(f"[{section}] must be a mapping, got {table!r}")
+    types = get_type_hints(cls)
     kwargs = {}
     for key, value in table.items():
         name = key_map.get(key, key)
-        if name not in known:
+        if name not in types:
             raise ValueError(f"unknown key {key!r} in [{section}]")
+        if not _has_type(value, types[name]):
+            expected = getattr(types[name], "__name__", types[name])
+            raise ValueError(f"[{section}] {key} must be of type {expected}, got {value!r}")
         kwargs[name] = value
     return cls(**kwargs)
 

@@ -16,6 +16,10 @@ The channel QFI is read from the spectrum of G~, the QFI of psi as
 4 Var of G~ over W^dag psi. The sinc is smooth through E_k = E_l, where
 it equals t, so exactly or nearly degenerate levels need no threshold and
 lose no precision to the cancellation in (e^{i w t} - 1) / (i w).
+
+The generator comes in two steps: `dynamical_generator` takes H to
+(E, V, V^T Jx V), which does not depend on t, and `generator_at` reads
+that out at one time. A sweep along t therefore decomposes H once.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from .errors import NumericsError
 from .hamiltonians import HermitianOperator, total_hamiltonian
 from .modes import SystemParams
-from .spin_core import DickeState, SpinOperators, variance
+from .spin_core import DickeState, SpinOperators
 
 __all__ = [
     "SpectralDecomposition",
@@ -36,6 +40,7 @@ __all__ = [
     "decompose",
     "evolve",
     "dynamical_generator",
+    "generator_at",
     "qfi_pure_state",
     "cqfi_upper_bound",
 ]
@@ -94,8 +99,8 @@ def evolve(h: HermitianOperator, t: float, state: DickeState) -> DickeState:
 
 @dataclass(frozen=True)
 class GeneratorResult:
-    """Dynamical generator as the spectrum of H plus the real kernel G~,
-    with its seminorm and the channel QFI.
+    """Dynamical generator as the spectrum of H, Jx in its eigenbasis
+    (V^T Jx V) and the real kernel G~, with its seminorm and the channel QFI.
 
     The Dicke-basis generator and the state that saturates the channel
     QFI (equal superposition of the extremal eigenvectors) are built only
@@ -103,6 +108,7 @@ class GeneratorResult:
     """
 
     spectrum: SpectralDecomposition
+    jx: np.ndarray
     kernel: np.ndarray
     t: float
     seminorm: float
@@ -125,35 +131,47 @@ class GeneratorResult:
         return DickeState(amplitudes=amp / np.linalg.norm(amp))
 
 
-def dynamical_generator(p: SystemParams, ops: SpinOperators) -> GeneratorResult:
-    """Generator of the acceleration imprint after time p.t.
+def generator_at(spectrum: SpectralDecomposition, jx: np.ndarray, t: float) -> GeneratorResult:
+    """The generator after time t from the spectrum of H and jx = V^T Jx V.
 
-    G = int_0^t e^{iHs} Jx e^{-iHs} ds, since dH/dlambda = Jx. In the
-    eigenbasis of H, int_0^t e^{i(E_k-E_l)s} ds = e^{i(E_k-E_l)t/2} t
+    In the eigenbasis of H, int_0^t e^{i(E_k-E_l)s} ds = e^{i(E_k-E_l)t/2} t
     sinc((E_k-E_l)t/2pi); the phases are the unitary frame W, which
     leaves the spectrum alone, so the channel QFI is the squared spread
     of eigvalsh(G~). Degenerate pairs need no special case: sinc(0) = 1.
     """
-    spectrum = decompose(total_hamiltonian(p, ops))
-    v = spectrum.eigenvectors
     gaps = spectrum.eigenvalues[:, np.newaxis] - spectrum.eigenvalues[np.newaxis, :]
-    kernel = (v.T @ ops.jx @ v) * (p.t * np.sinc(gaps * (p.t / (2.0 * np.pi))))
+    kernel = jx * (t * np.sinc(gaps * (t / (2.0 * np.pi))))
     kernel = (kernel + kernel.T) / 2.0
     kernel.setflags(write=False)
     levels = np.linalg.eigvalsh(kernel)
     seminorm = float(levels[-1] - levels[0])
     return GeneratorResult(
-        spectrum=spectrum, kernel=kernel, t=p.t, seminorm=seminorm, cqfi=seminorm * seminorm
+        spectrum=spectrum, jx=jx, kernel=kernel, t=t, seminorm=seminorm, cqfi=seminorm * seminorm
     )
 
 
+def dynamical_generator(p: SystemParams, ops: SpinOperators) -> GeneratorResult:
+    """Generator of the acceleration imprint after time p.t.
+
+    G = int_0^t e^{iHs} Jx e^{-iHs} ds, since dH/dlambda = Jx.
+    """
+    spectrum = decompose(total_hamiltonian(p, ops))
+    v = spectrum.eigenvectors
+    return generator_at(spectrum, v.T @ ops.jx @ v, p.t)
+
+
 def qfi_pure_state(gen: GeneratorResult, state: DickeState) -> float:
-    """QFI of a specific input state: 4 Var_psi(G), evaluated as 4 Var of G~."""
-    dim = gen.spectrum.dimension
-    if dim != state.dimension:
-        raise ValueError(f"generator dimension {dim} does not match state dimension {state.dimension}")
-    phi = gen._frame.conj().T @ state.amplitudes
-    return 4.0 * variance(gen.kernel, DickeState(amplitudes=phi))
+    """QFI of a specific input state: 4 Var_psi(G), evaluated as 4 Var of G~
+    over phi = W^dag psi = exp(-i E t/2) * (V^T psi)."""
+    spectrum = gen.spectrum
+    if spectrum.dimension != state.dimension:
+        raise ValueError(
+            f"generator dimension {spectrum.dimension} does not match state dimension {state.dimension}"
+        )
+    phi = np.exp(-0.5j * gen.t * spectrum.eigenvalues) * (spectrum.eigenvectors.T @ state.amplitudes)
+    applied = gen.kernel @ phi
+    mean = np.vdot(phi, applied).real
+    return 4.0 * max(np.vdot(applied, applied).real - mean * mean, 0.0)
 
 
 def cqfi_upper_bound(n_particles: int, t: float) -> float:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["InvariantError", "NumericsError"]
+
 
 class InvariantError(Exception):
     """A physical or structural invariant of the model is violated."""

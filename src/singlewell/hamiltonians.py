@@ -1,10 +1,12 @@
 """Dense Hamiltonian builders for the two-mode model.
 
 Matrices are dense float64 arrays: only Jz, Jx, Jx^2 and Jy^2 enter, so
-every model Hamiltonian is real symmetric. At the particle numbers of
-interest (N up to a few hundred) the (N+1)^2 storage is negligible and
-dense eigensolvers dominate the runtime anyway. Builders take the spin
-operators explicitly so parameter sweeps construct them once per N.
+every model Hamiltonian is real symmetric and pentadiagonal in the Dicke
+basis. The quadratic part comes from the exact identities
+Jx^2 + Jy^2 = j(j+1) - Jz^2 and Jx^2 - Jy^2 = (J+^2 + J-^2)/2, so a
+Hamiltonian is written band by band into one array with no matrix product.
+Builders take the spin operators explicitly so parameter sweeps construct
+them once per N.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ from .spin_core import SpinOperators
 
 __all__ = [
     "HermitianOperator",
-    "DoubleWellParams",
     "single_well_hamiltonian",
     "acceleration_hamiltonian",
-    "double_well_hamiltonian",
     "total_hamiltonian",
 ]
 
@@ -50,20 +50,33 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class DoubleWellParams:
-    """Level difference, tunneling rate and on-site interaction of the comparator."""
+def _jx2_plus_xi_jy2(ops: SpinOperators, xi: float) -> np.ndarray:
+    """Jx^2 + xi Jy^2 without a matrix product.
 
-    delta_eps: float
-    omega: float
-    u: float
+    It equals (1+xi)/2 (j(j+1) - Jz^2) + (1-xi)/4 (J+^2 + J-^2): a diagonal
+    plus the two second off-diagonals, every other entry exactly zero.
+    """
+    dim = ops.dimension
+    j = 0.5 * (dim - 1)
+    m = np.diagonal(ops.jz)
+    mat = np.diag(0.5 * (1.0 + xi) * (j * (j + 1.0) - m * m))
+    ladder = 2.0 * np.diagonal(ops.jx, 1)  # <m+1|J+|m>
+    k = np.arange(dim - 2)
+    mat[k, k + 2] = mat[k + 2, k] = 0.25 * (1.0 - xi) * ladder[:-1] * ladder[1:]
+    return mat
 
 
-def _check_dimension(p: SystemParams, ops: SpinOperators):
-    if ops.dimension != p.n_particles + 1:
-        raise ValueError(
-            f"spin operators of dimension {ops.dimension} do not match N = {p.n_particles}"
-        )
+def _model_matrix(p: SystemParams, ops: SpinOperators, lambda_acc: float) -> np.ndarray:
+    """q Jz + (eta g / N)(Jx^2 + xi Jy^2) + lambda_acc Jx in one array (q: renormalized splitting)."""
+    n = p.n_particles
+    if ops.dimension != n + 1:
+        raise ValueError(f"spin operators of dimension {ops.dimension} do not match N = {n}")
+    mat = _jx2_plus_xi_jy2(ops, p.xi)
+    mat *= p.eta * p.g / n
+    k = np.arange(n + 1)
+    mat[k, k] += (-p.delta_eps + p.g * (n - 1) / (2.0 * n) * p.delta_a) * np.diagonal(ops.jz)
+    mat[k[:-1], k[1:]] = mat[k[1:], k[:-1]] = lambda_acc * np.diagonal(ops.jx, 1)
+    return mat
 
 
 def single_well_hamiltonian(p: SystemParams, ops: SpinOperators) -> HermitianOperator:
@@ -77,12 +90,7 @@ def single_well_hamiltonian(p: SystemParams, ops: SpinOperators) -> HermitianOpe
     Jx^2 and Jy^2 appear, so matrix elements between Dicke states whose
     k differ by an odd number vanish identically.
     """
-    _check_dimension(p, ops)
-    n = p.n_particles
-    linear = (-p.delta_eps + p.g * (n - 1) / (2.0 * n) * p.delta_a) * ops.jz
-    nonlinear = (p.eta * p.g / n) * (ops.jx @ ops.jx + p.xi * (ops.jy @ ops.jy).real)
-    mat = linear + nonlinear
-    return HermitianOperator(matrix=(mat + mat.T) / 2.0)
+    return HermitianOperator(matrix=_model_matrix(p, ops, 0.0))
 
 
 def acceleration_hamiltonian(lambda_acc: float, ops: SpinOperators) -> HermitianOperator:
@@ -90,22 +98,9 @@ def acceleration_hamiltonian(lambda_acc: float, ops: SpinOperators) -> Hermitian
     return HermitianOperator(matrix=lambda_acc * ops.jx)
 
 
-def double_well_hamiltonian(dw: DoubleWellParams, ops: SpinOperators) -> HermitianOperator:
-    """Comparator Hamiltonian delta_eps Jz + omega Jx + u Jz^2.
-
-    In a double well single-particle tunneling survives (omega) while the
-    pair-tunneling and density-density couplings are exponentially small,
-    so interactions reduce to the u Jz^2 form.
-    """
-    mat = dw.delta_eps * ops.jz + dw.omega * ops.jx + dw.u * (ops.jz @ ops.jz)
-    return HermitianOperator(matrix=mat)
-
-
 def total_hamiltonian(p: SystemParams, ops: SpinOperators) -> HermitianOperator:
     """Phase-accumulation Hamiltonian: system plus acceleration.
 
     The derivative with respect to lambda_acc is exactly Jx.
     """
-    _check_dimension(p, ops)
-    mat = single_well_hamiltonian(p, ops).matrix + p.lambda_acc * ops.jx
-    return HermitianOperator(matrix=mat)
+    return HermitianOperator(matrix=_model_matrix(p, ops, p.lambda_acc))

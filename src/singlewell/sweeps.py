@@ -2,25 +2,27 @@
 
 A sweep evaluates one target (analytic noninteracting channel QFI,
 interacting channel QFI, or the ground-state protocol QFI) on a uniform
-grid of a single axis while every other parameter stays fixed. Points are
-independent, so they may be evaluated by a thread pool; results are
-gathered in grid order and identical specs produce byte-identical CSVs
-regardless of worker count.
+grid of a single axis while every other parameter stays fixed. It is one
+loop in grid order through the kernels of the single-point APIs, with the
+work that does not change along the grid done once: the spin operators,
+the protocol input state, and, on the t axis, where H stays the same, the
+decomposition of H. Identical specs produce byte-identical CSVs.
+`workers` is accepted and validated but ignored.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .analytic import cqfi_noninteracting
-from .dynamics import cqfi_upper_bound, dynamical_generator
+from .dynamics import cqfi_upper_bound, dynamical_generator, generator_at
 from .errors import NumericsError
-from .modes import AXIS_FIELDS, SystemParams, with_axis_value
+from .modes import AXIS_FIELDS, SystemParams, validity_gamma, with_axis_value
 from .plotting import render_svg
-from .protocols import ProtocolSpec, run_protocol
+from .protocols import ProtocolSpec, prepare_input, protocol_readout
 from .spin_core import build_spin_operators
 
 __all__ = [
@@ -32,6 +34,8 @@ __all__ = [
     "emit_plot",
     "load_csv",
 ]
+
+log = logging.getLogger(__name__)
 
 TARGETS = ("cqfi_noninteracting", "cqfi_interacting", "protocol_qfi")
 AXES = tuple(AXIS_FIELDS)
@@ -51,7 +55,7 @@ class SweepSpec:
     params: SystemParams
     theta: float = 0.5
     state_kind: str = "fragmented"
-    workers: int = 1
+    workers: int = 1  # validated, otherwise ignored
     log_scale: bool = False
 
     def __post_init__(self):
@@ -99,62 +103,61 @@ class SweepResult:
                 raise ValueError("sweep columns must share one length")
 
 
-def _evaluate_point(spec: SweepSpec, ops, value: float) -> tuple[float, float, float | None]:
-    p = with_axis_value(spec.params, spec.axis, value)
-    bound = cqfi_upper_bound(p.n_particles, p.t)
-    if spec.target == "cqfi_noninteracting":
-        return cqfi_noninteracting(p.n_particles, p.lambda_acc, p.delta_eps, p.t), bound, None
-    if spec.target == "cqfi_interacting":
-        return dynamical_generator(p, ops).cqfi, bound, None
-    res = run_protocol(ProtocolSpec(params=p, theta=spec.theta, state_kind=spec.state_kind), ops)
-    return res.qfi, bound, res.ideal_qfi_baseline
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the target over the grid; any point failure aborts the sweep."""
     ops = build_spin_operators(spec.params.n_particles)
     grid = spec.grid()
-
-    def point(value) -> tuple[float, float, float | None]:
+    protocol = spec.target == "protocol_qfi"
+    if protocol:
+        inp = prepare_input(
+            ProtocolSpec(params=spec.params, theta=spec.theta, state_kind=spec.state_kind), ops
+        )
+    gen = None
+    rows, gammas = [], []
+    for value in grid:
         value = float(value)
         try:
-            return _evaluate_point(spec, ops, value)
+            p = with_axis_value(spec.params, spec.axis, value)
+            bound = cqfi_upper_bound(p.n_particles, p.t)
+            if spec.target == "cqfi_noninteracting":
+                cqfi = cqfi_noninteracting(p.n_particles, p.lambda_acc, p.delta_eps, p.t)
+                rows.append((cqfi, bound, None))
+                continue
+            if spec.axis == "t" and gen is not None:
+                gen = generator_at(gen.spectrum, gen.jx, p.t)  # H does not depend on t
+            else:
+                gen = None  # release the last point's arrays before building the next H
+                gen = dynamical_generator(p, ops)
+            if protocol:
+                res = protocol_readout(inp, gen)
+                rows.append((res.qfi, bound, res.ideal_qfi_baseline))
+                gammas.append(validity_gamma(p.g_1d, p.n_particles)[0])
+            else:
+                rows.append((gen.cqfi, bound, None))
         except Exception as exc:
             raise SweepPointError(
                 f"sweep point failed at {spec.axis} = {value!r} "
                 f"(target = {spec.target}, fixed = {spec.params})"
             ) from exc
 
-    if spec.workers == 1:
-        rows = [point(v) for v in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            rows = list(pool.map(point, grid))
-
+    outside = sum(gamma > 1.0 for gamma in gammas)
+    if outside:
+        log.warning(
+            "%d of %d points outside two-mode validity, gamma_max = %.3g",
+            outside, len(gammas), max(gammas),
+        )
     values = np.array([r[0] for r in rows])
     bounds = np.array([r[1] for r in rows])
-    ideal = None
-    if spec.target == "protocol_qfi":
-        ideal = np.array([r[2] for r in rows])
+    ideal = np.array([r[2] for r in rows]) if protocol else None
 
     p = spec.params
-    metadata = {
-        "target": spec.target,
-        "axis": spec.axis,
-        "steps": spec.steps,
-        "n_particles": p.n_particles,
-        "g": p.g,
-        "delta_eps": p.delta_eps,
-        "delta_a": p.delta_a,
-        "eta": p.eta,
-        "xi": p.xi,
-        "lambda": p.lambda_acc,
-        "t": p.t,
-        "log_scale": spec.log_scale,
-    }
+    axis_names = {name: axis for axis, name in AXIS_FIELDS.items()}  # lambda_acc -> lambda
+    metadata = {"target": spec.target, "axis": spec.axis, "steps": spec.steps}
+    metadata.update({axis_names.get(f.name, f.name): getattr(p, f.name) for f in fields(p)})
+    metadata["log_scale"] = spec.log_scale
     # The swept axis is not a fixed parameter; keep it out of the echo.
     metadata.pop(spec.axis, None)
-    if spec.target == "protocol_qfi":
+    if protocol:
         metadata["theta"] = spec.theta
         metadata["state_kind"] = spec.state_kind
     return SweepResult(

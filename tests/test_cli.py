@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +108,29 @@ class TestValidateCommand:
         code, out = run_cli("validate", "-c", str(cfg))
         assert code == EXIT_INVARIANT
         assert "non-finite t" in out
+
+    @pytest.mark.parametrize("table, key", [
+        ("system", "g"), ("sweep", "steps"), ("sweep", "min"), ("protocol", "theta"),
+    ])
+    def test_non_numeric_yaml_value_named(self, tmp_path, capsys, table, key):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"{table}:\n  {key}: abc\n", encoding="utf-8")
+        for command in ("validate", "sweep"):
+            code, _ = run_cli(command, "-c", str(cfg))
+            err = capsys.readouterr().err
+            assert code == EXIT_INVARIANT, command
+            assert f"[{table}] {key}" in err and "Traceback" not in err
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["singlewell", "singlewell.cli"])
+    def test_python_m_runs_the_cli(self, module):
+        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run([sys.executable, "-m", module, "validate", "--t", "nan"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_INVARIANT
+        assert "non-finite t" in proc.stdout
 
 
 class TestSweepCommand:

@@ -1,10 +1,24 @@
+import logging
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from singlewell import SweepSpec, emit_csv, emit_plot, load_csv, run_sweep
-from singlewell.sweeps import SweepPointError
+from singlewell import (
+    ProtocolSpec,
+    SweepSpec,
+    build_spin_operators,
+    dynamical_generator,
+    emit_csv,
+    emit_plot,
+    load_csv,
+    run_protocol,
+    run_sweep,
+    validity_gamma,
+)
+from singlewell.modes import with_axis_value
+from singlewell.sweeps import AXES, SweepPointError
 from singlewell.errors import InvariantError
 from conftest import harmonic_params
 
@@ -33,6 +47,10 @@ class TestSweepSpec:
         for lo, hi in ((np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0)):
             with pytest.raises(ValueError, match="finite"):
                 small_spec(axis_min=lo, axis_max=hi)
+
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="workers"):
+            small_spec(workers=0)
 
     def test_rejects_unknown_target_and_axis(self):
         with pytest.raises(ValueError):
@@ -75,10 +93,50 @@ class TestRunSweep:
         except SweepPointError as exc:
             assert isinstance(exc.__cause__, InvariantError)
 
-    def test_worker_count_does_not_change_results(self):
-        seq = run_sweep(small_spec(steps=7, workers=1))
-        par = run_sweep(small_spec(steps=7, workers=4))
-        assert np.array_equal(seq.values, par.values)
+    def test_sweep_matches_pointwise_evaluation(self):
+        # the sweep hoists the spin operators, the protocol input and, on the
+        # t axis, the decomposition of H; point by point it must still agree
+        # with the single-point APIs
+        ranges = {"g": (0.0, 40.0), "delta_eps": (0.0, 10.0), "t": (0.0, 3.0),
+                  "lambda": (-1.0, 2.0), "delta_a": (0.0, 1.0)}
+        assert set(ranges) == set(AXES)
+        base = replace(small_spec().params, g=20.0)
+        ops = build_spin_operators(base.n_particles)
+        for axis, (lo, hi) in ranges.items():
+            cases = [("cqfi_interacting", "fragmented")]
+            cases += [("protocol_qfi", kind) for kind in ("fragmented", "coherent")]
+            for target, kind in cases:
+                spec = small_spec(target=target, axis=axis, axis_min=lo, axis_max=hi, steps=7,
+                                  params=base, theta=0.7, state_kind=kind, workers=3)
+                res = run_sweep(spec)
+                points = [with_axis_value(base, axis, v) for v in res.axis_values]
+                if target == "cqfi_interacting":
+                    expected = [dynamical_generator(p, ops).cqfi for p in points]
+                else:
+                    single = [run_protocol(ProtocolSpec(params=p, theta=0.7, state_kind=kind), ops)
+                              for p in points]
+                    expected = [r.qfi for r in single]
+                    np.testing.assert_allclose(
+                        res.ideal, [r.ideal_qfi_baseline for r in single], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(res.values, expected, rtol=1e-12, atol=0,
+                                           err_msg=f"{target} {kind} over {axis}")
+
+    def test_validity_warning_is_one_line_per_sweep(self, caplog):
+        spec = small_spec(target="protocol_qfi", steps=9)
+        gammas = [validity_gamma(g / 12, 12)[0] for g in spec.grid()]
+        outside = sum(gamma > 1.0 for gamma in gammas)
+        assert 0 < outside < 9
+        with caplog.at_level(logging.WARNING):
+            run_sweep(spec)
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert warnings[0].getMessage() == (
+            f"{outside} of 9 points outside two-mode validity, gamma_max = {max(gammas):.3g}"
+        )
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            run_sweep(small_spec(target="protocol_qfi", axis_max=20.0, steps=9))
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
 
     def test_swept_axis_left_out_of_metadata(self):
         res = run_sweep(small_spec())
