@@ -9,13 +9,13 @@ import argparse
 from pathlib import Path
 
 from singlewell import SweepSpec, emit_csv, emit_plot, run_sweep
-from singlewell.modes import SystemParams
+from singlewell.modes import HARMONIC_DELTA_A, HARMONIC_ETA, HARMONIC_XI, SystemParams
 
 
 def base_params(**overrides):
     fields = dict(
-        n_particles=50, g=0.0, delta_eps=1.0, delta_a=0.25,
-        eta=0.625, xi=-0.6, lambda_acc=1.0, t=1.0,
+        n_particles=50, g=0.0, delta_eps=1.0, delta_a=HARMONIC_DELTA_A,
+        eta=HARMONIC_ETA, xi=HARMONIC_XI, lambda_acc=1.0, t=1.0,
     )
     fields.update(overrides)
     return SystemParams(**fields)

@@ -13,13 +13,13 @@ import argparse
 from pathlib import Path
 
 from singlewell import SweepSpec, emit_csv, emit_plot, run_sweep
-from singlewell.modes import SystemParams
+from singlewell.modes import HARMONIC_DELTA_A, HARMONIC_ETA, HARMONIC_XI, SystemParams
 
 
 def base_params(**overrides):
     fields = dict(
-        n_particles=50, g=0.0, delta_eps=10.0, delta_a=0.25,
-        eta=0.625, xi=-0.6, lambda_acc=1.0, t=1.0,
+        n_particles=50, g=0.0, delta_eps=10.0, delta_a=HARMONIC_DELTA_A,
+        eta=HARMONIC_ETA, xi=HARMONIC_XI, lambda_acc=1.0, t=1.0,
     )
     fields.update(overrides)
     return SystemParams(**fields)
@@ -35,8 +35,6 @@ def sweep_to(outdir: Path, stem: str, spec: SweepSpec):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results/fig2")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted and ignored: each sweep runs as one loop")
     args = parser.parse_args()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -44,24 +42,24 @@ def main():
     for de in (1.0, 5.0, 10.0):
         sweep_to(outdir, f"cqfi_vs_g_deps{de:g}", SweepSpec(
             target="cqfi_interacting", axis="g", axis_min=0.0, axis_max=200.0, steps=101,
-            params=base_params(delta_eps=de), workers=args.workers,
+            params=base_params(delta_eps=de),
         ))
 
     for da in (0.25, 0.5, 1.0):
         sweep_to(outdir, f"cqfi_vs_g_da{da:g}", SweepSpec(
             target="cqfi_interacting", axis="g", axis_min=0.0, axis_max=200.0, steps=101,
-            params=base_params(delta_a=da), workers=args.workers,
+            params=base_params(delta_a=da),
         ))
 
     sweep_to(outdir, "cqfi_vs_delta_eps_g20", SweepSpec(
         target="cqfi_interacting", axis="delta_eps", axis_min=0.0, axis_max=20.0, steps=201,
-        params=base_params(g=20.0), workers=args.workers,
+        params=base_params(g=20.0),
     ))
 
     for g in (0.0, 20.0, 80.0):
         sweep_to(outdir, f"cqfi_vs_t_g{g:g}", SweepSpec(
             target="cqfi_interacting", axis="t", axis_min=0.0, axis_max=10.0, steps=201,
-            params=base_params(g=g), workers=args.workers,
+            params=base_params(g=g),
         ))
 
 

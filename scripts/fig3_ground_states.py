@@ -10,13 +10,13 @@ import argparse
 from pathlib import Path
 
 from singlewell import SweepSpec, emit_csv, emit_plot, run_sweep
-from singlewell.modes import SystemParams
+from singlewell.modes import HARMONIC_DELTA_A, HARMONIC_ETA, HARMONIC_XI, SystemParams
 
 
 def base_params(**overrides):
     fields = dict(
-        n_particles=50, g=0.0, delta_eps=10.0, delta_a=0.25,
-        eta=0.625, xi=-0.6, lambda_acc=1.0, t=1.0,
+        n_particles=50, g=0.0, delta_eps=10.0, delta_a=HARMONIC_DELTA_A,
+        eta=HARMONIC_ETA, xi=HARMONIC_XI, lambda_acc=1.0, t=1.0,
     )
     fields.update(overrides)
     return SystemParams(**fields)
@@ -25,8 +25,6 @@ def base_params(**overrides):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results/fig3")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted and ignored: each sweep runs as one loop")
     args = parser.parse_args()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -36,7 +34,7 @@ def main():
             spec = SweepSpec(
                 target="protocol_qfi", axis="g", axis_min=0.0, axis_max=200.0, steps=101,
                 params=base_params(delta_eps=de), theta=theta, state_kind=kind,
-                workers=args.workers, log_scale=True,
+                log_scale=True,
             )
             result = run_sweep(spec)
             stem = outdir / f"qfi_vs_g_{kind}_deps{de:g}"

@@ -1,7 +1,8 @@
 """Command-line interface: params, validate, sweep, plot.
 
 Exit codes: 0 success, 1 physics-invariant violation (including bad
-parameter values), 2 I/O failure, 3 numerical failure.
+parameter values and unreadable configs), 2 I/O failure, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .config import Config, SystemConfig, apply_overrides, load_config
 from .errors import InvariantError, NumericsError
-from .modes import harmonic_mode_integrals, renormalized_q, validity_gamma
+from .modes import HARMONIC_KAPPA, renormalized_q, validity_gamma
 from .protocols import STATE_KINDS
 from .sweeps import AXES, TARGETS, SweepSpec, emit_csv, emit_plot, load_csv, run_sweep
 
@@ -59,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--min", dest="axis_min", type=float)
     p_sweep.add_argument("--max", dest="axis_max", type=float)
     p_sweep.add_argument("--steps", type=int)
-    p_sweep.add_argument("--workers", type=int, help="accepted and ignored")
     p_sweep.add_argument("--theta", type=float)
     p_sweep.add_argument("--state-kind", choices=STATE_KINDS)
     p_sweep.add_argument("--log-scale", action="store_const", const=True, default=None)
@@ -84,7 +84,6 @@ def _config_from_args(args) -> Config:
                 "sweep.axis_min": args.axis_min,
                 "sweep.axis_max": args.axis_max,
                 "sweep.steps": args.steps,
-                "sweep.workers": args.workers,
                 "sweep.log_scale": args.log_scale,
                 "protocol.theta": args.theta,
                 "protocol.state_kind": args.state_kind,
@@ -97,7 +96,6 @@ def _config_from_args(args) -> Config:
 
 def _report_params(cfg: Config, out) -> None:
     p = cfg.system.to_system_params()
-    mi = harmonic_mode_integrals()
     gamma, ok = validity_gamma(p.g_1d, p.n_particles)
     rows = [
         ("n_particles", p.n_particles),
@@ -109,12 +107,26 @@ def _report_params(cfg: Config, out) -> None:
         ("lambda", p.lambda_acc),
         ("t", p.t),
         ("q", renormalized_q(p)),
-        ("kappa", mi.kappa),
+        ("kappa", HARMONIC_KAPPA),
         ("gamma", gamma),
         ("two_mode_ok", ok),
     ]
     for name, value in rows:
         out.write(f"{name} = {value:.12g}\n" if isinstance(value, float) else f"{name} = {value}\n")
+
+
+def _sweep_spec(cfg: Config) -> SweepSpec:
+    return SweepSpec(
+        target=cfg.sweep.target,
+        axis=cfg.sweep.axis,
+        axis_min=cfg.sweep.axis_min,
+        axis_max=cfg.sweep.axis_max,
+        steps=cfg.sweep.steps,
+        params=cfg.system.to_system_params(),
+        theta=cfg.protocol.theta,
+        state_kind=cfg.protocol.state_kind,
+        log_scale=cfg.sweep.log_scale,
+    )
 
 
 def cmd_params(args, out) -> int:
@@ -126,7 +138,8 @@ def cmd_validate(args, out) -> int:
     cfg = _config_from_args(args)
     try:
         _report_params(cfg, out)
-    except InvariantError as exc:
+        _sweep_spec(cfg)  # the spec `sweep` would run: grid and protocol inputs
+    except (InvariantError, ValueError) as exc:
         out.write(f"FAIL: {exc}\n")
         return EXIT_INVARIANT
     out.write("OK: all structural invariants hold\n")
@@ -135,18 +148,7 @@ def cmd_validate(args, out) -> int:
 
 def cmd_sweep(args, out) -> int:
     cfg = _config_from_args(args)
-    spec = SweepSpec(
-        target=cfg.sweep.target,
-        axis=cfg.sweep.axis,
-        axis_min=cfg.sweep.axis_min,
-        axis_max=cfg.sweep.axis_max,
-        steps=cfg.sweep.steps,
-        params=cfg.system.to_system_params(),
-        theta=cfg.protocol.theta,
-        state_kind=cfg.protocol.state_kind,
-        workers=cfg.sweep.workers,
-        log_scale=cfg.sweep.log_scale,
-    )
+    spec = _sweep_spec(cfg)
     result = run_sweep(spec)
     csv_path, svg_path = cfg.output.csv, cfg.output.svg
     if csv_path:
@@ -175,7 +177,7 @@ def _classify(exc: BaseException) -> int | None:
         seen.add(id(node))
         if isinstance(node, NumericsError) or isinstance(node, np.linalg.LinAlgError):
             return EXIT_NUMERIC
-        if isinstance(node, (InvariantError, ValueError)):
+        if isinstance(node, (InvariantError, ValueError, OverflowError)):
             return EXIT_INVARIANT
         if isinstance(node, OSError):
             return EXIT_IO

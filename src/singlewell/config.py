@@ -8,12 +8,13 @@ values. Defaults are the harmonic-orbital parameter set with N = 50.
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, get_args, get_type_hints
 
 import yaml
 
-from .modes import SystemParams
+from .modes import HARMONIC_DELTA_A, HARMONIC_ETA, HARMONIC_KAPPA, HARMONIC_XI, SystemParams
 
 __all__ = [
     "SystemConfig",
@@ -22,12 +23,9 @@ __all__ = [
     "OutputConfig",
     "Config",
     "load_config",
-    "dump_config",
     "parse_config",
     "emit_config",
 ]
-
-HARMONIC_KAPPA = 2.0 ** -0.5
 
 
 @dataclass(frozen=True)
@@ -35,9 +33,9 @@ class SystemConfig:
     n_particles: int = 50
     g: float = 0.0
     delta_eps: float = 1.0
-    delta_a: float = 0.25
-    eta: float = 0.625
-    xi: float = -0.6
+    delta_a: float = HARMONIC_DELTA_A
+    eta: float = HARMONIC_ETA
+    xi: float = HARMONIC_XI
     lambda_acc: float | None = 1.0
     chi: float | None = None
     kappa: float | None = None
@@ -78,7 +76,6 @@ class SweepConfig:
     axis_min: float = 0.0
     axis_max: float = 200.0
     steps: int = 101
-    workers: int = 1
     log_scale: bool = False
 
 
@@ -127,9 +124,23 @@ def _table_to_dataclass(cls, table: dict, key_map: dict[str, str], section: str)
     return cls(**kwargs)
 
 
+class _Loader(yaml.SafeLoader):
+    """The safe loader, reading YAML 1.2 floats with no dot such as 1e-3 as floats."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9]+(\.[0-9]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
+
+
 def parse_config(text: str) -> Config:
     """Parse a YAML config document into a Config."""
-    raw = yaml.safe_load(text) or {}
+    try:
+        raw = yaml.load(text, Loader=_Loader) or {}
+    except yaml.YAMLError as exc:
+        raise ValueError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError("config root must be a mapping of tables")
     for section in raw:
@@ -177,11 +188,6 @@ def load_config(path: str | None) -> Config:
         return Config()
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def dump_config(cfg: Config, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(emit_config(cfg))
 
 
 def apply_overrides(cfg: Config, **overrides: Any) -> Config:

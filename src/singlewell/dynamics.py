@@ -16,6 +16,8 @@ The channel QFI is read from the spectrum of G~, the QFI of psi as
 4 Var of G~ over W^dag psi. The sinc is smooth through E_k = E_l, where
 it equals t, so exactly or nearly degenerate levels need no threshold and
 lose no precision to the cancellation in (e^{i w t} - 1) / (i w).
+`decompose` fixes no sign of the columns of V: flipping them is the
+similarity G~ -> D G~ D with D = diag(+-1), which changes neither readout.
 
 The generator comes in two steps: `dynamical_generator` takes H to
 (E, V, V^T Jx V), which does not depend on t, and `generator_at` reads
@@ -65,24 +67,15 @@ class SpectralDecomposition:
     def dimension(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-
 
 def decompose(h: HermitianOperator) -> SpectralDecomposition:
-    """Full eigendecomposition with a deterministic phase convention.
-
-    Eigenvalues come out ascending; each eigenvector is rotated so its
-    largest-magnitude component is real and positive. Real matrices keep
-    real eigenvectors.
-    """
+    """Full eigendecomposition: eigenvalues ascending, real matrices keep
+    real eigenvectors, and each column keeps the phase LAPACK gives it."""
     try:
         vals, vecs = np.linalg.eigh(h.matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericsError("eigendecomposition failed") from exc
-    idx = np.abs(vecs).argmax(axis=0)
-    anchors = vecs[idx, np.arange(vecs.shape[1])]
-    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs / (anchors / np.abs(anchors)))
+    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
 def evolve(h: HermitianOperator, t: float, state: DickeState) -> DickeState:
@@ -102,9 +95,7 @@ class GeneratorResult:
     """Dynamical generator as the spectrum of H, Jx in its eigenbasis
     (V^T Jx V) and the real kernel G~, with its seminorm and the channel QFI.
 
-    The Dicke-basis generator and the state that saturates the channel
-    QFI (equal superposition of the extremal eigenvectors) are built only
-    when read.
+    The Dicke-basis generator is built only when read.
     """
 
     spectrum: SpectralDecomposition
@@ -115,20 +106,11 @@ class GeneratorResult:
     cqfi: float
 
     @cached_property
-    def _frame(self) -> np.ndarray:
-        """W = V diag(exp(i E t/2)), so that G = W G~ W^dag."""
-        return self.spectrum.eigenvectors * np.exp(0.5j * self.t * self.spectrum.eigenvalues)
-
-    @cached_property
     def generator(self) -> HermitianOperator:
-        mat = self._frame @ self.kernel @ self._frame.conj().T
+        """G = W G~ W^dag with the frame W = V diag(exp(i E t/2))."""
+        frame = self.spectrum.eigenvectors * np.exp(0.5j * self.t * self.spectrum.eigenvalues)
+        mat = frame @ self.kernel @ frame.conj().T
         return HermitianOperator(matrix=(mat + mat.conj().T) / 2.0)
-
-    @cached_property
-    def optimal_state(self) -> DickeState:
-        _, vecs = np.linalg.eigh(self.kernel)
-        amp = self._frame @ (vecs[:, -1] + vecs[:, 0])
-        return DickeState(amplitudes=amp / np.linalg.norm(amp))
 
 
 def generator_at(spectrum: SpectralDecomposition, jx: np.ndarray, t: float) -> GeneratorResult:

@@ -5,8 +5,8 @@ every model Hamiltonian is real symmetric and pentadiagonal in the Dicke
 basis. The quadratic part comes from the exact identities
 Jx^2 + Jy^2 = j(j+1) - Jz^2 and Jx^2 - Jy^2 = (J+^2 + J-^2)/2, so a
 Hamiltonian is written band by band into one array with no matrix product.
-Builders take the spin operators explicitly so parameter sweeps construct
-them once per N.
+Builders read the Jz eigenvalues and the ladder of the spin operators,
+which parameter sweeps construct once per N.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .spin_core import SpinOperators
 __all__ = [
     "HermitianOperator",
     "single_well_hamiltonian",
-    "acceleration_hamiltonian",
     "total_hamiltonian",
 ]
 
@@ -56,12 +55,10 @@ def _jx2_plus_xi_jy2(ops: SpinOperators, xi: float) -> np.ndarray:
     It equals (1+xi)/2 (j(j+1) - Jz^2) + (1-xi)/4 (J+^2 + J-^2): a diagonal
     plus the two second off-diagonals, every other entry exactly zero.
     """
-    dim = ops.dimension
-    j = 0.5 * (dim - 1)
-    m = np.diagonal(ops.jz)
+    j = 0.5 * ops.n_particles
+    m, ladder = ops.m, ops.ladder
     mat = np.diag(0.5 * (1.0 + xi) * (j * (j + 1.0) - m * m))
-    ladder = 2.0 * np.diagonal(ops.jx, 1)  # <m+1|J+|m>
-    k = np.arange(dim - 2)
+    k = np.arange(ops.dimension - 2)
     mat[k, k + 2] = mat[k + 2, k] = 0.25 * (1.0 - xi) * ladder[:-1] * ladder[1:]
     return mat
 
@@ -74,8 +71,8 @@ def _model_matrix(p: SystemParams, ops: SpinOperators, lambda_acc: float) -> np.
     mat = _jx2_plus_xi_jy2(ops, p.xi)
     mat *= p.eta * p.g / n
     k = np.arange(n + 1)
-    mat[k, k] += (-p.delta_eps + p.g * (n - 1) / (2.0 * n) * p.delta_a) * np.diagonal(ops.jz)
-    mat[k[:-1], k[1:]] = mat[k[1:], k[:-1]] = lambda_acc * np.diagonal(ops.jx, 1)
+    mat[k, k] += (-p.delta_eps + p.g * (n - 1) / (2.0 * n) * p.delta_a) * ops.m
+    mat[k[:-1], k[1:]] = mat[k[1:], k[:-1]] = lambda_acc * (0.5 * ops.ladder)
     return mat
 
 
@@ -93,13 +90,9 @@ def single_well_hamiltonian(p: SystemParams, ops: SpinOperators) -> HermitianOpe
     return HermitianOperator(matrix=_model_matrix(p, ops, 0.0))
 
 
-def acceleration_hamiltonian(lambda_acc: float, ops: SpinOperators) -> HermitianOperator:
-    """Linear-potential perturbation lambda * Jx; lambda = 2 * force * dipole element."""
-    return HermitianOperator(matrix=lambda_acc * ops.jx)
-
-
 def total_hamiltonian(p: SystemParams, ops: SpinOperators) -> HermitianOperator:
-    """Phase-accumulation Hamiltonian: system plus acceleration.
+    """Phase-accumulation Hamiltonian: system plus the linear potential
+    lambda_acc Jx (lambda_acc = 2 * force * dipole element).
 
     The derivative with respect to lambda_acc is exactly Jx.
     """

@@ -26,6 +26,14 @@ __all__ = [
 _REALITY_TOL = 1e-10
 _QUAD_TOL = 1e-10
 
+# The harmonic-orbital parameter set, exact: derive_params of
+# harmonic_mode_integrals() and its dipole element kappa = <0|x|1> give
+# these to quadrature precision. Defaults and scripts read them from here.
+HARMONIC_DELTA_A = 0.25
+HARMONIC_ETA = 0.625
+HARMONIC_XI = -0.6
+HARMONIC_KAPPA = 2.0 ** -0.5
+
 # Orbital prefactors with the Gaussian exp(-x^2/2) stripped off:
 # psi_i(x) = h_i(x) exp(-x^2/2), and d/dx psi_i(x) = d_i(x) exp(-x^2/2).
 _PI4 = np.pi ** -0.25
@@ -101,7 +109,7 @@ class SystemParams:
     t: float
 
     def __post_init__(self):
-        non_finite = [f.name for f in fields(self) if not np.isfinite(getattr(self, f.name))]
+        non_finite = [f.name for f in fields(self) if not np.isfinite(float(getattr(self, f.name)))]
         if non_finite:
             raise InvariantError(f"parameters must be finite, got non-finite {', '.join(non_finite)}")
         if self.n_particles < 1:

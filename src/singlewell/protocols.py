@@ -1,10 +1,11 @@
 """Ground-state interferometry: splitter, phase accumulation, QFI readout.
 
 The sequence is: prepare the (fragmented or coherent) ground state, apply
-the pi/2 splitter rotation about Jz, accumulate phase under the full
-interacting Hamiltonian with the acceleration on, and evaluate the QFI of
-the evolved family. The closing splitter-and-measurement step does not
-change the QFI and is omitted.
+the pi/2 splitter exp(-i (pi/2) Jz), a phase per Dicke state read from the
+Jz eigenvalues, accumulate phase under the full interacting Hamiltonian
+with the acceleration on, and evaluate the QFI of the evolved family. The
+closing splitter-and-measurement step does not change the QFI and is
+omitted.
 
 The input side depends only on N, theta and the state kind, so
 `prepare_input` builds it once and `protocol_readout` pairs it with the
@@ -73,19 +74,14 @@ class ProtocolResult:
     fragmentation: float
 
 
-def beam_splitter(ops: SpinOperators, sign: int = -1) -> np.ndarray:
-    """Splitter unitary exp(sign * i (pi/2) Jz), diagonal in the Dicke basis.
+def beam_splitter(ops: SpinOperators) -> np.ndarray:
+    """Splitter unitary exp(-i (pi/2) Jz), diagonal in the Dicke basis.
 
-    The default sign = -1 matches the rotated-state convention; sign = +1
-    gives the rotation generated by free evolution under -delta_eps Jz.
-    Either choice turns the coherent-state azimuth phi by a quarter turn
-    and leaves the polar angle theta alone, so on a Jz eigenstate (the
-    theta = 0 coherent input) it is only a global phase.
+    It turns the coherent-state azimuth phi by a quarter turn and leaves
+    the polar angle theta alone, so on a Jz eigenstate (the theta = 0
+    coherent input) it is only a global phase.
     """
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    m = np.real(np.diag(ops.jz))
-    return np.diag(np.exp(sign * 1j * (np.pi / 2.0) * m))
+    return np.diag(np.exp(-1j * (np.pi / 2.0) * ops.m))
 
 
 def prepare_input(spec: ProtocolSpec, ops: SpinOperators) -> ProtocolInput:

@@ -3,12 +3,15 @@
 The symmetric (Dicke) sector of N two-mode bosons is an (N+1)-dimensional
 spin j = N/2. Basis states are indexed by k, the occupation of mode 1,
 so the Jz eigenvalue at index k is m = N/2 - k and the condensate in
-mode 0 sits at index 0.
+mode 0 sits at index 0. Jz is diagonal and Jx, Jy are tridiagonal there,
+so `SpinOperators` holds two vectors, m and the ladder <k|J+|k+1>, and
+builds the dense matrices only when they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lgamma
 
 import numpy as np
@@ -30,28 +33,42 @@ NORM_TOL = 1e-12
 IMAG_TOL = 1e-10
 
 
-def _frozen_array(obj, field, values, dtype=complex):
-    arr = np.array(values, dtype=dtype)
+def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
-    object.__setattr__(obj, field, arr)
+    return arr
 
 
 @dataclass(frozen=True)
 class SpinOperators:
-    """The collective operators Jx, Jy, Jz as dense (N+1) x (N+1) matrices; only Jy is complex."""
+    """Jz eigenvalues m and ladder[k] = <k|J+|k+1>; the dense Jx, Jy, Jz
+    (only Jy complex) are built on first read. All arrays are read-only."""
 
-    dimension: int
-    jx: np.ndarray
-    jy: np.ndarray
-    jz: np.ndarray
+    m: np.ndarray
+    ladder: np.ndarray
 
     def __post_init__(self):
-        for name in ("jx", "jy", "jz"):
-            _frozen_array(self, name, getattr(self, name), dtype=None)
+        for name in ("m", "ladder"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
+
+    @property
+    def dimension(self) -> int:
+        return self.m.shape[0]
 
     @property
     def n_particles(self) -> int:
         return self.dimension - 1
+
+    @cached_property
+    def jx(self) -> np.ndarray:
+        return _read_only(np.diag(self.ladder / 2.0, 1) + np.diag(self.ladder / 2.0, -1))
+
+    @cached_property
+    def jy(self) -> np.ndarray:
+        return _read_only(np.diag(self.ladder / 2.0j, 1) - np.diag(self.ladder / 2.0j, -1))
+
+    @cached_property
+    def jz(self) -> np.ndarray:
+        return _read_only(np.diag(self.m))
 
 
 @dataclass(frozen=True)
@@ -61,7 +78,7 @@ class DickeState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        _frozen_array(self, "amplitudes", self.amplitudes)
+        object.__setattr__(self, "amplitudes", _read_only(np.array(self.amplitudes, dtype=complex)))
         norm = np.linalg.norm(self.amplitudes)
         if abs(norm - 1.0) > NORM_TOL:
             raise InvariantError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
@@ -76,11 +93,9 @@ class DickeState:
 
 
 def build_spin_operators(n_particles: int) -> SpinOperators:
-    """Construct Jx, Jy, Jz for j = N/2 in the Dicke basis.
-
-    Jz is diagonal with entries m = N/2 - k; Jx and Jy come from the
-    ladder operators with the standard matrix elements
-    <j,m+1|J+|j,m> = sqrt(j(j+1) - m(m+1)).
+    """The spin j = N/2 in the Dicke basis: Jz = diag(m), m = N/2 - k, and
+    J+, which moves a particle from mode 1 to mode 0 (k+1 -> k), with the
+    standard element <j,m+1|J+|j,m> = sqrt(j(j+1) - m(m+1)).
     """
     if isinstance(n_particles, bool) or not isinstance(n_particles, (int, np.integer)):
         raise ValueError(f"particle number must be an integer, got {n_particles!r}")
@@ -89,17 +104,8 @@ def build_spin_operators(n_particles: int) -> SpinOperators:
 
     n = int(n_particles)
     j = n / 2.0
-    k = np.arange(n + 1)
-    m = j - k
-
-    jz = np.diag(m)
-    jplus = np.zeros((n + 1, n + 1))
-    # J+ raises m by one, i.e. moves a particle from mode 1 to mode 0 (k -> k-1).
-    jplus[k[1:] - 1, k[1:]] = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
-    jminus = jplus.T
-    jx = (jplus + jminus) / 2.0
-    jy = (jplus - jminus) / 2.0j
-    return SpinOperators(dimension=n + 1, jx=jx, jy=jy, jz=jz)
+    m = j - np.arange(n + 1)
+    return SpinOperators(m=m, ladder=np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)))
 
 
 def spin_coherent_state(n_particles: int, theta: float, phi: float) -> DickeState:
@@ -162,15 +168,10 @@ def degree_of_fragmentation(state: DickeState, ops: SpinOperators | None = None)
         raise ValueError(
             f"operator dimension {ops.dimension} does not match state dimension {state.dimension}"
         )
-    ex = expectation(ops.jx, state)
-    ey = expectation(ops.jy, state)
-    ez = expectation(ops.jz, state)
-    rho1 = np.array(
-        [
-            [n / 2.0 + ez, ex + 1j * ey],
-            [ex - 1j * ey, n / 2.0 - ez],
-        ]
-    )
+    psi = state.amplitudes
+    jplus = np.sum(ops.ladder * psi[:-1].conj() * psi[1:])  # <Jx> + i <Jy>
+    ez = float(np.sum(ops.m * np.abs(psi) ** 2))
+    rho1 = np.array([[n / 2.0 + ez, jplus], [jplus.conjugate(), n / 2.0 - ez]])
     occ = np.linalg.eigvalsh(rho1)
     frag = 1.0 - abs(occ[1] - occ[0]) / n
     if not -1e-9 <= frag <= 1.0 + 1e-9:
@@ -178,13 +179,8 @@ def degree_of_fragmentation(state: DickeState, ops: SpinOperators | None = None)
     return float(min(max(frag, 0.0), 1.0))
 
 
-def _as_matrix(op) -> np.ndarray:
-    return op.matrix if hasattr(op, "matrix") else np.asarray(op)
-
-
-def expectation(op, state: DickeState) -> float:
+def expectation(mat: np.ndarray, state: DickeState) -> float:
     """<psi|A|psi> for Hermitian A; the imaginary residue must stay below 1e-10."""
-    mat = _as_matrix(op)
     if mat.shape != (state.dimension, state.dimension):
         raise ValueError(f"operator shape {mat.shape} does not match state dimension {state.dimension}")
     val = np.vdot(state.amplitudes, mat @ state.amplitudes)
@@ -193,12 +189,11 @@ def expectation(op, state: DickeState) -> float:
     return float(val.real)
 
 
-def variance(op, state: DickeState) -> float:
+def variance(mat: np.ndarray, state: DickeState) -> float:
     """<A^2> - <A>^2, evaluated as ||A psi||^2 - <A>^2 so it stays real."""
-    mat = _as_matrix(op)
     if mat.shape != (state.dimension, state.dimension):
         raise ValueError(f"operator shape {mat.shape} does not match state dimension {state.dimension}")
     applied = mat @ state.amplitudes
     second = float(np.real(np.vdot(applied, applied)))
-    first = expectation(op, state)
+    first = expectation(mat, state)
     return max(second - first * first, 0.0)

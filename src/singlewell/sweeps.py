@@ -6,8 +6,9 @@ grid of a single axis while every other parameter stays fixed. It is one
 loop in grid order through the kernels of the single-point APIs, with the
 work that does not change along the grid done once: the spin operators,
 the protocol input state, and, on the t axis, where H stays the same, the
-decomposition of H. Identical specs produce byte-identical CSVs.
-`workers` is accepted and validated but ignored.
+decomposition of H. A spec is checked whole when it is built, the
+protocol inputs of a protocol sweep included, so a bad spec fails before
+any point runs. Identical specs produce byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class SweepSpec:
     params: SystemParams
     theta: float = 0.5
     state_kind: str = "fragmented"
-    workers: int = 1  # validated, otherwise ignored
     log_scale: bool = False
 
     def __post_init__(self):
@@ -63,7 +63,7 @@ class SweepSpec:
             raise ValueError(f"unknown target {self.target!r}; expected one of {TARGETS}")
         if self.axis not in AXES:
             raise ValueError(f"unknown axis {self.axis!r}; expected one of {AXES}")
-        if not np.isfinite([self.axis_min, self.axis_max]).all():
+        if not np.isfinite([float(self.axis_min), float(self.axis_max)]).all():
             raise ValueError(f"axis range must be finite, got [{self.axis_min!r}, {self.axis_max!r}]")
         if self.steps < 2:
             raise ValueError(f"a sweep needs at least 2 steps, got {self.steps}")
@@ -71,8 +71,13 @@ class SweepSpec:
             raise ValueError(
                 f"axis range must be increasing, got [{self.axis_min!r}, {self.axis_max!r}]"
             )
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        for end in (self.axis_min, self.axis_max):
+            with_axis_value(self.params, self.axis, end)  # e.g. g < 0 fails here, not mid-sweep
+        if self.target == "protocol_qfi":
+            self.protocol_spec()  # a bad theta or state kind fails here
+
+    def protocol_spec(self) -> ProtocolSpec:
+        return ProtocolSpec(params=self.params, theta=self.theta, state_kind=self.state_kind)
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.axis_min, self.axis_max, self.steps)
@@ -109,9 +114,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     grid = spec.grid()
     protocol = spec.target == "protocol_qfi"
     if protocol:
-        inp = prepare_input(
-            ProtocolSpec(params=spec.params, theta=spec.theta, state_kind=spec.state_kind), ops
-        )
+        inp = prepare_input(spec.protocol_spec(), ops)
     gen = None
     rows, gammas = [], []
     for value in grid:

@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from singlewell import SystemParams, total_hamiltonian
+from singlewell.modes import HARMONIC_DELTA_A, HARMONIC_ETA, HARMONIC_XI
 
 
 def harmonic_params(**overrides) -> SystemParams:
@@ -17,9 +18,9 @@ def harmonic_params(**overrides) -> SystemParams:
         n_particles=50,
         g=0.0,
         delta_eps=1.0,
-        delta_a=0.25,
-        eta=0.625,
-        xi=-0.6,
+        delta_a=HARMONIC_DELTA_A,
+        eta=HARMONIC_ETA,
+        xi=HARMONIC_XI,
         lambda_acc=1.0,
         t=1.0,
     )

@@ -6,8 +6,9 @@ from singlewell import (
     build_spin_operators,
     cqfi_noninteracting,
     dynamical_generator,
-    ideal_qfi,
+    phase_shift_qfi,
     spin_coherent_state,
+    variance,
 )
 from conftest import harmonic_params
 
@@ -55,6 +56,11 @@ class TestCqfiNoninteracting:
                         numeric = dynamical_generator(p, ops[n]).cqfi
                         analytic = cqfi_noninteracting(n, lam, de, t)
                         assert abs(numeric - analytic) <= 1e-8 * analytic
+
+
+def ideal_qfi(state, t, ops):
+    """QFI under a pure phase shift lambda Jx: 4 t^2 Var_psi(Jx)."""
+    return phase_shift_qfi(variance(ops.jx, state), t)
 
 
 class TestIdealQfi:

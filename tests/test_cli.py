@@ -2,9 +2,14 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+import yaml
+from hypothesis import given, settings
 
 from singlewell.cli import EXIT_INVARIANT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _classify, main
 from singlewell.config import (
@@ -17,7 +22,8 @@ from singlewell.config import (
     parse_config,
 )
 from singlewell.errors import InvariantError, NumericsError
-from singlewell.sweeps import SweepPointError
+from singlewell.protocols import STATE_KINDS
+from singlewell.sweeps import AXES, TARGETS, SweepPointError
 
 
 def run_cli(*argv):
@@ -53,8 +59,26 @@ class TestConfigRoundTrip:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config("system:\n  coupling: 3\n")
+        with pytest.raises(ValueError, match="unknown key 'workers'"):
+            parse_config("sweep:\n  workers: 2\n")
         with pytest.raises(ValueError, match="unknown config table"):
             parse_config("systems:\n  g: 3\n")
+
+    def test_exponent_floats_without_a_dot(self, tmp_path):
+        # YAML 1.2 reads 1e-3 as a float; YAML 1.1 would read the string '1e-3'
+        assert parse_config("system: {t: 1e-3}\n").system.t == 0.001
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("system: {t: 1e-3}\n", encoding="utf-8")
+        code, out = run_cli("validate", "-c", str(cfg))
+        assert code == EXIT_OK and "t = 0.001" in out
+        cfg.write_text("system: {g: -2E+1}\n", encoding="utf-8")  # read as -20.0, not a string
+        code, out = run_cli("validate", "-c", str(cfg))
+        assert code == EXIT_INVARIANT and "got -20.0" in out
+        with pytest.raises(ValueError, match="steps must be of type int"):
+            parse_config("sweep: {steps: 1e2}\n")
+        cfg = Config(system=SystemConfig(t=1e-3, g=2.5e-7),
+                     sweep=SweepConfig(axis="delta_eps", axis_min=1e-9, axis_max=1e20))
+        assert parse_config(emit_config(cfg)) == cfg
 
     def test_swept_axis_must_not_be_fixed(self):
         text = "system:\n  g: 10\nsweep:\n  axis: g\n"
@@ -120,6 +144,67 @@ class TestValidateCommand:
             err = capsys.readouterr().err
             assert code == EXIT_INVARIANT, command
             assert f"[{table}] {key}" in err and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("text", [
+        "protocol: {theta: 5.0}\nsweep: {target: protocol_qfi}\n",
+        "protocol: {state_kind: bogus}\nsweep: {target: protocol_qfi}\n",
+        "sweep: {steps: 1}\n",
+    ])
+    def test_refuses_what_sweep_refuses(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        for command in ("validate", "sweep"):
+            code, out = run_cli(command, "-c", str(cfg))
+            assert code == EXIT_INVARIANT, command
+            assert "OK" not in out and "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, commands", [
+        ("system: {g: [1\n", ("validate", "sweep")),  # malformed YAML
+        ("? [a, b]\n: 1\n", ("validate", "sweep")),  # unhashable key
+        ("sweep: {min: 1" + "0" * 400 + "}\n", ("validate", "sweep")),  # int beyond float range
+        ("system: {g: 1.0e+300}\n", ("validate",)),  # gamma overflows a float
+    ])
+    def test_unreadable_or_extreme_input_exits_one(self, tmp_path, capsys, text, commands):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        for command in commands:
+            code, _ = run_cli(command, "-c", str(cfg))
+            assert code == EXIT_INVARIANT, command
+            assert "Traceback" not in capsys.readouterr().err
+
+
+# Random YAML tables: known keys (and one unknown) with values of every YAML
+# kind, valid names mixed in so some configs pass.
+_YAML_VALUES = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.text(max_size=6), st.none(),
+    st.sampled_from(TARGETS + AXES + STATE_KINDS),
+)
+_TABLE_KEYS = {
+    "system": ["lambda" if f.name == "lambda_acc" else f.name for f in fields(SystemConfig)],
+    "protocol": ["theta", "state_kind"],
+    "sweep": ["target", "axis", "min", "max", "steps", "log_scale"],
+}
+_YAML_DOCS = st.fixed_dictionaries({}, optional={
+    **{table: st.dictionaries(st.sampled_from(keys + ["bogus"]), _YAML_VALUES, max_size=4)
+       for table, keys in _TABLE_KEYS.items()},
+    "bogus": st.just({}),
+})
+
+
+class TestRandomConfigs:
+    @given(doc=_YAML_DOCS, n=st.integers(1, 12), steps=st.integers(2, 5))
+    @settings(deadline=None, max_examples=100)
+    def test_exit_codes_only(self, doc, n, steps):
+        # sweeps are held to N <= 12 and <= 5 steps so no example builds large matrices
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.yaml")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(yaml.safe_dump(doc))
+            for argv in (("validate", "-c", path),
+                         ("sweep", "-c", path, "--n-particles", str(n), "--steps", str(steps))):
+                code, _ = run_cli(*argv)
+                assert code in (EXIT_OK, EXIT_INVARIANT, EXIT_IO, EXIT_NUMERIC), argv
 
 
 class TestModuleEntryPoints:

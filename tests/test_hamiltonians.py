@@ -7,7 +7,6 @@ from singlewell import (
     HermitianOperator,
     InvariantError,
     SystemParams,
-    acceleration_hamiltonian,
     build_spin_operators,
     renormalized_q,
     single_well_hamiltonian,
@@ -99,22 +98,6 @@ class TestSingleWell:
         assert np.all(h[odd] == 0.0)
 
 
-class TestAcceleration:
-    def test_zero_acceleration(self):
-        ops = build_spin_operators(3)
-        assert np.all(acceleration_hamiltonian(0.0, ops).matrix == 0.0)
-
-    def test_unit_acceleration_is_jx(self):
-        ops = build_spin_operators(2)
-        assert np.array_equal(acceleration_hamiltonian(1.0, ops).matrix, ops.jx)
-
-    def test_force_times_dipole_scaling(self):
-        # lambda = 2 * chi * kappa with chi = 1, kappa = 1/sqrt(2)
-        ops = build_spin_operators(6)
-        h = acceleration_hamiltonian(2.0 * 1.0 * 2.0 ** -0.5, ops)
-        assert np.abs(h.matrix - np.sqrt(2.0) * ops.jx).max() < 1e-12
-
-
 class TestTotal:
     def test_noninteracting_form(self):
         ops = build_spin_operators(9)
@@ -147,9 +130,5 @@ class TestTotal:
         rng = np.random.default_rng(seed)
         p = random_valid_params(rng, n_particles=int(rng.integers(1, 31)))
         ops = build_spin_operators(p.n_particles)
-        for h in (
-            single_well_hamiltonian(p, ops),
-            acceleration_hamiltonian(p.lambda_acc, ops),
-            total_hamiltonian(p, ops),
-        ):
+        for h in (single_well_hamiltonian(p, ops), total_hamiltonian(p, ops)):
             assert np.abs(h.matrix - h.matrix.conj().T).max() < 1e-12

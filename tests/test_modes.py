@@ -12,7 +12,13 @@ from singlewell import (
     renormalized_q,
     validity_gamma,
 )
-from singlewell.modes import with_axis_value
+from singlewell.modes import (
+    HARMONIC_DELTA_A,
+    HARMONIC_ETA,
+    HARMONIC_KAPPA,
+    HARMONIC_XI,
+    with_axis_value,
+)
 
 
 class TestHarmonicModeIntegrals:
@@ -31,6 +37,15 @@ class TestHarmonicModeIntegrals:
         mi = harmonic_mode_integrals()
         assert abs((mi.eps1 - mi.eps0) - 1.0) < 1e-9
         assert abs(mi.eps0 - 0.5) < 1e-9
+
+    def test_exact_constants_match_quadrature(self):
+        # the constants every default reads must be what the orbitals give
+        mi = harmonic_mode_integrals()
+        p = derive_params(mi, 50, 10.0, 1.0, 1.0)
+        assert abs(p.delta_a - HARMONIC_DELTA_A) < 1e-12
+        assert abs(p.eta - HARMONIC_ETA) < 1e-12
+        assert abs(p.xi - HARMONIC_XI) < 1e-12
+        assert abs(mi.kappa - HARMONIC_KAPPA) < 1e-12
 
     def test_quadrature_stable_under_node_doubling(self):
         coarse = harmonic_mode_integrals(num_nodes=32)

@@ -10,7 +10,6 @@ from singlewell import (
     cqfi_noninteracting,
     degree_of_fragmentation,
     fragmented_ground_state,
-    ideal_qfi,
     run_protocol,
     spin_coherent_state,
 )
@@ -44,12 +43,6 @@ class TestBeamSplitter:
         phase = full_turn[0, 0]
         assert abs(abs(phase) - 1.0) < 1e-12
         assert np.abs(full_turn - phase * np.eye(9)).max() < 1e-12
-
-    def test_sign_flag(self):
-        ops = build_spin_operators(5)
-        assert np.abs(beam_splitter(ops, sign=1) - beam_splitter(ops, sign=-1).conj()).max() == 0.0
-        with pytest.raises(ValueError):
-            beam_splitter(ops, sign=2)
 
 
 class TestProtocolSpec:

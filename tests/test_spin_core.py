@@ -190,7 +190,10 @@ def test_dicke_state_rejects_unnormalized_amplitudes():
 def test_states_and_operators_are_immutable():
     ops = build_spin_operators(4)
     state = spin_coherent_state(4, 0.7, 0.1)
-    with pytest.raises(ValueError):
-        ops.jx[0, 0] = 5.0
+    for name in ("m", "ladder", "jx", "jy", "jz"):
+        arr = getattr(ops, name)
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+        assert getattr(ops, name) is arr  # a dense view is built once
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0

@@ -18,8 +18,9 @@ from singlewell import (
     validity_gamma,
 )
 from singlewell.modes import with_axis_value
+from singlewell import sweeps
 from singlewell.sweeps import AXES, SweepPointError
-from singlewell.errors import InvariantError
+from singlewell.errors import InvariantError, NumericsError
 from conftest import harmonic_params
 
 
@@ -48,9 +49,10 @@ class TestSweepSpec:
             with pytest.raises(ValueError, match="finite"):
                 small_spec(axis_min=lo, axis_max=hi)
 
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            small_spec(workers=0)
+    def test_grid_ends_outside_the_model_fail_at_the_spec(self):
+        for axis, message in (("g", "g >= 0"), ("t", "evolution time")):
+            with pytest.raises(InvariantError, match=message):
+                small_spec(axis=axis, axis_min=-1e-97, axis_max=1.0)
 
     def test_rejects_unknown_target_and_axis(self):
         with pytest.raises(ValueError):
@@ -84,14 +86,17 @@ class TestRunSweep:
         res = run_sweep(small_spec(steps=9))
         assert np.all(res.values <= res.bounds * (1 + 1e-9))
 
-    def test_point_failure_names_the_tuple(self):
-        spec = small_spec(axis="t", axis_min=-1.0, axis_max=1.0, steps=3)
-        with pytest.raises(SweepPointError, match=r"t = -1\.0"):
+    def test_point_failure_names_the_tuple(self, monkeypatch):
+        def failing_at_t0(p, ops):
+            if p.t == 0.0:
+                raise NumericsError("eigendecomposition failed")
+            return dynamical_generator(p, ops)
+
+        monkeypatch.setattr(sweeps, "dynamical_generator", failing_at_t0)
+        spec = small_spec(axis="t", axis_min=0.0, axis_max=1.0, steps=3)
+        with pytest.raises(SweepPointError, match=r"t = 0\.0") as info:
             run_sweep(spec)
-        try:
-            run_sweep(spec)
-        except SweepPointError as exc:
-            assert isinstance(exc.__cause__, InvariantError)
+        assert isinstance(info.value.__cause__, NumericsError)
 
     def test_sweep_matches_pointwise_evaluation(self):
         # the sweep hoists the spin operators, the protocol input and, on the
@@ -107,7 +112,7 @@ class TestRunSweep:
             cases += [("protocol_qfi", kind) for kind in ("fragmented", "coherent")]
             for target, kind in cases:
                 spec = small_spec(target=target, axis=axis, axis_min=lo, axis_max=hi, steps=7,
-                                  params=base, theta=0.7, state_kind=kind, workers=3)
+                                  params=base, theta=0.7, state_kind=kind)
                 res = run_sweep(spec)
                 points = [with_axis_value(base, axis, v) for v in res.axis_values]
                 if target == "cqfi_interacting":
