@@ -10,18 +10,20 @@ H is real symmetric, so one real eigendecomposition H = V diag(E) V^T
 carries both readouts. Centering the integration window on t/2 factors G
 as W G~ W^dag with W = V diag(exp(i E t/2)) and the real symmetric kernel
 
-    G~_kl = (V^T Jx V)_kl * t * sinc((E_k - E_l) t / 2 pi).
+    G~_kl = (V^T Jx V)_kl * t * sin(x_kl) / x_kl,   x_kl = (E_k - E_l) t / 2.
 
 The channel QFI is read from the spectrum of G~, the QFI of psi as
-4 Var of G~ over W^dag psi. The sinc is smooth through E_k = E_l, where
-it equals t, so exactly or nearly degenerate levels need no threshold and
-lose no precision to the cancellation in (e^{i w t} - 1) / (i w).
+4 Var of G~ over W^dag psi. sin(x)/x is smooth through E_k = E_l, where
+it is set to 1, so exactly or nearly degenerate levels need no threshold
+and lose no precision to the cancellation in (e^{i w t} - 1) / (i w).
 `decompose` fixes no sign of the columns of V: flipping them is the
 similarity G~ -> D G~ D with D = diag(+-1), which changes neither readout.
 
 The generator comes in two steps: `dynamical_generator` takes H to
 (E, V, V^T Jx V), which does not depend on t, and `generator_at` reads
-that out at one time. A sweep along t therefore decomposes H once.
+that out at one time. A sweep along t therefore decomposes H once. The
+spectrum of G~ is taken only when the channel QFI is read; the QFI of a
+state needs only products with G~.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "dynamical_generator",
     "generator_at",
     "qfi_pure_state",
+    "qfi_and_ritz_spread",
     "cqfi_upper_bound",
 ]
 
@@ -93,17 +96,26 @@ def evolve(h: HermitianOperator, t: float, state: DickeState) -> DickeState:
 @dataclass(frozen=True)
 class GeneratorResult:
     """Dynamical generator as the spectrum of H, Jx in its eigenbasis
-    (V^T Jx V) and the real kernel G~, with its seminorm and the channel QFI.
+    (V^T Jx V) and the real kernel G~.
 
-    The Dicke-basis generator is built only when read.
+    The seminorm, the channel QFI and the Dicke-basis generator are
+    computed only when read.
     """
 
     spectrum: SpectralDecomposition
     jx: np.ndarray
     kernel: np.ndarray
     t: float
-    seminorm: float
-    cqfi: float
+
+    @cached_property
+    def seminorm(self) -> float:
+        """Spectral spread of G~ (the frame W leaves it alone), from one eigvalsh."""
+        levels = np.linalg.eigvalsh(self.kernel)
+        return float(levels[-1] - levels[0])
+
+    @cached_property
+    def cqfi(self) -> float:
+        return self.seminorm * self.seminorm
 
     @cached_property
     def generator(self) -> HermitianOperator:
@@ -117,43 +129,74 @@ def generator_at(spectrum: SpectralDecomposition, jx: np.ndarray, t: float) -> G
     """The generator after time t from the spectrum of H and jx = V^T Jx V.
 
     In the eigenbasis of H, int_0^t e^{i(E_k-E_l)s} ds = e^{i(E_k-E_l)t/2} t
-    sinc((E_k-E_l)t/2pi); the phases are the unitary frame W, which
-    leaves the spectrum alone, so the channel QFI is the squared spread
-    of eigvalsh(G~). Degenerate pairs need no special case: sinc(0) = 1.
+    sin(x)/x with x = (E_k-E_l)t/2; the phases are the unitary frame W,
+    which leaves the spectrum alone. Degenerate pairs need no special
+    case: sin(x)/x is 1 at x = 0.
     """
-    gaps = spectrum.eigenvalues[:, np.newaxis] - spectrum.eigenvalues[np.newaxis, :]
-    kernel = jx * (t * np.sinc(gaps * (t / (2.0 * np.pi))))
+    x = np.subtract.outer(spectrum.eigenvalues, spectrum.eigenvalues)
+    x *= 0.5 * t
+    kernel = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
+    kernel *= t
+    kernel *= jx
     kernel = (kernel + kernel.T) / 2.0
     kernel.setflags(write=False)
-    levels = np.linalg.eigvalsh(kernel)
-    seminorm = float(levels[-1] - levels[0])
-    return GeneratorResult(
-        spectrum=spectrum, jx=jx, kernel=kernel, t=t, seminorm=seminorm, cqfi=seminorm * seminorm
-    )
+    return GeneratorResult(spectrum=spectrum, jx=jx, kernel=kernel, t=t)
 
 
 def dynamical_generator(p: SystemParams, ops: SpinOperators) -> GeneratorResult:
     """Generator of the acceleration imprint after time p.t.
 
-    G = int_0^t e^{iHs} Jx e^{-iHs} ds, since dH/dlambda = Jx.
+    G = int_0^t e^{iHs} Jx e^{-iHs} ds, since dH/dlambda = Jx. Jx is
+    tridiagonal, so V^T Jx V = M + M^T with M = V[:-1]^T (ladder/2 * V[1:]):
+    one matrix product, and exactly symmetric.
     """
     spectrum = decompose(total_hamiltonian(p, ops))
     v = spectrum.eigenvectors
-    return generator_at(spectrum, v.T @ ops.jx @ v, p.t)
+    half = v[:-1].T @ ((0.5 * ops.ladder)[:, np.newaxis] * v[1:])
+    return generator_at(spectrum, half + half.T, p.t)
 
 
-def qfi_pure_state(gen: GeneratorResult, state: DickeState) -> float:
-    """QFI of a specific input state: 4 Var_psi(G), evaluated as 4 Var of G~
-    over phi = W^dag psi = exp(-i E t/2) * (V^T psi)."""
+def _pairs(z: np.ndarray) -> np.ndarray:
+    """A complex vector as the n x 2 real array of its (real, imag) pairs, without a copy."""
+    return z.view(float).reshape(-1, 2)
+
+
+def qfi_and_ritz_spread(gen: GeneratorResult, state: DickeState) -> tuple[float, float]:
+    """The QFI of psi, 4 Var_psi(G), and L, the spread of the two
+    Rayleigh-Ritz values of G~ on span{phi, G~ phi}, phi = W^dag psi.
+
+    V and G~ are real, so the products act on the (real, imag) pairs of
+    psi and phi. For symmetric G~, 2 sigma_psi(G) <= L (Popoviciu) and
+    L <= seminorm (Cauchy interlacing), so qfi <= L^2 certifies
+    qfi <= cqfi without the spectrum of G~. L comes from an orthonormal
+    basis, so it does not share the QFI's assumption |phi| = 1. It is 0
+    when phi is an eigenvector of G~, whose span holds one Ritz value.
+    """
     spectrum = gen.spectrum
     if spectrum.dimension != state.dimension:
         raise ValueError(
             f"generator dimension {spectrum.dimension} does not match state dimension {state.dimension}"
         )
-    phi = np.exp(-0.5j * gen.t * spectrum.eigenvalues) * (spectrum.eigenvectors.T @ state.amplitudes)
+    rotated = (spectrum.eigenvectors.T @ _pairs(state.amplitudes)).view(complex).ravel()
+    phi = _pairs(np.exp(-0.5j * gen.t * spectrum.eigenvalues) * rotated)
     applied = gen.kernel @ phi
-    mean = np.vdot(phi, applied).real
-    return 4.0 * max(np.vdot(applied, applied).real - mean * mean, 0.0)
+    mean = np.vdot(phi, applied)
+    qfi = 4.0 * max(np.vdot(applied, applied) - mean * mean, 0.0)
+
+    norm2 = np.vdot(phi, phi)
+    ritz = mean / norm2  # <q|G~|q> for q = phi / |phi|
+    resid = applied - ritz * phi
+    resid2 = np.vdot(resid, resid)
+    if resid2 == 0.0:
+        return qfi, 0.0
+    other = np.vdot(resid, gen.kernel @ resid) / resid2  # <r|G~|r> for r = resid / |resid|
+    return qfi, float(np.hypot(ritz - other, 2.0 * np.sqrt(resid2 / norm2)))
+
+
+def qfi_pure_state(gen: GeneratorResult, state: DickeState) -> float:
+    """QFI of a specific input state: 4 Var_psi(G), evaluated as 4 Var of G~
+    over phi = W^dag psi = exp(-i E t/2) * (V^T psi)."""
+    return qfi_and_ritz_spread(gen, state)[0]
 
 
 def cqfi_upper_bound(n_particles: int, t: float) -> float:

@@ -245,7 +245,12 @@ def validity_gamma(g_1d: float, n_particles: int) -> tuple[float, bool]:
         raise InvariantError(f"repulsive model requires g_1d >= 0, got {g_1d!r}")
     if n_particles < 1:
         raise InvariantError("n_particles must be at least 1")
-    gamma = 1.5 * g_1d ** (4.0 / 3.0) * n_particles ** (-2.0 / 3.0)
+    try:
+        gamma = 1.5 * g_1d ** (4.0 / 3.0) * n_particles ** (-2.0 / 3.0)
+    except OverflowError as exc:
+        raise InvariantError(
+            f"two-mode validity gamma overflows a float at g_1d = {g_1d!r}, N = {n_particles}"
+        ) from exc
     return float(gamma), bool(gamma <= 1.0)
 
 

@@ -6,8 +6,8 @@ grid of a single axis while every other parameter stays fixed. It is one
 loop in grid order through the kernels of the single-point APIs, with the
 work that does not change along the grid done once: the spin operators,
 the protocol input state, and, on the t axis, where H stays the same, the
-decomposition of H. A spec is checked whole when it is built, the
-protocol inputs of a protocol sweep included, so a bad spec fails before
+decomposition of H. A spec is checked whole when it is built, its
+protocol inputs included whatever the target, so a bad spec fails before
 any point runs. Identical specs produce byte-identical CSVs.
 """
 
@@ -73,8 +73,7 @@ class SweepSpec:
             )
         for end in (self.axis_min, self.axis_max):
             with_axis_value(self.params, self.axis, end)  # e.g. g < 0 fails here, not mid-sweep
-        if self.target == "protocol_qfi":
-            self.protocol_spec()  # a bad theta or state kind fails here
+        self.protocol_spec()  # a bad theta or state kind fails here, whatever the target
 
     def protocol_spec(self) -> ProtocolSpec:
         return ProtocolSpec(params=self.params, theta=self.theta, state_kind=self.state_kind)

@@ -150,6 +150,8 @@ class TestValidateCommand:
         "protocol: {theta: 5.0}\nsweep: {target: protocol_qfi}\n",
         "protocol: {state_kind: bogus}\nsweep: {target: protocol_qfi}\n",
         "sweep: {steps: 1}\n",
+        "protocol: {state_kind: bogus}\n",  # checked whatever the target
+        "protocol: {theta: 5.0}\n",
     ])
     def test_refuses_what_sweep_refuses(self, tmp_path, capsys, text):
         cfg = tmp_path / "run.yaml"
@@ -172,6 +174,14 @@ class TestValidateCommand:
             code, _ = run_cli(command, "-c", str(cfg))
             assert code == EXIT_INVARIANT, command
             assert "Traceback" not in capsys.readouterr().err
+
+    def test_gamma_overflow_names_the_parameter(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("system: {g: 1.0e+300}\n", encoding="utf-8")
+        code, out = run_cli("validate", "-c", str(cfg))
+        assert code == EXIT_INVARIANT
+        assert "FAIL" in out and "gamma overflows" in out and "g_1d = 2" in out and "N = 50" in out
+        assert "Traceback" not in capsys.readouterr().err
 
 
 # Random YAML tables: known keys (and one unknown) with values of every YAML

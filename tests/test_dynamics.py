@@ -2,20 +2,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, expm_frechet
 
 from singlewell import (
     DickeState,
     HermitianOperator,
+    ProtocolSpec,
+    beam_splitter,
     build_spin_operators,
     cqfi_noninteracting,
     cqfi_upper_bound,
     decompose,
     dynamical_generator,
     evolve,
+    fragmented_ground_state,
+    generator_at,
+    qfi_and_ritz_spread,
     qfi_pure_state,
+    run_protocol,
     spin_coherent_state,
     total_hamiltonian,
+    variance,
 )
 from conftest import finite_difference_generator, harmonic_params, random_valid_params
 
@@ -186,6 +193,64 @@ class TestDynamicalGenerator:
         assert abs(qfi_pure_state(gen, optimal_state(gen)) - gen.cqfi) < 1e-8 * gen.cqfi
 
 
+class TestBandedKernel:
+    @pytest.mark.parametrize("n", [1, 2, 5, 50, 200])
+    def test_matches_dense_jx_and_np_sinc(self, n):
+        # the banded V^T Jx V and the sin(x)/x kernel against the dense
+        # product and numpy's sinc(x / pi)
+        ops = build_spin_operators(n)
+        p = harmonic_params(n_particles=n, g=80.0, delta_eps=10.0)
+        gen = dynamical_generator(p, ops)
+        v = gen.spectrum.eigenvectors
+        dense = v.T @ ops.jx @ v
+        assert np.abs(gen.jx - dense).max() <= 1e-13 * np.abs(dense).max()
+        assert np.array_equal(gen.jx, gen.jx.T)
+        gaps = gen.spectrum.eigenvalues[:, np.newaxis] - gen.spectrum.eigenvalues[np.newaxis, :]
+        for t in (0.0, 0.3, 1.0, 7.5):
+            kernel = generator_at(gen.spectrum, dense, t).kernel
+            reference = dense * (t * np.sinc(gaps * (t / (2.0 * np.pi))))
+            assert np.abs(kernel - reference).max() <= 1e-13 * np.abs(reference).max()
+            assert np.array_equal(kernel, kernel.T)
+
+    def test_channel_qfi_is_computed_on_first_read(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        ops = build_spin_operators(12)
+        gen = dynamical_generator(harmonic_params(n_particles=12, g=30.0, delta_eps=5.0), ops)
+        assert not calls
+        cqfi = gen.cqfi
+        assert gen.seminorm ** 2 == cqfi and gen.cqfi == cqfi
+        assert len(calls) == 1
+
+
+class TestExactDerivativeOracle:
+    """G = i U^dag L(-itH, -itJx), with L scipy's Frechet derivative of expm,
+    against the spectral kernel: no finite-difference step, so the bound is
+    rounding, 5 eps t ||H||."""
+
+    @pytest.mark.parametrize("n, g, t", [(20, 80.0, 1.0), (100, 200.0, 10.0),
+                                         (200, 300.0, 10.0), (200, 100.0, 1.0)])
+    def test_channel_and_fragmented_state_qfi(self, n, g, t):
+        ops = build_spin_operators(n)
+        p = harmonic_params(n_particles=n, g=g, delta_eps=10.0, t=t)
+        h = total_hamiltonian(p, ops).matrix
+        u, du = expm_frechet(-1j * t * h, -1j * t * ops.jx)
+        oracle = 1j * u.conj().T @ du
+        oracle = (oracle + oracle.conj().T) / 2.0
+        bound = 5.0 * np.finfo(float).eps * t * np.linalg.norm(h, 2)
+
+        levels = np.linalg.eigvalsh(oracle)
+        cqfi = (levels[-1] - levels[0]) ** 2
+        assert abs(dynamical_generator(p, ops).cqfi - cqfi) <= bound * cqfi
+
+        spec = ProtocolSpec(params=p, theta=0.5)
+        prepared = fragmented_ground_state(n, 0.5).amplitudes
+        state = DickeState(amplitudes=beam_splitter(ops) @ prepared)
+        qfi = 4.0 * variance(oracle, state)
+        assert abs(run_protocol(spec, ops).qfi - qfi) <= bound * qfi
+
+
 class TestQfiPureState:
     def test_generator_eigenvector_carries_no_information(self):
         ops = build_spin_operators(12)
@@ -209,6 +274,20 @@ class TestQfiPureState:
         for _ in range(200):
             state = random_state(rng, 16)
             assert qfi_pure_state(gen, state) <= gen.cqfi * (1 + 1e-9)
+
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(deadline=None, max_examples=40)
+    def test_ritz_spread_lies_between_twice_sigma_and_the_seminorm(self, seed):
+        rng = np.random.default_rng(seed)
+        p = random_valid_params(rng, n_particles=int(rng.integers(1, 21)))
+        ops = build_spin_operators(p.n_particles)
+        gen = dynamical_generator(p, ops)
+        for _ in range(5):
+            state = random_state(rng, p.n_particles + 1)
+            qfi, spread = qfi_and_ritz_spread(gen, state)
+            assert np.sqrt(qfi) * (1 - 1e-12) <= spread <= gen.seminorm * (1 + 1e-12)
+            # the real (re, im) pair products against 4 Var of the dense generator
+            assert abs(qfi - 4.0 * variance(gen.generator.matrix, state)) <= 1e-10 * (1.0 + gen.cqfi)
 
     def test_dimension_mismatch(self):
         ops = build_spin_operators(5)

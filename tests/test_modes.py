@@ -144,6 +144,10 @@ class TestValidityGamma:
         assert abs(gamma - 1.5) < 1e-12
         assert not ok
 
+    def test_overflow_is_an_invariant_error(self):
+        with pytest.raises(InvariantError, match=r"g_1d = 1e\+300, N = 7"):
+            validity_gamma(1e300, 7)
+
 
 class TestSystemParamsInvariants:
     def test_same_sign_eta_xi_rejected(self):

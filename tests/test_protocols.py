@@ -3,16 +3,25 @@ import pytest
 
 from singlewell import (
     DickeState,
+    GeneratorResult,
     InvariantError,
+    NumericsError,
+    ProtocolInput,
     ProtocolSpec,
+    SpectralDecomposition,
     beam_splitter,
     build_spin_operators,
     cqfi_noninteracting,
     degree_of_fragmentation,
+    dynamical_generator,
     fragmented_ground_state,
+    prepare_input,
+    protocol_readout,
+    qfi_and_ritz_spread,
     run_protocol,
     spin_coherent_state,
 )
+from singlewell import protocols
 from conftest import harmonic_params
 
 
@@ -65,8 +74,9 @@ class TestRunProtocol:
 
     def test_qfi_never_exceeds_reference(self, ops50):
         for g in (0.0, 50.0, 120.0, 200.0):
-            res = run_protocol(ProtocolSpec(params=harmonic_params(g=g, delta_eps=10.0)), ops50)
-            assert res.qfi <= res.cqfi_reference * (1 + 1e-9)
+            p = harmonic_params(g=g, delta_eps=10.0)
+            res = run_protocol(ProtocolSpec(params=p), ops50)
+            assert res.qfi <= dynamical_generator(p, ops50).cqfi * (1 + 1e-9)
 
     def test_coherent_state_at_ideal_point_matches_baseline(self, ops50):
         # g = 0, delta_eps = 0 is a pure phase shift: both code paths agree
@@ -111,3 +121,53 @@ class TestRunProtocol:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             run_protocol(ProtocolSpec(params=harmonic_params(n_particles=10)), build_spin_operators(11))
+
+
+class TestCramerRaoCheck:
+    """protocol_readout certifies qfi <= cqfi from the Ritz spread L of G~ and
+    takes the spectrum of G~ (gen.cqfi) only where that does not hold."""
+
+    @staticmethod
+    def _point(ops, **overrides):
+        spec = ProtocolSpec(params=harmonic_params(n_particles=ops.n_particles, **overrides))
+        return prepare_input(spec, ops), dynamical_generator(spec.params, ops)
+
+    def test_certified_point_leaves_the_spectrum_alone(self, ops50):
+        inp, gen = self._point(ops50, g=80.0, delta_eps=10.0)
+        protocol_readout(inp, gen)
+        assert "cqfi" not in vars(gen) and "seminorm" not in vars(gen)
+
+    def test_corrupted_qfi_still_raises(self, ops50, monkeypatch):
+        def doubled(gen, state):
+            return 2.0 * gen.cqfi, qfi_and_ritz_spread(gen, state)[1]
+
+        inp, gen = self._point(ops50, g=80.0, delta_eps=10.0)
+        monkeypatch.setattr(protocols, "qfi_and_ritz_spread", doubled)
+        with pytest.raises(NumericsError, match="exceeds the channel QFI"):
+            protocol_readout(inp, gen)
+
+    def test_asymmetric_kernel_takes_the_exact_path(self, ops50):
+        inp, gen = self._point(ops50, g=80.0, delta_eps=10.0)
+        kernel = np.array(gen.kernel)
+        kernel[0, 1] += 1e-12 * np.abs(kernel).max()
+        skewed = GeneratorResult(spectrum=gen.spectrum, jx=gen.jx, kernel=kernel, t=gen.t)
+        res = protocol_readout(inp, skewed)
+        assert "cqfi" in vars(skewed)
+        assert res.qfi == pytest.approx(protocol_readout(inp, gen).qfi, rel=1e-9)
+
+    def test_eigenvector_input_takes_the_exact_path(self):
+        # G~ diagonal, H = 0: the Dicke state |k> is an exact eigenvector, so sigma = L = 0
+        spectrum = SpectralDecomposition(eigenvalues=np.zeros(5), eigenvectors=np.eye(5))
+        kernel = np.diag([-2.0, -1.0, 0.0, 1.0, 2.0])
+        gen = GeneratorResult(spectrum=spectrum, jx=kernel, kernel=kernel, t=1.0)
+        state = DickeState(amplitudes=np.eye(5)[1])
+        assert qfi_and_ritz_spread(gen, state) == (0.0, 0.0)
+        inp = ProtocolInput(state=state, fragmentation=0.0, jx_variance=0.0)
+        assert protocol_readout(inp, gen).qfi == 0.0
+        assert "cqfi" in vars(gen) and gen.cqfi == 16.0
+
+    def test_zero_time_takes_the_exact_path(self, ops50):
+        # at t = 0, G~ = 0 and every input is an eigenvector
+        inp, gen = self._point(ops50, g=80.0, delta_eps=10.0, t=0.0)
+        assert protocol_readout(inp, gen).qfi == 0.0
+        assert "cqfi" in vars(gen) and gen.cqfi == 0.0

@@ -126,6 +126,15 @@ class TestRunSweep:
                 np.testing.assert_allclose(res.values, expected, rtol=1e-12, atol=0,
                                            err_msg=f"{target} {kind} over {axis}")
 
+    def test_protocol_sweep_takes_no_spectrum_of_the_kernel(self, monkeypatch):
+        # the Cramer-Rao check is certified at every point; the one eigvalsh
+        # left is the 2 x 2 one-body density matrix of the prepared state
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        run_sweep(small_spec(target="protocol_qfi", steps=9))
+        assert calls == [(2, 2)]
+
     def test_validity_warning_is_one_line_per_sweep(self, caplog):
         spec = small_spec(target="protocol_qfi", steps=9)
         gammas = [validity_gamma(g / 12, 12)[0] for g in spec.grid()]
