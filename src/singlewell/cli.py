@@ -1,13 +1,17 @@
 """Command-line interface: params, validate, sweep, plot.
 
 Exit codes: 0 success, 1 physics-invariant violation (including bad
-parameter values and unreadable configs), 2 I/O failure, 3 numerical
-failure.
+parameter values, unreadable configs and N too large to address), 2 I/O
+failure, 3 numerical failure or out of memory.
+
+`main` keeps freed n x n arrays in glibc's heap for the rest of the process;
+library callers of `run_sweep` keep the allocator's defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
 import sys
 from dataclasses import fields
@@ -18,12 +22,25 @@ from .config import Config, SystemConfig, apply_overrides, load_config
 from .errors import InvariantError, NumericsError
 from .modes import HARMONIC_KAPPA, renormalized_q, validity_gamma
 from .protocols import STATE_KINDS
-from .sweeps import AXES, TARGETS, SweepSpec, emit_csv, emit_plot, load_csv, run_sweep
+from .sweeps import AXES, TARGETS, SweepPointError, SweepSpec, emit_csv, emit_plot, load_csv, run_sweep
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+
+
+def _keep_freed_arrays() -> None:
+    """Keep freed n x n arrays in glibc's heap, so the next grid point does not
+    fault them in again. Setting either threshold stops glibc adjusting the
+    other, so both are set; 32 MiB is glibc's own ceiling on 64-bit."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # no mallopt: not glibc
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -149,7 +166,15 @@ def cmd_validate(args, out) -> int:
 def cmd_sweep(args, out) -> int:
     cfg = _config_from_args(args)
     spec = _sweep_spec(cfg)
-    result = run_sweep(spec)
+    try:
+        result = run_sweep(spec)
+    except (MemoryError, SweepPointError) as exc:
+        if not isinstance(exc, MemoryError) and not isinstance(exc.__cause__, MemoryError):
+            raise
+        n = spec.params.n_particles
+        size = 8 * (n + 1) ** 2
+        raise MemoryError(f"out of memory at N = {n}: each dense (N+1)x(N+1) float64 array "
+                          f"takes {size} bytes ({size / 2 ** 30:.3g} GiB)") from exc
     csv_path, svg_path = cfg.output.csv, cfg.output.svg
     if csv_path:
         emit_csv(result, csv_path)
@@ -175,7 +200,7 @@ def _classify(exc: BaseException) -> int | None:
     node: BaseException | None = exc
     while node is not None and id(node) not in seen:
         seen.add(id(node))
-        if isinstance(node, NumericsError) or isinstance(node, np.linalg.LinAlgError):
+        if isinstance(node, (NumericsError, np.linalg.LinAlgError, MemoryError)):
             return EXIT_NUMERIC
         if isinstance(node, (InvariantError, ValueError, OverflowError)):
             return EXIT_INVARIANT
@@ -187,6 +212,7 @@ def _classify(exc: BaseException) -> int | None:
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
+    _keep_freed_arrays()
     args = _build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     handlers = {

@@ -10,12 +10,13 @@ H is real symmetric, so one real eigendecomposition H = V diag(E) V^T
 carries both readouts. Centering the integration window on t/2 factors G
 as W G~ W^dag with W = V diag(exp(i E t/2)) and the real symmetric kernel
 
-    G~_kl = (V^T Jx V)_kl * t * sin(x_kl) / x_kl,   x_kl = (E_k - E_l) t / 2.
+    G~_kl = (V^T Jx V)_kl * t * sin(x_kl) / x_kl,   x_kl = (E_l - E_k) t / 2.
 
 The channel QFI is read from the spectrum of G~, the QFI of psi as
-4 Var of G~ over W^dag psi. sin(x)/x is smooth through E_k = E_l, where
-it is set to 1, so exactly or nearly degenerate levels need no threshold
-and lose no precision to the cancellation in (e^{i w t} - 1) / (i w).
+4 Var of G~ over W^dag psi. sin(x)/x is even, so it is evaluated once per
+pair of levels, and smooth through E_k = E_l, where it is 1, so exactly or
+nearly degenerate levels need no threshold and lose no precision to the
+cancellation in (e^{i w t} - 1) / (i w).
 `decompose` fixes no sign of the columns of V: flipping them is the
 similarity G~ -> D G~ D with D = diag(+-1), which changes neither readout.
 
@@ -126,19 +127,25 @@ class GeneratorResult:
 
 
 def generator_at(spectrum: SpectralDecomposition, jx: np.ndarray, t: float) -> GeneratorResult:
-    """The generator after time t from the spectrum of H and jx = V^T Jx V.
+    """The generator after time t from the spectrum of H and the symmetric jx = V^T Jx V.
 
     In the eigenbasis of H, int_0^t e^{i(E_k-E_l)s} ds = e^{i(E_k-E_l)t/2} t
-    sin(x)/x with x = (E_k-E_l)t/2; the phases are the unitary frame W,
-    which leaves the spectrum alone. Degenerate pairs need no special
-    case: sin(x)/x is 1 at x = 0.
+    sin(x)/x with x = (E_l-E_k)t/2; the phases are the unitary frame W, which
+    leaves the spectrum alone. sin(x)/x, even and 1 at x = 0, is taken once per
+    level pair, where x > 0, and mirrored, so the kernel is exactly symmetric.
     """
-    x = np.subtract.outer(spectrum.eigenvalues, spectrum.eigenvalues)
+    x = spectrum.eigenvalues - spectrum.eigenvalues[:, np.newaxis]
     x *= 0.5 * t
-    kernel = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
+    above = x > 0
+    kernel = np.zeros_like(x)
+    np.sin(x, out=kernel, where=above)
+    np.divide(kernel, x, out=kernel, where=above)
     kernel *= t
     kernel *= jx
-    kernel = (kernel + kernel.T) / 2.0
+    np.copyto(kernel, kernel.T, where=above.T)
+    level = x == 0  # the diagonal and exactly degenerate pairs: t (jx_kl + jx_lk)/2
+    np.add(jx, jx.T, out=kernel, where=level)
+    np.multiply(kernel, 0.5 * t, out=kernel, where=level)
     kernel.setflags(write=False)
     return GeneratorResult(spectrum=spectrum, jx=jx, kernel=kernel, t=t)
 

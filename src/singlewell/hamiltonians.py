@@ -38,9 +38,10 @@ class HermitianOperator:
         mat = np.array(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvariantError(f"expected a square matrix, got shape {mat.shape}")
-        defect = np.abs(mat - mat.conj().T).max()
-        if defect > HERMITICITY_TOL:
-            raise InvariantError(f"matrix deviates from Hermiticity by {defect!r}")
+        if not np.array_equal(mat, mat.conj().T):
+            defect = np.abs(mat - mat.conj().T).max()
+            if defect > HERMITICITY_TOL:
+                raise InvariantError(f"matrix deviates from Hermiticity by {defect!r}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 

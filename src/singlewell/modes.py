@@ -114,6 +114,11 @@ class SystemParams:
             raise InvariantError(f"parameters must be finite, got non-finite {', '.join(non_finite)}")
         if self.n_particles < 1:
             raise InvariantError("n_particles must be at least 1")
+        if 8 * (int(self.n_particles) + 1) ** 2 > np.iinfo(np.intp).max:
+            raise InvariantError(
+                f"n_particles = {self.n_particles} is too large: an (N+1)x(N+1) float64 "
+                "matrix does not fit in the address space"
+            )
         if self.g < 0.0:
             raise InvariantError(f"repulsive model requires g >= 0, got {self.g!r}")
         if self.t < 0.0:

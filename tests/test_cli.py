@@ -1,3 +1,4 @@
+import ctypes
 import io
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import yaml
 from hypothesis import given, settings
 
+import singlewell.sweeps
 from singlewell.cli import EXIT_INVARIANT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _classify, main
 from singlewell.config import (
     Config,
@@ -23,7 +25,8 @@ from singlewell.config import (
 )
 from singlewell.errors import InvariantError, NumericsError
 from singlewell.protocols import STATE_KINDS
-from singlewell.sweeps import AXES, TARGETS, SweepPointError
+from singlewell.sweeps import AXES, TARGETS, SweepPointError, SweepSpec, run_sweep
+from conftest import harmonic_params
 
 
 def run_cli(*argv):
@@ -175,6 +178,16 @@ class TestValidateCommand:
             assert code == EXIT_INVARIANT, command
             assert "Traceback" not in capsys.readouterr().err
 
+    def test_unallocatable_n_exits_one_from_both(self, tmp_path, capsys):
+        # (N+1)^2 float64 entries beyond the address space: refused before any allocation
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("system: {n_particles: 1" + "0" * 30 + "}\n", encoding="utf-8")
+        for argv in (("-c", str(cfg)), ("--n-particles", str(2 ** 30 - 1))):
+            for command in ("validate", "sweep"):
+                code, _ = run_cli(command, *argv)
+                assert code == EXIT_INVARIANT, (command, argv)
+                assert "Traceback" not in capsys.readouterr().err
+
     def test_gamma_overflow_names_the_parameter(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("system: {g: 1.0e+300}\n", encoding="utf-8")
@@ -270,6 +283,48 @@ class TestSweepCommand:
             code, _ = run_cli(*small, *bad)
             assert code == EXIT_INVARIANT, bad
 
+    @pytest.mark.parametrize("where", ["dynamical_generator", "build_spin_operators"])
+    def test_out_of_memory_exits_three_naming_n(self, monkeypatch, capsys, where):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100001, 100001)")
+
+        monkeypatch.setattr(singlewell.sweeps, where, exhausted)
+        code, _ = run_cli("sweep", "--n-particles", "12", "--steps", "2")
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "N = 12" in err and f"{8 * 13 ** 2} bytes" in err
+
+
+class TestHeapSetting:
+    class FakeLibc:
+        def __init__(self):
+            self.calls = []
+            self.mallopt = lambda param, value: self.calls.append((param, value)) or 1
+
+    def test_main_sets_both_thresholds(self, monkeypatch):
+        libc = self.FakeLibc()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        assert run_cli("params")[0] == EXIT_OK
+        assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    @pytest.mark.parametrize("error", [OSError, AttributeError])
+    def test_missing_mallopt_changes_nothing(self, monkeypatch, error):
+        def lookup(name):
+            raise error("no mallopt")
+
+        monkeypatch.setattr(ctypes, "CDLL", lookup)
+        assert run_cli("params")[0] == EXIT_OK
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a libc without mallopt
+        assert run_cli("params")[0] == EXIT_OK
+
+    def test_library_sweeps_leave_the_heap_alone(self, monkeypatch):
+        lookups = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: lookups.append(name) or self.FakeLibc())
+        run_sweep(SweepSpec(target="cqfi_interacting", axis="g", axis_min=0.0, axis_max=20.0,
+                            steps=3, params=harmonic_params(n_particles=6)))
+        assert lookups == []
+
 
 class TestPlotCommand:
     def test_plot_from_csv(self, tmp_path):
@@ -305,6 +360,7 @@ class TestExitCodeClassification:
         assert _classify(ValueError("x")) == EXIT_INVARIANT
         assert _classify(NumericsError("x")) == EXIT_NUMERIC
         assert _classify(OSError("x")) == EXIT_IO
+        assert _classify(MemoryError("x")) == EXIT_NUMERIC
 
     def test_cause_chain_is_walked(self):
         inner = NumericsError("diverged")

@@ -8,6 +8,7 @@ from singlewell import (
     DickeState,
     HermitianOperator,
     ProtocolSpec,
+    SpectralDecomposition,
     beam_splitter,
     build_spin_operators,
     cqfi_noninteracting,
@@ -148,6 +149,13 @@ class TestDynamicalGenerator:
         oracle = finite_difference_generator(p, ops)
         assert np.abs(gen - oracle).max() < 1e-5
 
+    @pytest.mark.parametrize("n", [500, 1000])
+    def test_matches_closed_form_at_large_n(self, n):
+        ops = build_spin_operators(n)
+        p = harmonic_params(n_particles=n, g=0.0, delta_eps=5.0, t=0.7)
+        expected = cqfi_noninteracting(n, 1.0, 5.0, 0.7)
+        assert abs(dynamical_generator(p, ops).cqfi - expected) <= 1e-12 * expected
+
     def test_matches_finite_difference_oracle_at_exact_degeneracy(self):
         # the parity blocks of H cross here: the smallest level gap is at rounding level
         ops = build_spin_operators(50)
@@ -211,6 +219,57 @@ class TestBandedKernel:
             reference = dense * (t * np.sinc(gaps * (t / (2.0 * np.pi))))
             assert np.abs(kernel - reference).max() <= 1e-13 * np.abs(reference).max()
             assert np.array_equal(kernel, kernel.T)
+
+    @staticmethod
+    def full_matrix_kernel(spectrum, jx, t):
+        # sin(x)/x on every entry, then (K + K^T)/2
+        x = np.subtract.outer(spectrum.eigenvalues, spectrum.eigenvalues)
+        x *= 0.5 * t
+        kernel = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
+        kernel *= t
+        kernel *= jx
+        return (kernel + kernel.T) / 2.0
+
+    @pytest.mark.parametrize("n, g, delta_eps, lambda_acc", [
+        (1, 80.0, 10.0, 1.0), (2, 80.0, 10.0, 1.0), (5, 0.0, 10.0, 1.0), (50, 80.0, 10.0, 1.0),
+        (200, 0.0, 10.0, 1.0), (200, 200.0, 10.0, 1.0),
+        (50, 26.0, 1.0, 0.0),  # parity blocks cross: level gaps at rounding level
+        (20, 0.0, 0.0, 0.0),  # H = 0: every level pair is exactly degenerate
+    ])
+    def test_bit_identical_to_the_full_matrix_form(self, n, g, delta_eps, lambda_acc):
+        p = harmonic_params(n_particles=n, g=g, delta_eps=delta_eps, lambda_acc=lambda_acc)
+        gen = dynamical_generator(p, build_spin_operators(n))
+        for t in (0.0, 0.3, 1.0, 7.5):
+            kernel = generator_at(gen.spectrum, gen.jx, t).kernel
+            assert kernel.tobytes() == self.full_matrix_kernel(gen.spectrum, gen.jx, t).tobytes()
+
+    def test_repeated_levels_in_any_order(self):
+        rng = np.random.default_rng(11)
+        spectrum = SpectralDecomposition(eigenvalues=np.array([2.0, -1.0, 0.5, 2.0, -1.0, 3.0, 0.5]),
+                                         eigenvectors=np.eye(7))
+        a = rng.normal(size=(7, 7))
+        jx = a + a.T
+        for t in (0.0, 0.8, -1.3):
+            kernel = generator_at(spectrum, jx, t).kernel
+            assert kernel.tobytes() == self.full_matrix_kernel(spectrum, jx, t).tobytes()
+            assert np.array_equal(kernel[[0, 1, 2], [3, 4, 6]], t * jx[[0, 1, 2], [3, 4, 6]])
+
+    def test_one_sine_per_level_pair(self, monkeypatch):
+        evaluated = []
+        sin = np.sin
+
+        def counting_sin(x, *args, where=True, **kwargs):
+            evaluated.append(np.count_nonzero(np.broadcast_to(where, np.shape(x))))
+            return sin(x, *args, where=where, **kwargs)
+
+        for n in (50, 200):
+            gen = dynamical_generator(harmonic_params(n_particles=n, g=80.0, delta_eps=10.0),
+                                      build_spin_operators(n))
+            evaluated.clear()
+            monkeypatch.setattr(np, "sin", counting_sin)
+            generator_at(gen.spectrum, gen.jx, 1.0)
+            monkeypatch.undo()
+            assert evaluated and sum(evaluated) <= n * (n + 1) // 2  # dimension n + 1
 
     def test_channel_qfi_is_computed_on_first_read(self, monkeypatch):
         calls = []

@@ -21,6 +21,21 @@ class TestHermitianOperator:
         with pytest.raises(InvariantError):
             HermitianOperator(matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_hermiticity_tolerance(self, dtype):
+        base = np.array([[1.0, 2.0, 0.5], [2.0, 3.0, -1.0], [0.5, -1.0, 0.0]], dtype=dtype)
+        if dtype is complex:
+            base += 1j * np.array([[0.0, 1.0, 2.0], [-1.0, 0.0, 0.5], [-2.0, -0.5, 0.0]])
+        HermitianOperator(matrix=base)
+        for defect, accepted in ((5e-13, True), (2e-12, False)):
+            mat = base.copy()
+            mat[1, 2] += defect * (1j if dtype is complex else 1.0)
+            if accepted:
+                assert np.array_equal(HermitianOperator(matrix=mat).matrix, mat)
+            else:
+                with pytest.raises(InvariantError, match="Hermiticity"):
+                    HermitianOperator(matrix=mat)
+
     def test_rejects_non_square(self):
         with pytest.raises(InvariantError):
             HermitianOperator(matrix=np.zeros((2, 3)))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -175,6 +177,14 @@ class TestSystemParamsInvariants:
         for name in valid:
             with pytest.raises(InvariantError, match=name):
                 SystemParams(**{**valid, name: bad})
+
+    def test_n_whose_matrix_cannot_be_addressed_rejected(self):
+        # 8 (N+1)^2 bytes must fit in the address space: N + 1 < 2^30 on 64-bit
+        limit = math.isqrt(np.iinfo(np.intp).max // 8) - 1
+        SystemParams(limit, 1.0, 1.0, 0.1, 0.5, -0.5, 1.0, 1.0)
+        for n in (limit + 1, np.int64(2 ** 40), 10 ** 30):
+            with pytest.raises(InvariantError, match="n_particles"):
+                SystemParams(n, 1.0, 1.0, 0.1, 0.5, -0.5, 1.0, 1.0)
 
 
 def test_with_axis_value_maps_every_axis():
