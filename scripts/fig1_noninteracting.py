@@ -8,17 +8,7 @@ Writes one CSV + SVG per curve into the output directory.
 import argparse
 from pathlib import Path
 
-from singlewell import SweepSpec, emit_csv, emit_plot, run_sweep
-from singlewell.modes import HARMONIC_DELTA_A, HARMONIC_ETA, HARMONIC_XI, SystemParams
-
-
-def base_params(**overrides):
-    fields = dict(
-        n_particles=50, g=0.0, delta_eps=1.0, delta_a=HARMONIC_DELTA_A,
-        eta=HARMONIC_ETA, xi=HARMONIC_XI, lambda_acc=1.0, t=1.0,
-    )
-    fields.update(overrides)
-    return SystemParams(**fields)
+from singlewell import SweepSpec, SystemParams, emit_csv, emit_plot, run_sweep
 
 
 def main():
@@ -32,7 +22,7 @@ def main():
         spec = SweepSpec(
             target="cqfi_noninteracting", axis="delta_eps",
             axis_min=0.0, axis_max=20.0, steps=201,
-            params=base_params(lambda_acc=lam),
+            params=SystemParams(lambda_acc=lam),
         )
         result = run_sweep(spec)
         stem = outdir / f"cqfi_vs_delta_eps_lambda{lam:g}"
@@ -44,7 +34,7 @@ def main():
         spec = SweepSpec(
             target="cqfi_noninteracting", axis="t",
             axis_min=0.0, axis_max=10.0, steps=201,
-            params=base_params(delta_eps=de),
+            params=SystemParams(delta_eps=de),
         )
         result = run_sweep(spec)
         stem = outdir / f"cqfi_vs_t_deps{de:g}"

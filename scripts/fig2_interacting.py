@@ -12,17 +12,12 @@ g ~ 2 delta_eps / delta_a.
 import argparse
 from pathlib import Path
 
-from singlewell import SweepSpec, emit_csv, emit_plot, run_sweep
-from singlewell.modes import HARMONIC_DELTA_A, HARMONIC_ETA, HARMONIC_XI, SystemParams
+from singlewell import SweepSpec, SystemParams, emit_csv, emit_plot, run_sweep
 
 
 def base_params(**overrides):
-    fields = dict(
-        n_particles=50, g=0.0, delta_eps=10.0, delta_a=HARMONIC_DELTA_A,
-        eta=HARMONIC_ETA, xi=HARMONIC_XI, lambda_acc=1.0, t=1.0,
-    )
-    fields.update(overrides)
-    return SystemParams(**fields)
+    """The harmonic point (SystemParams' defaults) at delta_eps = 10."""
+    return SystemParams(**{"delta_eps": 10.0, **overrides})
 
 
 def sweep_to(outdir: Path, stem: str, spec: SweepSpec):

@@ -9,17 +9,7 @@ fit one axis.
 import argparse
 from pathlib import Path
 
-from singlewell import SweepSpec, emit_csv, emit_plot, run_sweep
-from singlewell.modes import HARMONIC_DELTA_A, HARMONIC_ETA, HARMONIC_XI, SystemParams
-
-
-def base_params(**overrides):
-    fields = dict(
-        n_particles=50, g=0.0, delta_eps=10.0, delta_a=HARMONIC_DELTA_A,
-        eta=HARMONIC_ETA, xi=HARMONIC_XI, lambda_acc=1.0, t=1.0,
-    )
-    fields.update(overrides)
-    return SystemParams(**fields)
+from singlewell import SweepSpec, SystemParams, emit_csv, emit_plot, run_sweep
 
 
 def main():
@@ -33,7 +23,7 @@ def main():
         for kind, theta in (("fragmented", 0.5), ("coherent", 0.0)):
             spec = SweepSpec(
                 target="protocol_qfi", axis="g", axis_min=0.0, axis_max=200.0, steps=101,
-                params=base_params(delta_eps=de), theta=theta, state_kind=kind,
+                params=SystemParams(delta_eps=de), theta=theta, state_kind=kind,
                 log_scale=True,
             )
             result = run_sweep(spec)

@@ -1,8 +1,13 @@
 """Command-line interface: params, validate, sweep, plot.
 
-Exit codes: 0 success, 1 physics-invariant violation (including bad
-parameter values, unreadable configs and N too large to address), 2 I/O
-failure, 3 numerical failure or out of memory.
+`params`, `validate` and `sweep` read the YAML tables of `-c` and merge
+the flags given into them (`config`); `validate` and `sweep` build their
+spec with the same `config.build_run`, so `validate` refuses exactly the
+inputs `sweep` refuses before its first point.
+
+Exit codes: 0 success, 1 input refused (bad parameter values, unreadable
+configs, N too large to address), 2 I/O failure, 3 numerical failure,
+including any failure inside a sweep point, or out of memory.
 
 `main` keeps freed n x n arrays in glibc's heap for the rest of the process;
 library callers of `run_sweep` keep the allocator's defaults.
@@ -12,17 +17,19 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import logging
 import sys
 from dataclasses import fields
+from typing import get_args
 
 import numpy as np
 
-from .config import Config, SystemConfig, apply_overrides, load_config
+from .config import FIELD_KEYS, SCHEMA, build_run, load_config, system_params
 from .errors import InvariantError, NumericsError
-from .modes import HARMONIC_KAPPA, renormalized_q, validity_gamma
+from .modes import HARMONIC_KAPPA, SystemParams, renormalized_q, validity_gamma
 from .protocols import STATE_KINDS
-from .sweeps import AXES, TARGETS, SweepPointError, SweepSpec, emit_csv, emit_plot, load_csv, run_sweep
+from .sweeps import AXES, TARGETS, SweepPointError, emit_csv, emit_plot, load_csv, run_sweep
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -43,7 +50,26 @@ def _keep_freed_arrays() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
+_CHOICES = {"target": TARGETS, "axis": AXES, "state_kind": STATE_KINDS}
+
+
+def _add_table_flags(p: argparse.ArgumentParser, *tables: str) -> None:
+    """One flag per key of each config table, --n-particles for n_particles,
+    --sweep-axis for axis; its value lands in the table as given."""
+    for table in tables:
+        for key, kind in SCHEMA[table].items():
+            flag = "--sweep-axis" if key == "axis" else "--" + key.replace("_", "-")
+            dest = f"{table}.{key}"
+            if kind is bool:
+                p.add_argument(flag, dest=dest, action="store_const", const=True)
+            else:
+                p.add_argument(flag, dest=dest, type=(get_args(kind) or (kind,))[0],
+                               choices=_CHOICES.get(key), metavar=None if key in _CHOICES else key.upper())
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process, as parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="singlewell",
         description="Channel QFI and ground-state QFI for acceleration sensing "
@@ -51,37 +77,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="enable debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_config(p):
+    for name, help_text, tables in (
+        ("params", "print derived model parameters", ("system",)),
+        ("validate", "check everything `sweep` would check, and run nothing", tuple(SCHEMA)),
+        ("sweep", "run a parameter sweep", tuple(SCHEMA)),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("-c", "--config", help="YAML config file")
-
-    def add_system_flags(p):
-        # one flag per [system] field: --n-particles, --g, ..., with --lambda for lambda_acc
-        for f in fields(SystemConfig):
-            flag = "--lambda" if f.name == "lambda_acc" else "--" + f.name.replace("_", "-")
-            p.add_argument(flag, dest=f.name, type=int if f.name == "n_particles" else float)
-
-    p_params = sub.add_parser("params", help="print derived model parameters")
-    add_config(p_params)
-    add_system_flags(p_params)
-
-    p_validate = sub.add_parser("validate", help="check config invariants")
-    add_config(p_validate)
-    add_system_flags(p_validate)
-
-    p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
-    add_config(p_sweep)
-    add_system_flags(p_sweep)
-    p_sweep.add_argument("--target", choices=TARGETS)
-    p_sweep.add_argument("--sweep-axis", choices=AXES)
-    p_sweep.add_argument("--min", dest="axis_min", type=float)
-    p_sweep.add_argument("--max", dest="axis_max", type=float)
-    p_sweep.add_argument("--steps", type=int)
-    p_sweep.add_argument("--theta", type=float)
-    p_sweep.add_argument("--state-kind", choices=STATE_KINDS)
-    p_sweep.add_argument("--log-scale", action="store_const", const=True, default=None)
-    p_sweep.add_argument("--csv", help="CSV output path")
-    p_sweep.add_argument("--svg", help="SVG output path")
+        _add_table_flags(p, *tables)
 
     p_plot = sub.add_parser("plot", help="render an SVG from a sweep CSV")
     p_plot.add_argument("--csv", required=True, help="sweep CSV produced by the sweep command")
@@ -90,72 +93,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> Config:
-    cfg = load_config(getattr(args, "config", None))
-    overrides = {f"system.{f.name}": getattr(args, f.name, None) for f in fields(SystemConfig)}
-    if getattr(args, "command", None) == "sweep":
-        overrides.update(
-            {
-                "sweep.target": args.target,
-                "sweep.axis": args.sweep_axis,
-                "sweep.axis_min": args.axis_min,
-                "sweep.axis_max": args.axis_max,
-                "sweep.steps": args.steps,
-                "sweep.log_scale": args.log_scale,
-                "protocol.theta": args.theta,
-                "protocol.state_kind": args.state_kind,
-                "output.csv": args.csv,
-                "output.svg": args.svg,
-            }
-        )
-    return apply_overrides(cfg, **overrides)
+def _tables(args) -> dict[str, dict]:
+    """The config file's tables with the flags that were given merged in."""
+    tables = load_config(args.config)
+    for dest, value in vars(args).items():
+        table, _, key = dest.partition(".")
+        if key and value is not None:
+            tables[table][key] = value
+    return tables
 
 
-def _report_params(cfg: Config, out) -> None:
-    p = cfg.system.to_system_params()
+def _report_params(p: SystemParams, out) -> None:
     gamma, ok = validity_gamma(p.g_1d, p.n_particles)
-    rows = [
-        ("n_particles", p.n_particles),
-        ("g", p.g),
-        ("delta_eps", p.delta_eps),
-        ("eta", p.eta),
-        ("xi", p.xi),
-        ("delta_a", p.delta_a),
-        ("lambda", p.lambda_acc),
-        ("t", p.t),
-        ("q", renormalized_q(p)),
-        ("kappa", HARMONIC_KAPPA),
-        ("gamma", gamma),
-        ("two_mode_ok", ok),
-    ]
+    rows = [(FIELD_KEYS.get(f.name, f.name), getattr(p, f.name)) for f in fields(p)]
+    rows += [("q", renormalized_q(p)), ("kappa", HARMONIC_KAPPA), ("gamma", gamma), ("two_mode_ok", ok)]
     for name, value in rows:
         out.write(f"{name} = {value:.12g}\n" if isinstance(value, float) else f"{name} = {value}\n")
 
 
-def _sweep_spec(cfg: Config) -> SweepSpec:
-    return SweepSpec(
-        target=cfg.sweep.target,
-        axis=cfg.sweep.axis,
-        axis_min=cfg.sweep.axis_min,
-        axis_max=cfg.sweep.axis_max,
-        steps=cfg.sweep.steps,
-        params=cfg.system.to_system_params(),
-        theta=cfg.protocol.theta,
-        state_kind=cfg.protocol.state_kind,
-        log_scale=cfg.sweep.log_scale,
-    )
-
-
 def cmd_params(args, out) -> int:
-    _report_params(_config_from_args(args), out)
+    _report_params(system_params(_tables(args)), out)
     return EXIT_OK
 
 
 def cmd_validate(args, out) -> int:
-    cfg = _config_from_args(args)
+    tables = _tables(args)
     try:
-        _report_params(cfg, out)
-        _sweep_spec(cfg)  # the spec `sweep` would run: grid and protocol inputs
+        _report_params(system_params(tables), out)
+        build_run(tables)
     except (InvariantError, ValueError) as exc:
         out.write(f"FAIL: {exc}\n")
         return EXIT_INVARIANT
@@ -164,8 +129,7 @@ def cmd_validate(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
-    cfg = _config_from_args(args)
-    spec = _sweep_spec(cfg)
+    spec, csv_path, svg_path = build_run(_tables(args))
     try:
         result = run_sweep(spec)
     except (MemoryError, SweepPointError) as exc:
@@ -175,7 +139,6 @@ def cmd_sweep(args, out) -> int:
         size = 8 * (n + 1) ** 2
         raise MemoryError(f"out of memory at N = {n}: each dense (N+1)x(N+1) float64 array "
                           f"takes {size} bytes ({size / 2 ** 30:.3g} GiB)") from exc
-    csv_path, svg_path = cfg.output.csv, cfg.output.svg
     if csv_path:
         emit_csv(result, csv_path)
         out.write(f"wrote {csv_path}\n")
@@ -196,14 +159,19 @@ def cmd_plot(args, out) -> int:
 
 
 def _classify(exc: BaseException) -> int | None:
+    """Exit code of a failure, from the first known type on its cause chain.
+    An input error raised inside a sweep point is numerical: the spec passed
+    every input check before the first point ran."""
     seen = set()
+    in_point = False
     node: BaseException | None = exc
     while node is not None and id(node) not in seen:
         seen.add(id(node))
+        in_point = in_point or isinstance(node, SweepPointError)
         if isinstance(node, (NumericsError, np.linalg.LinAlgError, MemoryError)):
             return EXIT_NUMERIC
         if isinstance(node, (InvariantError, ValueError, OverflowError)):
-            return EXIT_INVARIANT
+            return EXIT_NUMERIC if in_point else EXIT_INVARIANT
         if isinstance(node, OSError):
             return EXIT_IO
         node = node.__cause__ or node.__context__

@@ -1,101 +1,49 @@
-"""Declarative run configuration: YAML in, dataclasses inside, YAML out.
+"""Run configuration: YAML tables and command-line flags in, one sweep spec out.
 
-The file has up to four tables: ``system`` (physics parameters),
+The file has up to four tables: ``system`` (the fixed parameter point),
 ``protocol`` (initial-state choice), ``sweep`` (target and grid) and
-``output`` (file paths). Flags given on the command line override file
-values. Defaults are the harmonic-orbital parameter set with N = 50.
+``output`` (file paths). `SCHEMA` lists every key with the type of the
+spec field it sets; the CLI merges the flags it was given into the tables
+as plain values, and `build_run` turns them into a `SweepSpec`. Every
+default is the spec's own: `SystemParams` holds the harmonic point,
+`SweepSpec` the grid and the input state.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, field, replace
-from typing import Any, get_args, get_type_hints
+from dataclasses import fields
+from typing import get_args, get_type_hints
 
 import yaml
 
-from .modes import HARMONIC_DELTA_A, HARMONIC_ETA, HARMONIC_KAPPA, HARMONIC_XI, SystemParams
+from .modes import AXIS_FIELDS, HARMONIC_KAPPA, SystemParams
+from .sweeps import SweepSpec
 
-__all__ = [
-    "SystemConfig",
-    "ProtocolConfig",
-    "SweepConfig",
-    "OutputConfig",
-    "Config",
-    "load_config",
-    "parse_config",
-    "emit_config",
-]
+__all__ = ["SCHEMA", "KEY_FIELDS", "FIELD_KEYS", "load_config", "parse_config", "system_params",
+           "build_run"]
+
+# YAML key -> spec field for the axes and the grid ends, and back; any other
+# key is its field's name.
+KEY_FIELDS = {**AXIS_FIELDS, "min": "axis_min", "max": "axis_max"}
+FIELD_KEYS = {name: key for key, name in KEY_FIELDS.items()}
 
 
-@dataclass(frozen=True)
-class SystemConfig:
-    n_particles: int = 50
-    g: float = 0.0
-    delta_eps: float = 1.0
-    delta_a: float = HARMONIC_DELTA_A
-    eta: float = HARMONIC_ETA
-    xi: float = HARMONIC_XI
-    lambda_acc: float | None = 1.0
-    chi: float | None = None
-    kappa: float | None = None
-    t: float = 1.0
-
-    def resolve_lambda(self) -> float:
-        """Either lambda_acc directly or 2 * chi * kappa."""
-        if self.chi is not None:
-            kappa = HARMONIC_KAPPA if self.kappa is None else self.kappa
-            return 2.0 * self.chi * kappa
-        if self.lambda_acc is None:
-            raise ValueError("config must provide either 'lambda' or 'chi'")
-        return self.lambda_acc
-
-    def to_system_params(self) -> SystemParams:
-        return SystemParams(
-            n_particles=self.n_particles,
-            g=self.g,
-            delta_eps=self.delta_eps,
-            delta_a=self.delta_a,
-            eta=self.eta,
-            xi=self.xi,
-            lambda_acc=self.resolve_lambda(),
-            t=self.t,
-        )
+def _keys(cls, names) -> dict:
+    """YAML key -> accepted type for the given fields of cls."""
+    hints = get_type_hints(cls)
+    return {FIELD_KEYS.get(name, name): hints[name] for name in names}
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    theta: float = 0.5
-    state_kind: str = "fragmented"
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    target: str = "cqfi_interacting"
-    axis: str = "g"
-    axis_min: float = 0.0
-    axis_max: float = 200.0
-    steps: int = 101
-    log_scale: bool = False
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    csv: str | None = None
-    svg: str | None = None
-
-
-@dataclass(frozen=True)
-class Config:
-    system: SystemConfig = field(default_factory=SystemConfig)
-    protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
-    sweep: SweepConfig = field(default_factory=SweepConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
-
-
-# YAML key -> dataclass field where they differ.
-_SYSTEM_KEYS = {"lambda": "lambda_acc"}
-_SWEEP_KEYS = {"min": "axis_min", "max": "axis_max"}
+# Table -> YAML key -> accepted type. chi (and kappa) set lambda = 2 chi kappa
+# instead; null leaves them, and the output paths, unset.
+SCHEMA = {
+    "system": {**_keys(SystemParams, [f.name for f in fields(SystemParams)]),
+               "chi": float | None, "kappa": float | None},
+    "protocol": _keys(SweepSpec, ["theta", "state_kind"]),
+    "sweep": _keys(SweepSpec, ["target", "axis", "axis_min", "axis_max", "steps", "log_scale"]),
+    "output": {"csv": str | None, "svg": str | None},
+}
 
 
 def _has_type(value, annotation) -> bool:
@@ -106,22 +54,6 @@ def _has_type(value, annotation) -> bool:
     if isinstance(value, int) and float in allowed:
         return True
     return isinstance(value, allowed)
-
-
-def _table_to_dataclass(cls, table: dict, key_map: dict[str, str], section: str):
-    if not isinstance(table, dict):
-        raise ValueError(f"[{section}] must be a mapping, got {table!r}")
-    types = get_type_hints(cls)
-    kwargs = {}
-    for key, value in table.items():
-        name = key_map.get(key, key)
-        if name not in types:
-            raise ValueError(f"unknown key {key!r} in [{section}]")
-        if not _has_type(value, types[name]):
-            expected = getattr(types[name], "__name__", types[name])
-            raise ValueError(f"[{section}] {key} must be of type {expected}, got {value!r}")
-        kwargs[name] = value
-    return cls(**kwargs)
 
 
 class _Loader(yaml.SafeLoader):
@@ -135,8 +67,8 @@ _Loader.add_implicit_resolver(
 )
 
 
-def parse_config(text: str) -> Config:
-    """Parse a YAML config document into a Config."""
+def parse_config(text: str) -> dict[str, dict]:
+    """Every table of a YAML config, empty where absent; keys and value types checked."""
     try:
         raw = yaml.load(text, Loader=_Loader) or {}
     except yaml.YAMLError as exc:
@@ -144,62 +76,54 @@ def parse_config(text: str) -> Config:
     if not isinstance(raw, dict):
         raise ValueError("config root must be a mapping of tables")
     for section in raw:
-        if section not in ("system", "protocol", "sweep", "output"):
+        if section not in SCHEMA:
             raise ValueError(f"unknown config table {section!r}")
-    system_table = raw.get("system", {}) or {}
-    cfg = Config(
-        system=_table_to_dataclass(SystemConfig, system_table, _SYSTEM_KEYS, "system"),
-        protocol=_table_to_dataclass(ProtocolConfig, raw.get("protocol", {}) or {}, {}, "protocol"),
-        sweep=_table_to_dataclass(SweepConfig, raw.get("sweep", {}) or {}, _SWEEP_KEYS, "sweep"),
-        output=_table_to_dataclass(OutputConfig, raw.get("output", {}) or {}, {}, "output"),
-    )
-    swept = cfg.sweep.axis
-    fixed_key = "lambda" if swept == "lambda" else swept
-    if "sweep" in raw and fixed_key in system_table:
-        raise ValueError(f"swept axis {swept!r} must not also be fixed in [system]")
-    return cfg
+    tables = {section: raw.get(section) or {} for section in SCHEMA}
+    for section, table in tables.items():
+        if not isinstance(table, dict):
+            raise ValueError(f"[{section}] must be a mapping, got {table!r}")
+        for key, value in table.items():
+            if key not in SCHEMA[section]:
+                raise ValueError(f"unknown key {key!r} in [{section}]")
+            kind = SCHEMA[section][key]
+            if not _has_type(value, kind):
+                raise ValueError(f"[{section}] {key} must be of type "
+                                 f"{getattr(kind, '__name__', kind)}, got {value!r}")
+    return tables
 
 
-def emit_config(cfg: Config) -> str:
-    """Serialize a Config back to YAML; parse_config inverts this for valid configs.
-
-    The swept axis is not a fixed parameter, so its key is left out of the
-    [system] table; a config is valid when that field sits at its default.
-    """
-    inverse_system = {v: k for k, v in _SYSTEM_KEYS.items()}
-    inverse_sweep = {v: k for k, v in _SWEEP_KEYS.items()}
-
-    def table(obj, inverse):
-        return {inverse.get(k, k): v for k, v in asdict(obj).items() if v is not None}
-
-    system_table = table(cfg.system, inverse_system)
-    system_table.pop(cfg.sweep.axis, None)
-    doc = {
-        "system": system_table,
-        "protocol": table(cfg.protocol, {}),
-        "sweep": table(cfg.sweep, inverse_sweep),
-        "output": table(cfg.output, {}),
-    }
-    return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
-
-
-def load_config(path: str | None) -> Config:
+def load_config(path: str | None) -> dict[str, dict]:
+    """The tables of the YAML file at path; with no path, every table empty."""
     if path is None:
-        return Config()
+        return parse_config("")
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
 
 
-def apply_overrides(cfg: Config, **overrides: Any) -> Config:
-    """Override individual config fields, e.g. from command-line flags."""
-    tables = {"system": cfg.system, "protocol": cfg.protocol, "sweep": cfg.sweep, "output": cfg.output}
-    updates: dict[str, dict] = {name: {} for name in tables}
-    for dotted, value in overrides.items():
-        if value is None:
-            continue
-        section, _, name = dotted.partition(".")
-        if section not in tables or not name:
-            raise ValueError(f"unknown override {dotted!r}")
-        updates[section][name] = value
-    new = {name: replace(tables[name], **upd) if upd else tables[name] for name, upd in updates.items()}
-    return Config(**new)
+def _system_fields(tables: dict[str, dict]) -> dict:
+    """SystemParams field -> value from [system]; chi (and kappa) give lambda = 2 chi kappa."""
+    system = dict(tables["system"])
+    chi, kappa = system.pop("chi", None), system.pop("kappa", None)
+    if chi is not None:
+        system["lambda"] = 2.0 * chi * (HARMONIC_KAPPA if kappa is None else kappa)
+    return {KEY_FIELDS.get(key, key): value for key, value in system.items()}
+
+
+def system_params(tables: dict[str, dict]) -> SystemParams:
+    """The fixed parameter point of the [system] table."""
+    return SystemParams(**_system_fields(tables))
+
+
+def build_run(tables: dict[str, dict]) -> tuple[SweepSpec, str | None, str | None]:
+    """The spec that `validate` checks and `sweep` runs, with the CSV and SVG paths.
+
+    The swept axis must not also be fixed in [system], whichever table, flag
+    or default names it.
+    """
+    fixed = _system_fields(tables)
+    grid = {KEY_FIELDS.get(key, key): value
+            for key, value in {**tables["protocol"], **tables["sweep"]}.items()}
+    spec = SweepSpec(params=SystemParams(**fixed), **grid)
+    if KEY_FIELDS[spec.axis] in fixed:
+        raise ValueError(f"swept axis {spec.axis!r} must not also be fixed in [system]")
+    return spec, tables["output"].get("csv"), tables["output"].get("svg")

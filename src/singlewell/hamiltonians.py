@@ -40,7 +40,7 @@ class HermitianOperator:
             raise InvariantError(f"expected a square matrix, got shape {mat.shape}")
         if not np.array_equal(mat, mat.conj().T):
             defect = np.abs(mat - mat.conj().T).max()
-            if defect > HERMITICITY_TOL:
+            if not defect <= HERMITICITY_TOL:  # NaN fails too
                 raise InvariantError(f"matrix deviates from Hermiticity by {defect!r}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)

@@ -26,12 +26,8 @@ __all__ = [
 _REALITY_TOL = 1e-10
 _QUAD_TOL = 1e-10
 
-# The harmonic-orbital parameter set, exact: derive_params of
-# harmonic_mode_integrals() and its dipole element kappa = <0|x|1> give
-# these to quadrature precision. Defaults and scripts read them from here.
-HARMONIC_DELTA_A = 0.25
-HARMONIC_ETA = 0.625
-HARMONIC_XI = -0.6
+# The harmonic dipole element <0|x|1>, exact; harmonic_mode_integrals()
+# gives it to quadrature precision.
 HARMONIC_KAPPA = 2.0 ** -0.5
 
 # Orbital prefactors with the Gaussian exp(-x^2/2) stripped off:
@@ -97,16 +93,20 @@ class SystemParams:
     g is the rescaled coupling N * g_1d; delta_eps the bare level
     splitting; delta_a, eta, xi the interaction shape parameters;
     lambda_acc the acceleration strength and t the accumulation time.
+    The defaults are the harmonic-orbital point at N = 50, which the CLI,
+    tests and scripts start from; its delta_a, eta and xi are exact, and
+    derive_params of harmonic_mode_integrals() gives them to quadrature
+    precision. g_1d must keep gamma (`validity_gamma`) a finite float.
     """
 
-    n_particles: int
-    g: float
-    delta_eps: float
-    delta_a: float
-    eta: float
-    xi: float
-    lambda_acc: float
-    t: float
+    n_particles: int = 50
+    g: float = 0.0
+    delta_eps: float = 1.0
+    delta_a: float = 0.25
+    eta: float = 0.625
+    xi: float = -0.6
+    lambda_acc: float = 1.0
+    t: float = 1.0
 
     def __post_init__(self):
         non_finite = [f.name for f in fields(self) if not np.isfinite(float(getattr(self, f.name)))]
@@ -133,6 +133,7 @@ class SystemParams:
             )
         if not (self.xi <= 1e-12 or self.xi >= 1.0 - 1e-12):
             raise InvariantError(f"xi must be <= 0 or >= 1, got {self.xi!r}")
+        validity_gamma(self.g_1d, self.n_particles)
 
     @property
     def g_1d(self) -> float:
@@ -259,7 +260,8 @@ def validity_gamma(g_1d: float, n_particles: int) -> tuple[float, bool]:
     return float(gamma), bool(gamma <= 1.0)
 
 
-# Sweepable axis name -> SystemParams field.
+# Sweepable axis name -> SystemParams field. An axis is named as its YAML
+# key and CSV column, so this is where lambda stands for lambda_acc.
 AXIS_FIELDS = {
     "g": "g",
     "delta_eps": "delta_eps",

@@ -31,7 +31,6 @@ from .spin_core import (
     degree_of_fragmentation,
     fragmented_ground_state,
     spin_coherent_state,
-    variance,
 )
 
 __all__ = ["ProtocolSpec", "ProtocolInput", "ProtocolResult", "beam_splitter",
@@ -75,6 +74,10 @@ class ProtocolResult:
     fragmentation: float
 
 
+def _splitter_phases(ops: SpinOperators) -> np.ndarray:
+    return np.exp(-1j * (np.pi / 2.0) * ops.m)
+
+
 def beam_splitter(ops: SpinOperators) -> np.ndarray:
     """Splitter unitary exp(-i (pi/2) Jz), diagonal in the Dicke basis.
 
@@ -82,11 +85,15 @@ def beam_splitter(ops: SpinOperators) -> np.ndarray:
     the polar angle theta alone, so on a Jz eigenstate (the theta = 0
     coherent input) it is only a global phase.
     """
-    return np.diag(np.exp(-1j * (np.pi / 2.0) * ops.m))
+    return np.diag(_splitter_phases(ops))
 
 
 def prepare_input(spec: ProtocolSpec, ops: SpinOperators) -> ProtocolInput:
-    """Prepare the fragmented or coherent state and apply the splitter."""
+    """Prepare the fragmented or coherent state and apply the splitter.
+
+    The splitter is diagonal and Jx tridiagonal, so both act on the band:
+    no dense operator is built.
+    """
     n = spec.params.n_particles
     if ops.dimension != n + 1:
         raise ValueError(f"spin operators of dimension {ops.dimension} do not match N = {n}")
@@ -94,11 +101,15 @@ def prepare_input(spec: ProtocolSpec, ops: SpinOperators) -> ProtocolInput:
         prepared = spin_coherent_state(n, 0.0, 0.0)
     else:
         prepared = fragmented_ground_state(n, spec.theta)
-    rotated = DickeState(amplitudes=beam_splitter(ops) @ prepared.amplitudes)
+    psi = _splitter_phases(ops) * prepared.amplitudes
+    jx_psi = np.zeros_like(psi)
+    jx_psi[:-1] += 0.5 * ops.ladder * psi[1:]
+    jx_psi[1:] += 0.5 * ops.ladder * psi[:-1]
+    mean = np.vdot(psi, jx_psi).real
     return ProtocolInput(
-        state=rotated,
+        state=DickeState(amplitudes=psi),
         fragmentation=degree_of_fragmentation(prepared, ops),
-        jx_variance=variance(ops.jx, rotated),
+        jx_variance=max(float(np.vdot(jx_psi, jx_psi).real - mean * mean), 0.0),
     )
 
 

@@ -48,14 +48,18 @@ class SweepPointError(Exception):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    target: str
-    axis: str
-    axis_min: float
-    axis_max: float
-    steps: int
-    params: SystemParams
-    theta: float = 0.5
-    state_kind: str = "fragmented"
+    """One target on a uniform grid of one axis around a fixed point; the
+    defaults are the CLI's: a 101-point g-sweep of the channel QFI at the
+    harmonic point, and ProtocolSpec's input state."""
+
+    target: str = "cqfi_interacting"
+    axis: str = "g"
+    axis_min: float = 0.0
+    axis_max: float = 200.0
+    steps: int = 101
+    params: SystemParams = field(default_factory=SystemParams)
+    theta: float = ProtocolSpec.theta
+    state_kind: str = ProtocolSpec.state_kind
     log_scale: bool = False
 
     def __post_init__(self):

@@ -9,23 +9,11 @@ import pytest
 from scipy.linalg import expm
 
 from singlewell import SystemParams, total_hamiltonian
-from singlewell.modes import HARMONIC_DELTA_A, HARMONIC_ETA, HARMONIC_XI
 
 
 def harmonic_params(**overrides) -> SystemParams:
-    """The canonical harmonic-orbital parameter set; fields overridable per test."""
-    base = dict(
-        n_particles=50,
-        g=0.0,
-        delta_eps=1.0,
-        delta_a=HARMONIC_DELTA_A,
-        eta=HARMONIC_ETA,
-        xi=HARMONIC_XI,
-        lambda_acc=1.0,
-        t=1.0,
-    )
-    base.update(overrides)
-    return SystemParams(**base)
+    """The harmonic-orbital point, SystemParams' defaults; fields overridable per test."""
+    return SystemParams(**overrides)
 
 
 def finite_difference_generator(p: SystemParams, ops, h: float = 1e-6) -> np.ndarray:

@@ -10,22 +10,19 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import singlewell.sweeps
-from singlewell.cli import EXIT_INVARIANT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _classify, main
+from singlewell.cli import (
+    EXIT_INVARIANT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _build_parser, _classify, _tables, main,
+)
 from singlewell.config import (
-    Config,
-    OutputConfig,
-    ProtocolConfig,
-    SweepConfig,
-    SystemConfig,
-    emit_config,
-    parse_config,
+    FIELD_KEYS, KEY_FIELDS, SCHEMA, build_run, load_config, parse_config, system_params,
 )
 from singlewell.errors import InvariantError, NumericsError
+from singlewell.modes import SystemParams
 from singlewell.protocols import STATE_KINDS
-from singlewell.sweeps import AXES, TARGETS, SweepPointError, SweepSpec, run_sweep
+from singlewell.sweeps import AXES, TARGETS, SweepPointError, SweepSpec, load_csv, run_sweep
 from conftest import harmonic_params
 
 
@@ -36,28 +33,41 @@ def run_cli(*argv):
 
 
 class TestConfigRoundTrip:
-    def test_default_config(self):
-        cfg = Config()
-        assert parse_config(emit_config(cfg)) == cfg
+    """YAML text in, the spec that `validate` checks and `sweep` runs out."""
 
-    def test_custom_config(self):
-        # the swept axis (t) stays at its default; fixing it too would be invalid
-        cfg = Config(
-            system=SystemConfig(n_particles=20, g=80.0, delta_eps=10.0),
-            protocol=ProtocolConfig(theta=0.3, state_kind="coherent"),
-            sweep=SweepConfig(target="protocol_qfi", axis="t", axis_min=0.1, axis_max=5.0, steps=7),
-            output=OutputConfig(csv="out.csv", svg="out.svg"),
-        )
-        assert parse_config(emit_config(cfg)) == cfg
+    def test_default_config(self):
+        # no file and an empty file both give SweepSpec's defaults, the harmonic point included
+        assert load_config(None) == parse_config("") == {table: {} for table in SCHEMA}
+        assert build_run(parse_config("")) == (SweepSpec(), None, None)
+        assert SweepSpec().params == SystemParams() == harmonic_params()
+
+    def test_custom_config(self, tmp_path):
+        text = ("system: {n_particles: 6, g: 80.0, delta_eps: 10.0, lambda: 0.5}\n"
+                "protocol: {theta: 0.3, state_kind: coherent}\n"
+                "sweep: {target: protocol_qfi, axis: t, min: 0.1, max: 5.0, steps: 3, log_scale: true}\n"
+                f"output: {{csv: {tmp_path / 'o.csv'}, svg: {tmp_path / 'o.svg'}}}\n")
+        spec = SweepSpec(target="protocol_qfi", axis="t", axis_min=0.1, axis_max=5.0, steps=3,
+                         params=SystemParams(n_particles=6, g=80.0, delta_eps=10.0, lambda_acc=0.5),
+                         theta=0.3, state_kind="coherent", log_scale=True)
+        assert build_run(parse_config(text)) == (spec, str(tmp_path / "o.csv"), str(tmp_path / "o.svg"))
+        # and back out: the CSV echoes every fixed value under its YAML key
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        assert run_cli("sweep", "-c", str(cfg))[0] == EXIT_OK
+        meta = load_csv(str(tmp_path / "o.csv")).metadata
+        assert {key: meta[key] for key in ("n_particles", "g", "delta_eps", "lambda", "theta",
+                                           "state_kind", "target", "axis", "steps", "log_scale")} == {
+            "n_particles": 6, "g": 80.0, "delta_eps": 10.0, "lambda": 0.5, "theta": 0.3,
+            "state_kind": "coherent", "target": "protocol_qfi", "axis": "t", "steps": 3,
+            "log_scale": True}
+        assert "t" not in meta
 
     def test_force_dipole_form(self):
-        cfg = Config(system=SystemConfig(chi=2.0, kappa=0.25))
-        again = parse_config(emit_config(cfg))
-        assert again == cfg
-        assert again.system.resolve_lambda() == 1.0
+        assert system_params(parse_config("system: {chi: 2.0, kappa: 0.25}\n")).lambda_acc == 1.0
 
     def test_chi_defaults_to_harmonic_dipole(self):
-        assert SystemConfig(chi=1.0).resolve_lambda() == pytest.approx(2.0 ** 0.5)
+        p = system_params(parse_config("system: {chi: 1.0, kappa: null}\n"))
+        assert p.lambda_acc == pytest.approx(2.0 ** 0.5)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
@@ -69,7 +79,7 @@ class TestConfigRoundTrip:
 
     def test_exponent_floats_without_a_dot(self, tmp_path):
         # YAML 1.2 reads 1e-3 as a float; YAML 1.1 would read the string '1e-3'
-        assert parse_config("system: {t: 1e-3}\n").system.t == 0.001
+        assert parse_config("system: {t: 1e-3}\n")["system"]["t"] == 0.001
         cfg = tmp_path / "run.yaml"
         cfg.write_text("system: {t: 1e-3}\n", encoding="utf-8")
         code, out = run_cli("validate", "-c", str(cfg))
@@ -79,14 +89,106 @@ class TestConfigRoundTrip:
         assert code == EXIT_INVARIANT and "got -20.0" in out
         with pytest.raises(ValueError, match="steps must be of type int"):
             parse_config("sweep: {steps: 1e2}\n")
-        cfg = Config(system=SystemConfig(t=1e-3, g=2.5e-7),
-                     sweep=SweepConfig(axis="delta_eps", axis_min=1e-9, axis_max=1e20))
-        assert parse_config(emit_config(cfg)) == cfg
+        tables = parse_config("system: {t: 1e-3, g: 2.5e-7}\n"
+                              "sweep: {axis: delta_eps, min: 1e-9, max: 1e20}\n")
+        assert tables["system"] == {"t": 0.001, "g": 2.5e-7}
+        assert tables["sweep"] == {"axis": "delta_eps", "min": 1e-9, "max": 1e20}
 
     def test_swept_axis_must_not_be_fixed(self):
         text = "system:\n  g: 10\nsweep:\n  axis: g\n"
         with pytest.raises(ValueError, match="must not also be fixed"):
-            parse_config(text)
+            build_run(parse_config(text))
+
+
+# A value for every config key, each unlike the default of the field it sets.
+_KEY_VALUES = {
+    "n_particles": 7, "g": 3.0, "delta_eps": 2.0, "delta_a": 0.5, "eta": 0.5, "xi": -0.3,
+    "lambda": 2.0, "t": 2.0, "chi": 2.0, "kappa": 0.5,
+    "theta": 0.25, "state_kind": "coherent",
+    "target": "protocol_qfi", "axis": "t", "min": 1.0, "max": 150.0, "steps": 7, "log_scale": True,
+    "csv": "a.csv", "svg": "a.svg",
+}
+_ALL_KEYS = [(table, key) for table, keys in SCHEMA.items() for key in keys]
+
+
+def _run_fields(tables) -> dict:
+    """Every field `build_run` fills, the fixed point's included, by name."""
+    spec, csv, svg = build_run(tables)
+    run = {f"params.{f.name}": getattr(spec.params, f.name) for f in fields(spec.params)}
+    run.update({f.name: getattr(spec, f.name) for f in fields(spec) if f.name != "params"})
+    return {**run, "csv": csv, "svg": svg}
+
+
+class TestSingleSourceOfTruth:
+    def test_params_without_config_prints_the_default_point(self):
+        code, out = run_cli("params")
+        assert code == EXIT_OK
+        printed = dict(line.split(" = ") for line in out.splitlines())
+        default = SystemParams()
+        for f in fields(default):
+            value = getattr(default, f.name)
+            expected = f"{value:.12g}" if isinstance(value, float) else str(value)
+            assert printed[FIELD_KEYS.get(f.name, f.name)] == expected
+
+    @pytest.mark.parametrize("table, key", _ALL_KEYS)
+    def test_every_yaml_key_sets_exactly_one_field(self, table, key):
+        base = parse_config("")
+        if table == "system":  # sweep an axis the key does not fix
+            base["sweep"]["axis"] = "t" if key in ("lambda", "chi", "delta_a", "kappa") else "delta_a"
+            if key == "kappa":  # kappa only scales chi
+                base["system"]["chi"] = 1.0
+        before = _run_fields(base)
+        base[table][key] = _KEY_VALUES[key]
+        after = _run_fields(base)
+        changed = [name for name in after if after[name] != before[name]]
+        assert len(changed) == 1, changed
+        if key not in ("chi", "kappa"):
+            assert changed[0].rpartition(".")[2] == KEY_FIELDS.get(key, key)
+            assert after[changed[0]] == _KEY_VALUES[key]
+        else:
+            assert changed[0] == "params.lambda_acc"
+
+    @pytest.mark.parametrize("command", ["params", "validate", "sweep"])
+    def test_every_flag_sets_exactly_one_key(self, command):
+        sub = next(a for a in _build_parser()._actions if a.dest == "command").choices[command]
+        flags = {a.option_strings[0]: a.dest for a in sub._actions if "." in a.dest}
+        tables = ("system",) if command == "params" else tuple(SCHEMA)
+        assert sorted(flags.values()) == sorted(f"{t}.{k}" for t in tables for k in SCHEMA[t])
+        for flag, dest in flags.items():
+            table, _, key = dest.partition(".")
+            value = _KEY_VALUES[key]
+            argv = [command, flag] + ([] if value is True else [str(value)])
+            assert _tables(_build_parser().parse_args(argv)) == {**parse_config(""), table: {key: value}}
+
+
+class TestFixedSweptAxis:
+    """`validate` and `sweep` refuse a swept axis that [system] or a flag also fixes."""
+
+    @pytest.mark.parametrize("text", ["system: {g: 1.0e+300}\n", "system: {g: 80.0}\n",
+                                      "system: {t: 2.0}\nsweep: {axis: t}\n",
+                                      "system: {chi: 1.0}\nsweep: {axis: lambda}\n"])
+    def test_config_file(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        for command in ("validate", "sweep"):
+            code, out = run_cli(command, "-c", str(cfg), "--n-particles", "4", "--steps", "2")
+            assert code == EXIT_INVARIANT, command
+            assert "OK" not in out and "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("--g", "80"), ("--sweep-axis", "t", "--t", "2"),
+                                      ("--sweep-axis", "lambda", "--chi", "1")])
+    def test_flags(self, argv):
+        for command in ("validate", "sweep"):
+            code, _ = run_cli(command, "--n-particles", "4", "--steps", "2", *argv)
+            assert code == EXIT_INVARIANT, command
+
+    def test_another_axis_and_params_still_run(self, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("system: {g: 80.0}\nsweep: {axis: t}\n", encoding="utf-8")
+        for command in ("validate", "sweep"):
+            assert run_cli(command, "-c", str(cfg), "--n-particles", "4", "--steps", "2")[0] == EXIT_OK
+        code, out = run_cli("params", "--g", "80")
+        assert code == EXIT_OK and "g = 80" in out
 
 
 class TestParamsCommand:
@@ -116,7 +218,7 @@ class TestParamsCommand:
 class TestValidateCommand:
     def test_valid_config_passes(self, tmp_path):
         cfg = tmp_path / "run.yaml"
-        cfg.write_text("system:\n  n_particles: 50\n  g: 200.0\n", encoding="utf-8")
+        cfg.write_text("system:\n  n_particles: 50\n  g: 200.0\nsweep:\n  axis: t\n", encoding="utf-8")
         code, out = run_cli("validate", "-c", str(cfg))
         assert code == EXIT_OK
         assert "OK" in out
@@ -168,7 +270,7 @@ class TestValidateCommand:
         ("system: {g: [1\n", ("validate", "sweep")),  # malformed YAML
         ("? [a, b]\n: 1\n", ("validate", "sweep")),  # unhashable key
         ("sweep: {min: 1" + "0" * 400 + "}\n", ("validate", "sweep")),  # int beyond float range
-        ("system: {g: 1.0e+300}\n", ("validate",)),  # gamma overflows a float
+        ("system: {g: 1.0e+300}\n", ("validate", "sweep")),  # gamma overflows a float
     ])
     def test_unreadable_or_extreme_input_exits_one(self, tmp_path, capsys, text, commands):
         cfg = tmp_path / "run.yaml"
@@ -197,37 +299,34 @@ class TestValidateCommand:
         assert "Traceback" not in capsys.readouterr().err
 
 
-# Random YAML tables: known keys (and one unknown) with values of every YAML
-# kind, valid names mixed in so some configs pass.
+# Random YAML tables: every schema key (and one unknown) with values of every
+# YAML kind, valid names mixed in so some configs pass. [output] is left out,
+# so no example writes a file.
 _YAML_VALUES = st.one_of(
     st.floats(), st.integers(), st.booleans(), st.text(max_size=6), st.none(),
     st.sampled_from(TARGETS + AXES + STATE_KINDS),
 )
-_TABLE_KEYS = {
-    "system": ["lambda" if f.name == "lambda_acc" else f.name for f in fields(SystemConfig)],
-    "protocol": ["theta", "state_kind"],
-    "sweep": ["target", "axis", "min", "max", "steps", "log_scale"],
-}
 _YAML_DOCS = st.fixed_dictionaries({}, optional={
-    **{table: st.dictionaries(st.sampled_from(keys + ["bogus"]), _YAML_VALUES, max_size=4)
-       for table, keys in _TABLE_KEYS.items()},
+    **{table: st.dictionaries(st.sampled_from(list(keys) + ["bogus"]), _YAML_VALUES, max_size=4)
+       for table, keys in SCHEMA.items() if table != "output"},
     "bogus": st.just({}),
 })
 
 
 class TestRandomConfigs:
     @given(doc=_YAML_DOCS, n=st.integers(1, 12), steps=st.integers(2, 5))
+    @example(doc={"system": {"g": 1.0e300}}, n=4, steps=2)
     @settings(deadline=None, max_examples=100)
-    def test_exit_codes_only(self, doc, n, steps):
+    def test_validate_fails_exactly_when_sweep_does(self, doc, n, steps):
         # sweeps are held to N <= 12 and <= 5 steps so no example builds large matrices
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "run.yaml")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(yaml.safe_dump(doc))
-            for argv in (("validate", "-c", path),
-                         ("sweep", "-c", path, "--n-particles", str(n), "--steps", str(steps))):
-                code, _ = run_cli(*argv)
-                assert code in (EXIT_OK, EXIT_INVARIANT, EXIT_IO, EXIT_NUMERIC), argv
+            flags = ("-c", path, "--n-particles", str(n), "--steps", str(steps))
+            codes = [run_cli(command, *flags)[0] for command in ("validate", "sweep")]
+        assert set(codes) <= {EXIT_OK, EXIT_INVARIANT, EXIT_IO, EXIT_NUMERIC}, codes
+        assert (codes[0] == EXIT_INVARIANT) == (codes[1] == EXIT_INVARIANT), codes
 
 
 class TestModuleEntryPoints:
@@ -367,6 +466,14 @@ class TestExitCodeClassification:
         outer = SweepPointError("point failed")
         outer.__cause__ = inner
         assert _classify(outer) == EXIT_NUMERIC
+
+    def test_input_error_inside_a_point_is_numerical(self):
+        # the spec passed every input check, so a point that still raises one failed numerically
+        for inner in (InvariantError("x"), ValueError("x"), OverflowError("x")):
+            outer = SweepPointError("point failed")
+            outer.__cause__ = inner
+            assert _classify(outer) == EXIT_NUMERIC
+        assert run_cli("sweep", "--n-particles", "4", "--steps", "3", "--t", "1e200")[0] == EXIT_NUMERIC
 
     def test_unknown_exception_not_swallowed(self):
         assert _classify(KeyError("x")) is None

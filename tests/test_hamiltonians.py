@@ -36,6 +36,18 @@ class TestHermitianOperator:
                 with pytest.raises(InvariantError, match="Hermiticity"):
                     HermitianOperator(matrix=mat)
 
+    @pytest.mark.parametrize("matrix", [
+        [[1.0, np.nan], [0.0, 1.0]],
+        [[np.nan, 1.0], [1.0, 1.0]],  # symmetric, NaN on the diagonal
+        [[1.0, np.nan], [np.nan, 1.0]],  # symmetric, NaN off it
+        [[1.0, complex(np.nan, 0.0)], [0.0, 1.0]],
+        [[1.0, complex(0.0, np.nan)], [complex(0.0, np.nan), 1.0]],
+    ])
+    def test_rejects_nan(self, matrix):
+        # NaN != NaN, so the fast path fails and the NaN defect must not pass as small
+        with pytest.raises(InvariantError, match="Hermiticity"):
+            HermitianOperator(matrix=np.array(matrix))
+
     def test_rejects_non_square(self):
         with pytest.raises(InvariantError):
             HermitianOperator(matrix=np.zeros((2, 3)))

@@ -14,13 +14,7 @@ from singlewell import (
     renormalized_q,
     validity_gamma,
 )
-from singlewell.modes import (
-    HARMONIC_DELTA_A,
-    HARMONIC_ETA,
-    HARMONIC_KAPPA,
-    HARMONIC_XI,
-    with_axis_value,
-)
+from singlewell.modes import HARMONIC_KAPPA, with_axis_value
 
 
 class TestHarmonicModeIntegrals:
@@ -41,12 +35,12 @@ class TestHarmonicModeIntegrals:
         assert abs(mi.eps0 - 0.5) < 1e-9
 
     def test_exact_constants_match_quadrature(self):
-        # the constants every default reads must be what the orbitals give
+        # the default point every caller starts from must be what the orbitals give
         mi = harmonic_mode_integrals()
-        p = derive_params(mi, 50, 10.0, 1.0, 1.0)
-        assert abs(p.delta_a - HARMONIC_DELTA_A) < 1e-12
-        assert abs(p.eta - HARMONIC_ETA) < 1e-12
-        assert abs(p.xi - HARMONIC_XI) < 1e-12
+        p, default = derive_params(mi, 50, 10.0, 1.0, 1.0), SystemParams()
+        assert abs(p.delta_a - default.delta_a) < 1e-12
+        assert abs(p.eta - default.eta) < 1e-12
+        assert abs(p.xi - default.xi) < 1e-12
         assert abs(mi.kappa - HARMONIC_KAPPA) < 1e-12
 
     def test_quadrature_stable_under_node_doubling(self):
@@ -177,6 +171,14 @@ class TestSystemParamsInvariants:
         for name in valid:
             with pytest.raises(InvariantError, match=name):
                 SystemParams(**{**valid, name: bad})
+
+    def test_g_whose_gamma_overflows_rejected(self):
+        # gamma = 1.5 g_1d^(4/3) N^(-2/3) must be a float, so every grid point can report it
+        SystemParams(n_particles=7, g=7e230)
+        with pytest.raises(InvariantError, match="gamma overflows"):
+            SystemParams(n_particles=7, g=7e232)
+        with pytest.raises(InvariantError, match="gamma overflows"):
+            with_axis_value(SystemParams(n_particles=7), "g", 1e300)
 
     def test_n_whose_matrix_cannot_be_addressed_rejected(self):
         # 8 (N+1)^2 bytes must fit in the address space: N + 1 < 2^30 on 64-bit

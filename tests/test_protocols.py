@@ -20,6 +20,7 @@ from singlewell import (
     qfi_and_ritz_spread,
     run_protocol,
     spin_coherent_state,
+    variance,
 )
 from singlewell import protocols
 from conftest import harmonic_params
@@ -121,6 +122,20 @@ class TestRunProtocol:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             run_protocol(ProtocolSpec(params=harmonic_params(n_particles=10)), build_spin_operators(11))
+
+
+class TestPrepareInput:
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 200])
+    @pytest.mark.parametrize("kind, theta", [("fragmented", 0.5), ("fragmented", 1.3), ("coherent", 0.0)])
+    def test_band_form_matches_the_dense_operators(self, n, kind, theta):
+        ops = build_spin_operators(n)
+        inp = prepare_input(ProtocolSpec(params=harmonic_params(n_particles=n), theta=theta,
+                                         state_kind=kind), ops)
+        assert "jx" not in vars(ops) and "jz" not in vars(ops)  # no dense operator built
+        prepared = (spin_coherent_state(n, 0.0, 0.0) if kind == "coherent"
+                    else fragmented_ground_state(n, theta)).amplitudes
+        assert np.abs(inp.state.amplitudes - beam_splitter(ops) @ prepared).max() < 1e-15
+        assert inp.jx_variance == pytest.approx(variance(ops.jx, inp.state), rel=1e-14, abs=1e-14)
 
 
 class TestCramerRaoCheck:
