@@ -46,7 +46,6 @@ __all__ = [
     "evolve",
     "dynamical_generator",
     "generator_at",
-    "qfi_pure_state",
     "qfi_and_ritz_spread",
     "cqfi_upper_bound",
 ]
@@ -198,12 +197,6 @@ def qfi_and_ritz_spread(gen: GeneratorResult, state: DickeState) -> tuple[float,
         return qfi, 0.0
     other = np.vdot(resid, gen.kernel @ resid) / resid2  # <r|G~|r> for r = resid / |resid|
     return qfi, float(np.hypot(ritz - other, 2.0 * np.sqrt(resid2 / norm2)))
-
-
-def qfi_pure_state(gen: GeneratorResult, state: DickeState) -> float:
-    """QFI of a specific input state: 4 Var_psi(G), evaluated as 4 Var of G~
-    over phi = W^dag psi = exp(-i E t/2) * (V^T psi)."""
-    return qfi_and_ritz_spread(gen, state)[0]
 
 
 def cqfi_upper_bound(n_particles: int, t: float) -> float:

@@ -96,7 +96,8 @@ class SystemParams:
     The defaults are the harmonic-orbital point at N = 50, which the CLI,
     tests and scripts start from; its delta_a, eta and xi are exact, and
     derive_params of harmonic_mode_integrals() gives them to quadrature
-    precision. g_1d must keep gamma (`validity_gamma`) a finite float.
+    precision. g_1d must keep gamma (`validity_gamma`) a finite float, and
+    N t the Heisenberg ceiling (N t)^2.
     """
 
     n_particles: int = 50
@@ -134,6 +135,11 @@ class SystemParams:
         if not (self.xi <= 1e-12 or self.xi >= 1.0 - 1e-12):
             raise InvariantError(f"xi must be <= 0 or >= 1, got {self.xi!r}")
         validity_gamma(self.g_1d, self.n_particles)
+        root = float(self.n_particles * self.t)
+        if not root * root < np.inf:  # float * float gives inf where ** would raise
+            raise InvariantError(
+                f"Heisenberg ceiling (N t)^2 overflows a float at N = {self.n_particles}, t = {self.t!r}"
+            )
 
     @property
     def g_1d(self) -> float:

@@ -3,12 +3,13 @@
 A sweep evaluates one target (analytic noninteracting channel QFI,
 interacting channel QFI, or the ground-state protocol QFI) on a uniform
 grid of a single axis while every other parameter stays fixed. It is one
-loop in grid order through the kernels of the single-point APIs, with the
-work that does not change along the grid done once: the spin operators,
-the protocol input state, and, on the t axis, where H stays the same, the
-decomposition of H. A spec is checked whole when it is built, its
-protocol inputs included whatever the target, so a bad spec fails before
-any point runs. Identical specs produce byte-identical CSVs.
+loop in grid order through the kernels `dynamical_generator`,
+`prepare_input` and `protocol_readout`, with the work that does not change
+along the grid done once: the spin operators, the protocol input state,
+and, on the t axis, where H stays the same, the decomposition of H. A spec
+is checked whole when it is built, its protocol inputs included whatever
+the target, so a bad spec fails before any point runs. Identical specs
+produce byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .analytic import cqfi_noninteracting
+from .analytic import cqfi_noninteracting, phase_shift_qfi
 from .dynamics import cqfi_upper_bound, dynamical_generator, generator_at
 from .errors import NumericsError
 from .modes import AXIS_FIELDS, SystemParams, validity_gamma, with_axis_value
 from .plotting import render_svg
-from .protocols import ProtocolSpec, prepare_input, protocol_readout
+from .protocols import STATE_KINDS, prepare_input, protocol_readout
 from .spin_core import build_spin_operators
 
 __all__ = [
@@ -50,7 +51,7 @@ class SweepPointError(Exception):
 class SweepSpec:
     """One target on a uniform grid of one axis around a fixed point; the
     defaults are the CLI's: a 101-point g-sweep of the channel QFI at the
-    harmonic point, and ProtocolSpec's input state."""
+    harmonic point, and the fragmented input at theta = 0.5."""
 
     target: str = "cqfi_interacting"
     axis: str = "g"
@@ -58,8 +59,8 @@ class SweepSpec:
     axis_max: float = 200.0
     steps: int = 101
     params: SystemParams = field(default_factory=SystemParams)
-    theta: float = ProtocolSpec.theta
-    state_kind: str = ProtocolSpec.state_kind
+    theta: float = 0.5
+    state_kind: str = "fragmented"
     log_scale: bool = False
 
     def __post_init__(self):
@@ -67,8 +68,11 @@ class SweepSpec:
             raise ValueError(f"unknown target {self.target!r}; expected one of {TARGETS}")
         if self.axis not in AXES:
             raise ValueError(f"unknown axis {self.axis!r}; expected one of {AXES}")
-        if not np.isfinite([float(self.axis_min), float(self.axis_max)]).all():
-            raise ValueError(f"axis range must be finite, got [{self.axis_min!r}, {self.axis_max!r}]")
+        if not np.isfinite(float(self.axis_max) - float(self.axis_min)):  # inf or NaN ends too
+            raise ValueError(
+                f"axis range must be finite with a width that fits a float, "
+                f"got [{self.axis_min!r}, {self.axis_max!r}]"
+            )
         if self.steps < 2:
             raise ValueError(f"a sweep needs at least 2 steps, got {self.steps}")
         if not self.axis_min < self.axis_max:
@@ -77,10 +81,11 @@ class SweepSpec:
             )
         for end in (self.axis_min, self.axis_max):
             with_axis_value(self.params, self.axis, end)  # e.g. g < 0 fails here, not mid-sweep
-        self.protocol_spec()  # a bad theta or state kind fails here, whatever the target
-
-    def protocol_spec(self) -> ProtocolSpec:
-        return ProtocolSpec(params=self.params, theta=self.theta, state_kind=self.state_kind)
+        # The protocol input is checked whatever the target.
+        if not 0.0 <= self.theta <= np.pi:
+            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
+        if self.state_kind not in STATE_KINDS:
+            raise ValueError(f"unknown state kind {self.state_kind!r}; expected one of {STATE_KINDS}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.axis_min, self.axis_max, self.steps)
@@ -117,7 +122,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     grid = spec.grid()
     protocol = spec.target == "protocol_qfi"
     if protocol:
-        inp = prepare_input(spec.protocol_spec(), ops)
+        inp = prepare_input(ops, spec.state_kind, spec.theta)
     gen = None
     rows, gammas = [], []
     for value in grid:
@@ -135,8 +140,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 gen = None  # release the last point's arrays before building the next H
                 gen = dynamical_generator(p, ops)
             if protocol:
-                res = protocol_readout(inp, gen)
-                rows.append((res.qfi, bound, res.ideal_qfi_baseline))
+                qfi = protocol_readout(inp, gen)
+                rows.append((qfi, bound, phase_shift_qfi(inp.jx_variance, p.t)))
                 gammas.append(validity_gamma(p.g_1d, p.n_particles)[0])
             else:
                 rows.append((gen.cqfi, bound, None))

@@ -3,11 +3,12 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from singlewell import (
-    ProtocolSpec,
     SweepSpec,
     build_spin_operators,
     cqfi_noninteracting,
@@ -15,10 +16,8 @@ from singlewell import (
     dynamical_generator,
     emit_csv,
     evolve,
-    qfi_pure_state,
-    run_protocol,
+    qfi_and_ritz_spread,
     run_sweep,
-    single_well_hamiltonian,
     total_hamiltonian,
 )
 from singlewell.spin_core import DickeState
@@ -103,21 +102,18 @@ def test_criterion_4_interaction_restores_saturation():
                    f"max cQFI {peak:.1f} at g = {peak_g:.0f} (need >= 2250 within 80 +/- 20)")
 
 
-def _protocol_curve(state_kind: str, theta: float, ops):
-    qfis, ideals = [], []
-    for g in G_GRID:
-        p = harmonic_params(g=float(g), delta_eps=10.0)
-        res = run_protocol(ProtocolSpec(params=p, theta=theta, state_kind=state_kind), ops)
-        qfis.append(res.qfi)
-        ideals.append(res.ideal_qfi_baseline)
-    return np.array(qfis), np.array(ideals)
+def _protocol_curve(state_kind: str, theta: float):
+    res = run_sweep(SweepSpec(target="protocol_qfi", axis="g", axis_min=0.0, axis_max=200.0,
+                              steps=len(G_GRID), params=harmonic_params(delta_eps=10.0),
+                              theta=theta, state_kind=state_kind))
+    assert np.array_equal(res.axis_values, G_GRID)
+    return res.values, res.ideal
 
 
 @pytest.fixture(scope="module")
 def protocol_curves():
-    ops = build_spin_operators(50)
-    frag, _ = _protocol_curve("fragmented", 0.5, ops)
-    coh, coh_ideal = _protocol_curve("coherent", 0.0, ops)
+    frag, _ = _protocol_curve("fragmented", 0.5)
+    coh, coh_ideal = _protocol_curve("coherent", 0.0)
     return frag, coh, coh_ideal
 
 
@@ -178,7 +174,7 @@ def test_criterion_8_algebraic_property_suite():
             failures.append(f"casimir N={n}")
 
         p = harmonic_params(n_particles=n, g=30.0, delta_eps=5.0)
-        h_sys = single_well_hamiltonian(p, ops).matrix
+        h_sys = total_hamiltonian(replace(p, lambda_acc=0.0), ops).matrix
         h_tot = total_hamiltonian(p, ops).matrix
         if np.abs(h_tot - h_tot.conj().T).max() >= 1e-12:
             failures.append(f"hermiticity N={n}")
@@ -191,7 +187,7 @@ def test_criterion_8_algebraic_property_suite():
         for _ in range(200):
             amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             state = DickeState(amplitudes=amp / np.linalg.norm(amp))
-            if qfi_pure_state(gen, state) > gen.cqfi * (1 + 1e-9):
+            if qfi_and_ritz_spread(gen, state)[0] > gen.cqfi * (1 + 1e-9):
                 failures.append(f"crb N={n}")
                 break
 

@@ -257,6 +257,7 @@ class TestValidateCommand:
         "sweep: {steps: 1}\n",
         "protocol: {state_kind: bogus}\n",  # checked whatever the target
         "protocol: {theta: 5.0}\n",
+        "protocol: {theta: -0.2}\nsweep: {target: protocol_qfi}\n",
     ])
     def test_refuses_what_sweep_refuses(self, tmp_path, capsys, text):
         cfg = tmp_path / "run.yaml"
@@ -271,6 +272,9 @@ class TestValidateCommand:
         ("? [a, b]\n: 1\n", ("validate", "sweep")),  # unhashable key
         ("sweep: {min: 1" + "0" * 400 + "}\n", ("validate", "sweep")),  # int beyond float range
         ("system: {g: 1.0e+300}\n", ("validate", "sweep")),  # gamma overflows a float
+        # the grid width max - min overflows a float, though both ends are finite
+        ("sweep: {axis: delta_eps, min: -1.7e+308, max: 1.7e+308}\n", ("validate", "sweep")),
+        ("system: {t: 1.0e+200}\n", ("validate", "sweep")),  # (N t)^2 overflows a float
     ])
     def test_unreadable_or_extreme_input_exits_one(self, tmp_path, capsys, text, commands):
         cfg = tmp_path / "run.yaml"
@@ -289,6 +293,19 @@ class TestValidateCommand:
                 code, _ = run_cli(command, *argv)
                 assert code == EXIT_INVARIANT, (command, argv)
                 assert "Traceback" not in capsys.readouterr().err
+
+    def test_overflowing_hamiltonian_is_a_numerical_failure(self, tmp_path, capsys):
+        # each parameter is a float, but H's diagonal overflows: validate runs no
+        # point, so only the sweep sees it. A raw RuntimeWarning would fail the
+        # test (filterwarnings = error).
+        csv = tmp_path / "out.csv"
+        flags = ("--n-particles", "4", "--steps", "3", "--delta-eps", "1.7e308")
+        assert run_cli("validate", *flags)[0] == EXIT_OK
+        code, _ = run_cli("sweep", *flags, "--csv", str(csv))
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "Warning" not in err
+        assert not csv.exists()
 
     def test_gamma_overflow_names_the_parameter(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
@@ -473,7 +490,9 @@ class TestExitCodeClassification:
             outer = SweepPointError("point failed")
             outer.__cause__ = inner
             assert _classify(outer) == EXIT_NUMERIC
-        assert run_cli("sweep", "--n-particles", "4", "--steps", "3", "--t", "1e200")[0] == EXIT_NUMERIC
+        # every parameter is a float, but H's diagonal is not: HermitianOperator refuses it
+        assert run_cli("sweep", "--n-particles", "4", "--steps", "3",
+                       "--delta-eps", "1.7e308")[0] == EXIT_NUMERIC
 
     def test_unknown_exception_not_swallowed(self):
         assert _classify(KeyError("x")) is None

@@ -7,9 +7,7 @@ from scipy.linalg import expm, expm_frechet
 from singlewell import (
     DickeState,
     HermitianOperator,
-    ProtocolSpec,
     SpectralDecomposition,
-    beam_splitter,
     build_spin_operators,
     cqfi_noninteracting,
     cqfi_upper_bound,
@@ -18,9 +16,9 @@ from singlewell import (
     evolve,
     fragmented_ground_state,
     generator_at,
+    prepare_input,
+    protocol_readout,
     qfi_and_ritz_spread,
-    qfi_pure_state,
-    run_protocol,
     spin_coherent_state,
     total_hamiltonian,
     variance,
@@ -51,11 +49,10 @@ class TestDecompose:
         assert np.abs(dec.eigenvalues - np.array([-1.0, 0.0, 1.0])).max() < 1e-12
 
     def test_free_hamiltonian_spectrum(self):
-        from singlewell import single_well_hamiltonian
-
         n, de = 8, 2.5
         ops = build_spin_operators(n)
-        dec = decompose(single_well_hamiltonian(harmonic_params(n_particles=n, g=0.0, delta_eps=de), ops))
+        p = harmonic_params(n_particles=n, g=0.0, delta_eps=de, lambda_acc=0.0)
+        dec = decompose(total_hamiltonian(p, ops))
         m = n / 2 - np.arange(n + 1)
         assert np.abs(dec.eigenvalues - np.sort(-de * m)).max() < 1e-12
 
@@ -198,7 +195,7 @@ class TestDynamicalGenerator:
         ops = build_spin_operators(25)
         p = harmonic_params(n_particles=25, g=30.0, delta_eps=5.0)
         gen = dynamical_generator(p, ops)
-        assert abs(qfi_pure_state(gen, optimal_state(gen)) - gen.cqfi) < 1e-8 * gen.cqfi
+        assert abs(qfi_and_ritz_spread(gen, optimal_state(gen))[0] - gen.cqfi) < 1e-8 * gen.cqfi
 
 
 class TestBandedKernel:
@@ -303,11 +300,11 @@ class TestExactDerivativeOracle:
         cqfi = (levels[-1] - levels[0]) ** 2
         assert abs(dynamical_generator(p, ops).cqfi - cqfi) <= bound * cqfi
 
-        spec = ProtocolSpec(params=p, theta=0.5)
         prepared = fragmented_ground_state(n, 0.5).amplitudes
-        state = DickeState(amplitudes=beam_splitter(ops) @ prepared)
+        state = DickeState(amplitudes=np.exp(-0.5j * np.pi * np.diag(ops.jz).real) * prepared)
         qfi = 4.0 * variance(oracle, state)
-        assert abs(run_protocol(spec, ops).qfi - qfi) <= bound * qfi
+        protocol = protocol_readout(prepare_input(ops, "fragmented", 0.5), dynamical_generator(p, ops))
+        assert abs(protocol - qfi) <= bound * qfi
 
 
 class TestQfiPureState:
@@ -315,13 +312,13 @@ class TestQfiPureState:
         ops = build_spin_operators(12)
         gen = dynamical_generator(harmonic_params(n_particles=12, g=10.0, delta_eps=2.0), ops)
         vec = decompose(gen.generator).eigenvectors[:, 4]
-        assert qfi_pure_state(gen, DickeState(amplitudes=vec)) < 1e-8
+        assert qfi_and_ritz_spread(gen, DickeState(amplitudes=vec))[0] < 1e-8
 
     def test_ideal_point_reaches_heisenberg(self):
         n, t = 18, 1.0
         ops = build_spin_operators(n)
         gen = dynamical_generator(harmonic_params(n_particles=n, g=0.0, delta_eps=0.0, t=t), ops)
-        assert abs(qfi_pure_state(gen, optimal_state(gen)) - (n * t) ** 2) < 1e-8 * (n * t) ** 2
+        assert abs(qfi_and_ritz_spread(gen, optimal_state(gen))[0] - (n * t) ** 2) < 1e-8 * (n * t) ** 2
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(deadline=None, max_examples=10)
@@ -332,7 +329,7 @@ class TestQfiPureState:
         gen = dynamical_generator(p, ops)
         for _ in range(200):
             state = random_state(rng, 16)
-            assert qfi_pure_state(gen, state) <= gen.cqfi * (1 + 1e-9)
+            assert qfi_and_ritz_spread(gen, state)[0] <= gen.cqfi * (1 + 1e-9)
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(deadline=None, max_examples=40)
@@ -352,7 +349,7 @@ class TestQfiPureState:
         ops = build_spin_operators(5)
         gen = dynamical_generator(harmonic_params(n_particles=5), ops)
         with pytest.raises(ValueError):
-            qfi_pure_state(gen, spin_coherent_state(6, 0.3, 0.0))
+            qfi_and_ritz_spread(gen, spin_coherent_state(6, 0.3, 0.0))
 
 
 class TestUpperBound:

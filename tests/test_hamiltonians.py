@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,15 @@ from singlewell import (
     SystemParams,
     build_spin_operators,
     renormalized_q,
-    single_well_hamiltonian,
     total_hamiltonian,
 )
 from singlewell.hamiltonians import _jx2_plus_xi_jy2
 from conftest import harmonic_params, random_valid_params
+
+
+def system_hamiltonian(p, ops):
+    """The system part of H: total_hamiltonian with the acceleration off."""
+    return total_hamiltonian(replace(p, lambda_acc=0.0), ops)
 
 
 class TestHermitianOperator:
@@ -44,8 +50,17 @@ class TestHermitianOperator:
         [[1.0, complex(0.0, np.nan)], [complex(0.0, np.nan), 1.0]],
     ])
     def test_rejects_nan(self, matrix):
-        # NaN != NaN, so the fast path fails and the NaN defect must not pass as small
-        with pytest.raises(InvariantError, match="Hermiticity"):
+        # NaN != NaN, so a Hermiticity defect of NaN must not pass as small either
+        with pytest.raises(InvariantError, match="non-finite"):
+            HermitianOperator(matrix=np.array(matrix))
+
+    @pytest.mark.parametrize("matrix", [
+        [[np.inf, 1.0], [1.0, 1.0]],  # inf == inf, so it is Hermitian entry by entry
+        [[1.0, -np.inf], [-np.inf, 1.0]],
+        [[1.0, complex(0.0, np.inf)], [complex(0.0, -np.inf), 1.0]],
+    ])
+    def test_rejects_inf(self, matrix):
+        with pytest.raises(InvariantError, match="non-finite"):
             HermitianOperator(matrix=np.array(matrix))
 
     def test_rejects_non_square(self):
@@ -76,7 +91,7 @@ class TestQuadraticTerm:
 class TestSingleWell:
     def test_free_hamiltonian_is_diagonal(self):
         ops = build_spin_operators(10)
-        h = single_well_hamiltonian(harmonic_params(n_particles=10, g=0.0, delta_eps=3.0), ops)
+        h = system_hamiltonian(harmonic_params(n_particles=10, g=0.0, delta_eps=3.0), ops)
         assert np.allclose(h.matrix, -3.0 * ops.jz, atol=0)
 
     def test_two_constructions_agree_at_reference_point(self):
@@ -84,7 +99,7 @@ class TestSingleWell:
         p = harmonic_params(g=80.0, delta_eps=10.0)
         q = renormalized_q(p)
         assert abs(q - (-0.2)) < 1e-12
-        direct = single_well_hamiltonian(p, ops).matrix
+        direct = system_hamiltonian(p, ops).matrix
         via_q = q * ops.jz + (p.eta * p.g / 50) * (ops.jx @ ops.jx + p.xi * (ops.jy @ ops.jy))
         assert np.abs(direct - via_q).max() < 1e-12
 
@@ -94,7 +109,7 @@ class TestSingleWell:
         rng = np.random.default_rng(seed)
         p = random_valid_params(rng, n_particles=int(rng.integers(1, 31)))
         ops = build_spin_operators(p.n_particles)
-        direct = single_well_hamiltonian(p, ops).matrix
+        direct = system_hamiltonian(p, ops).matrix
         via_q = renormalized_q(p) * ops.jz + (p.eta * p.g / p.n_particles) * (
             ops.jx @ ops.jx + p.xi * (ops.jy @ ops.jy)
         )
@@ -106,7 +121,7 @@ class TestSingleWell:
         n = 12
         ops = build_spin_operators(n)
         p = SystemParams(n, float(n), 2.0, 0.0, -1.0, 1.0, 0.0, 1.0)
-        h = single_well_hamiltonian(p, ops).matrix
+        h = system_hamiltonian(p, ops).matrix
         j = n / 2
         expected = -2.0 * ops.jz - (j * (j + 1) * np.eye(n + 1) - ops.jz @ ops.jz)
         assert np.abs(h - expected).max() < 1e-10
@@ -119,7 +134,7 @@ class TestSingleWell:
         rng = np.random.default_rng(seed)
         p = random_valid_params(rng, n_particles=int(rng.integers(2, 25)))
         ops = build_spin_operators(p.n_particles)
-        h = single_well_hamiltonian(p, ops).matrix
+        h = system_hamiltonian(p, ops).matrix
         k = np.arange(p.n_particles + 1)
         odd = (np.abs(k[:, None] - k[None, :]) % 2) == 1
         assert np.all(h[odd] == 0.0)
@@ -151,11 +166,18 @@ class TestTotal:
         with pytest.raises(ValueError):
             total_hamiltonian(harmonic_params(n_particles=5), build_spin_operators(6))
 
+    @pytest.mark.parametrize("overrides", [{"delta_eps": 1.7e308}, {"lambda_acc": -1.7e308},
+                                           {"xi": -1.7e308}])
+    def test_overflowing_entry_refused_without_a_warning(self, overrides):
+        # a RuntimeWarning would fail the test too (filterwarnings = error)
+        with pytest.raises(InvariantError, match="non-finite"):
+            total_hamiltonian(harmonic_params(**overrides), build_spin_operators(50))
+
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(deadline=None, max_examples=30)
     def test_every_construction_is_hermitian(self, seed):
         rng = np.random.default_rng(seed)
         p = random_valid_params(rng, n_particles=int(rng.integers(1, 31)))
         ops = build_spin_operators(p.n_particles)
-        for h in (single_well_hamiltonian(p, ops), total_hamiltonian(p, ops)):
+        for h in (system_hamiltonian(p, ops), total_hamiltonian(p, ops)):
             assert np.abs(h.matrix - h.matrix.conj().T).max() < 1e-12

@@ -180,6 +180,15 @@ class TestSystemParamsInvariants:
         with pytest.raises(InvariantError, match="gamma overflows"):
             with_axis_value(SystemParams(n_particles=7), "g", 1e300)
 
+    def test_t_whose_heisenberg_ceiling_overflows_rejected(self):
+        # (N t)^2 bounds every row of a sweep, so it must be a float too
+        SystemParams(n_particles=4, t=1e153)
+        for t in (1e200, 1.7e308):
+            with pytest.raises(InvariantError, match="ceiling"):
+                SystemParams(n_particles=4, t=t)
+        with pytest.raises(InvariantError, match="ceiling"):
+            with_axis_value(SystemParams(n_particles=4), "t", 1e200)
+
     def test_n_whose_matrix_cannot_be_addressed_rejected(self):
         # 8 (N+1)^2 bytes must fit in the address space: N + 1 < 2^30 on 64-bit
         limit = math.isqrt(np.iinfo(np.intp).max // 8) - 1

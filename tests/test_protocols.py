@@ -4,21 +4,18 @@ import pytest
 from singlewell import (
     DickeState,
     GeneratorResult,
-    InvariantError,
     NumericsError,
     ProtocolInput,
-    ProtocolSpec,
     SpectralDecomposition,
-    beam_splitter,
+    SweepSpec,
     build_spin_operators,
     cqfi_noninteracting,
-    degree_of_fragmentation,
     dynamical_generator,
     fragmented_ground_state,
+    phase_shift_qfi,
     prepare_input,
     protocol_readout,
     qfi_and_ritz_spread,
-    run_protocol,
     spin_coherent_state,
     variance,
 )
@@ -26,102 +23,97 @@ from singlewell import protocols
 from conftest import harmonic_params
 
 
+def _qfi_and_baseline(p, ops, state_kind="fragmented", theta=0.5):
+    """The protocol QFI at one point and the phase-shift baseline of the same input."""
+    inp = prepare_input(ops, state_kind, theta)
+    return protocol_readout(inp, dynamical_generator(p, ops)), phase_shift_qfi(inp.jx_variance, p.t)
+
+
 class TestBeamSplitter:
-    def test_double_application_is_half_turn(self):
-        ops = build_spin_operators(6)
-        bs = beam_splitter(ops)
-        m = np.real(np.diag(ops.jz))
-        assert np.abs(bs @ bs - np.diag(np.exp(-1j * np.pi * m))).max() < 1e-12
+    """The splitter exp(-i (pi/2) Jz) as prepare_input applies it."""
 
     def test_rotates_polar_angle_by_quarter_turn(self):
-        # the turn is in the azimuth: phi -> phi + pi/2 at fixed theta
-        ops = build_spin_operators(18)
-        rotated = beam_splitter(ops) @ spin_coherent_state(18, 1.1, 0.3).amplitudes
-        target = spin_coherent_state(18, 1.1, 0.3 + np.pi / 2).amplitudes
-        assert abs(abs(np.vdot(target, rotated)) - 1.0) < 1e-10
+        # the turn is in the azimuth: the fragmented branches at phi = pi/2, 3pi/2
+        # go to pi, 2pi at fixed theta, both with the phase exp(-i pi j/2) of k = 0
+        for n in (1, 2, 7, 18, 50, 200):
+            for theta in (0.5, 1.1):
+                state = prepare_input(build_spin_operators(n), "fragmented", theta).state.amplitudes
+                turned = (spin_coherent_state(n, theta, np.pi).amplitudes
+                          + 1j * spin_coherent_state(n, theta, 0.0).amplitudes)
+                turned *= np.exp(-0.25j * np.pi * n) / np.linalg.norm(turned)
+                assert np.abs(state - turned).max() < 1e-12, (n, theta)
 
-    def test_global_phase_on_polar_coherent_input(self):
+    def test_global_phase_on_polar_coherent_input(self, ops50):
         # the theta = 0 coherent input is a Jz eigenstate; an azimuthal turn cannot move it
-        ops = build_spin_operators(50)
-        state = spin_coherent_state(50, 0.0, 0.0).amplitudes
-        assert abs(abs(np.vdot(state, beam_splitter(ops) @ state)) - 1.0) < 1e-12
-
-    def test_four_applications_close_the_loop_for_even_n(self):
-        ops = build_spin_operators(8)
-        bs = beam_splitter(ops)
-        full_turn = np.linalg.matrix_power(bs, 4)
-        phase = full_turn[0, 0]
-        assert abs(abs(phase) - 1.0) < 1e-12
-        assert np.abs(full_turn - phase * np.eye(9)).max() < 1e-12
+        state = prepare_input(ops50, "coherent", 0.0).state.amplitudes
+        turned = spin_coherent_state(50, 0.0, np.pi / 2).amplitudes
+        assert abs(abs(np.vdot(turned, state)) - 1.0) < 1e-12
 
 
 class TestProtocolSpec:
+    """SweepSpec checks the protocol input, theta and the state kind, whatever the target."""
+
     def test_rejects_out_of_range_theta(self):
-        with pytest.raises(InvariantError):
-            ProtocolSpec(params=harmonic_params(), theta=-0.2)
+        for theta in (-0.2, 5.0, np.nan):
+            for target in ("cqfi_interacting", "protocol_qfi"):
+                with pytest.raises(ValueError, match="theta"):
+                    SweepSpec(target=target, theta=theta)
 
     def test_rejects_unknown_state_kind(self):
-        with pytest.raises(InvariantError):
-            ProtocolSpec(params=harmonic_params(), state_kind="squeezed")
+        for target in ("cqfi_interacting", "protocol_qfi"):
+            with pytest.raises(ValueError, match="state kind"):
+                SweepSpec(target=target, state_kind="squeezed")
 
 
 class TestRunProtocol:
+    """One protocol point, run through prepare_input, dynamical_generator and protocol_readout."""
+
     def test_noninteracting_point_stays_below_suppressed_ceiling(self, ops50):
         p = harmonic_params(g=0.0, delta_eps=10.0)
-        res = run_protocol(ProtocolSpec(params=p, theta=0.5), ops50)
+        qfi, _ = _qfi_and_baseline(p, ops50, theta=0.5)
         ceiling = cqfi_noninteracting(50, 1.0, 10.0, 1.0)
         assert ceiling < 0.05 * 2500.0
-        assert res.qfi <= ceiling * (1 + 1e-9)
+        assert qfi <= ceiling * (1 + 1e-9)
 
     def test_qfi_never_exceeds_reference(self, ops50):
         for g in (0.0, 50.0, 120.0, 200.0):
             p = harmonic_params(g=g, delta_eps=10.0)
-            res = run_protocol(ProtocolSpec(params=p), ops50)
-            assert res.qfi <= dynamical_generator(p, ops50).cqfi * (1 + 1e-9)
+            qfi, _ = _qfi_and_baseline(p, ops50)
+            assert qfi <= dynamical_generator(p, ops50).cqfi * (1 + 1e-9)
 
     def test_coherent_state_at_ideal_point_matches_baseline(self, ops50):
         # g = 0, delta_eps = 0 is a pure phase shift: both code paths agree
         p = harmonic_params(g=0.0, delta_eps=0.0)
-        res = run_protocol(ProtocolSpec(params=p, state_kind="coherent"), ops50)
-        assert res.qfi == pytest.approx(res.ideal_qfi_baseline, rel=1e-9)
+        qfi, baseline = _qfi_and_baseline(p, ops50, state_kind="coherent")
+        assert qfi == pytest.approx(baseline, rel=1e-9)
 
     def test_fragmented_state_beats_its_phase_shift_baseline(self, ops50):
         # with interactions on, the native dynamics outruns the ideal
         # interferometer on the same state by a clear factor
         best = 0.0
         for g in np.arange(50.0, 201.0, 25.0):
-            res = run_protocol(ProtocolSpec(params=harmonic_params(g=g, delta_eps=10.0), theta=0.5), ops50)
-            best = max(best, res.qfi / res.ideal_qfi_baseline)
+            qfi, baseline = _qfi_and_baseline(harmonic_params(g=g, delta_eps=10.0), ops50, theta=0.5)
+            best = max(best, qfi / baseline)
         assert best >= 1.5
 
     def test_coherent_state_gains_over_baseline_at_strong_coupling(self, ops50):
         p = harmonic_params(g=150.0, delta_eps=10.0)
-        res = run_protocol(ProtocolSpec(params=p, state_kind="coherent"), ops50)
-        assert res.qfi >= 5.0 * res.ideal_qfi_baseline
-
-    def test_fragmentation_matches_prepared_state(self, ops50):
-        spec = ProtocolSpec(params=harmonic_params(g=30.0, delta_eps=10.0), theta=0.7)
-        res = run_protocol(spec, ops50)
-        assert res.fragmentation == degree_of_fragmentation(fragmented_ground_state(50, 0.7), ops50)
+        qfi, baseline = _qfi_and_baseline(p, ops50, state_kind="coherent")
+        assert qfi >= 5.0 * baseline
 
     def test_coherent_kind_ignores_theta(self, ops50):
         p = harmonic_params(g=20.0, delta_eps=10.0)
-        a = run_protocol(ProtocolSpec(params=p, theta=0.9, state_kind="coherent"), ops50)
-        b = run_protocol(ProtocolSpec(params=p, theta=0.0, state_kind="coherent"), ops50)
-        assert a.qfi == b.qfi
-        assert a.fragmentation == 0.0
-
-    def test_validity_advisory_is_logged(self, ops50, caplog):
-        import logging
-
-        p = harmonic_params(g=500.0, delta_eps=10.0)
-        with caplog.at_level(logging.WARNING, logger="singlewell.protocols"):
-            run_protocol(ProtocolSpec(params=p), ops50)
-        assert any("gamma" in rec.message for rec in caplog.records)
+        a = prepare_input(ops50, "coherent", 0.9)
+        b = prepare_input(ops50, "coherent", 0.0)
+        assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
+        assert _qfi_and_baseline(p, ops50, "coherent", 0.9) == _qfi_and_baseline(p, ops50, "coherent", 0.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            run_protocol(ProtocolSpec(params=harmonic_params(n_particles=10)), build_spin_operators(11))
+        # an input of N = 10 read out under a generator of N = 11
+        inp = prepare_input(build_spin_operators(10), "fragmented", 0.5)
+        gen = dynamical_generator(harmonic_params(n_particles=11), build_spin_operators(11))
+        with pytest.raises(ValueError, match="dimension"):
+            protocol_readout(inp, gen)
 
 
 class TestPrepareInput:
@@ -129,13 +121,17 @@ class TestPrepareInput:
     @pytest.mark.parametrize("kind, theta", [("fragmented", 0.5), ("fragmented", 1.3), ("coherent", 0.0)])
     def test_band_form_matches_the_dense_operators(self, n, kind, theta):
         ops = build_spin_operators(n)
-        inp = prepare_input(ProtocolSpec(params=harmonic_params(n_particles=n), theta=theta,
-                                         state_kind=kind), ops)
+        inp = prepare_input(ops, kind, theta)
         assert "jx" not in vars(ops) and "jz" not in vars(ops)  # no dense operator built
         prepared = (spin_coherent_state(n, 0.0, 0.0) if kind == "coherent"
                     else fragmented_ground_state(n, theta)).amplitudes
-        assert np.abs(inp.state.amplitudes - beam_splitter(ops) @ prepared).max() < 1e-15
+        splitter = np.diag(np.exp(-0.5j * np.pi * np.diag(ops.jz).real))
+        assert np.abs(inp.state.amplitudes - splitter @ prepared).max() < 1e-15
         assert inp.jx_variance == pytest.approx(variance(ops.jx, inp.state), rel=1e-14, abs=1e-14)
+
+    def test_rejects_unknown_state_kind(self, ops50):
+        with pytest.raises(ValueError, match="state kind"):
+            prepare_input(ops50, "squeezed", 0.5)
 
 
 class TestCramerRaoCheck:
@@ -144,8 +140,8 @@ class TestCramerRaoCheck:
 
     @staticmethod
     def _point(ops, **overrides):
-        spec = ProtocolSpec(params=harmonic_params(n_particles=ops.n_particles, **overrides))
-        return prepare_input(spec, ops), dynamical_generator(spec.params, ops)
+        p = harmonic_params(n_particles=ops.n_particles, **overrides)
+        return prepare_input(ops, "fragmented", 0.5), dynamical_generator(p, ops)
 
     def test_certified_point_leaves_the_spectrum_alone(self, ops50):
         inp, gen = self._point(ops50, g=80.0, delta_eps=10.0)
@@ -166,9 +162,9 @@ class TestCramerRaoCheck:
         kernel = np.array(gen.kernel)
         kernel[0, 1] += 1e-12 * np.abs(kernel).max()
         skewed = GeneratorResult(spectrum=gen.spectrum, jx=gen.jx, kernel=kernel, t=gen.t)
-        res = protocol_readout(inp, skewed)
+        qfi = protocol_readout(inp, skewed)
         assert "cqfi" in vars(skewed)
-        assert res.qfi == pytest.approx(protocol_readout(inp, gen).qfi, rel=1e-9)
+        assert qfi == pytest.approx(protocol_readout(inp, gen), rel=1e-9)
 
     def test_eigenvector_input_takes_the_exact_path(self):
         # G~ diagonal, H = 0: the Dicke state |k> is an exact eigenvector, so sigma = L = 0
@@ -177,12 +173,12 @@ class TestCramerRaoCheck:
         gen = GeneratorResult(spectrum=spectrum, jx=kernel, kernel=kernel, t=1.0)
         state = DickeState(amplitudes=np.eye(5)[1])
         assert qfi_and_ritz_spread(gen, state) == (0.0, 0.0)
-        inp = ProtocolInput(state=state, fragmentation=0.0, jx_variance=0.0)
-        assert protocol_readout(inp, gen).qfi == 0.0
+        inp = ProtocolInput(state=state, jx_variance=0.0)
+        assert protocol_readout(inp, gen) == 0.0
         assert "cqfi" in vars(gen) and gen.cqfi == 16.0
 
     def test_zero_time_takes_the_exact_path(self, ops50):
         # at t = 0, G~ = 0 and every input is an eigenvector
         inp, gen = self._point(ops50, g=80.0, delta_eps=10.0, t=0.0)
-        assert protocol_readout(inp, gen).qfi == 0.0
+        assert protocol_readout(inp, gen) == 0.0
         assert "cqfi" in vars(gen) and gen.cqfi == 0.0

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from singlewell import (
-    ProtocolSpec,
     SweepSpec,
     build_spin_operators,
     dynamical_generator,
     emit_csv,
     emit_plot,
     load_csv,
-    run_protocol,
+    phase_shift_qfi,
+    prepare_input,
+    protocol_readout,
     run_sweep,
     validity_gamma,
 )
@@ -45,7 +46,8 @@ class TestSweepSpec:
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError):
             small_spec(axis_min=5.0, axis_max=5.0)
-        for lo, hi in ((np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0)):
+        # the last pair has finite ends, but a width beyond a float: linspace would give NaN
+        for lo, hi in ((np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0), (-1.7e308, 1.7e308)):
             with pytest.raises(ValueError, match="finite"):
                 small_spec(axis_min=lo, axis_max=hi)
 
@@ -101,7 +103,7 @@ class TestRunSweep:
     def test_sweep_matches_pointwise_evaluation(self):
         # the sweep hoists the spin operators, the protocol input and, on the
         # t axis, the decomposition of H; point by point it must still agree
-        # with the single-point APIs
+        # with the kernels called afresh
         ranges = {"g": (0.0, 40.0), "delta_eps": (0.0, 10.0), "t": (0.0, 3.0),
                   "lambda": (-1.0, 2.0), "delta_a": (0.0, 1.0)}
         assert set(ranges) == set(AXES)
@@ -118,22 +120,21 @@ class TestRunSweep:
                 if target == "cqfi_interacting":
                     expected = [dynamical_generator(p, ops).cqfi for p in points]
                 else:
-                    single = [run_protocol(ProtocolSpec(params=p, theta=0.7, state_kind=kind), ops)
-                              for p in points]
-                    expected = [r.qfi for r in single]
+                    inp = prepare_input(ops, kind, 0.7)
+                    expected = [protocol_readout(inp, dynamical_generator(p, ops)) for p in points]
                     np.testing.assert_allclose(
-                        res.ideal, [r.ideal_qfi_baseline for r in single], rtol=1e-12, atol=0)
+                        res.ideal, [phase_shift_qfi(inp.jx_variance, p.t) for p in points],
+                        rtol=1e-12, atol=0)
                 np.testing.assert_allclose(res.values, expected, rtol=1e-12, atol=0,
                                            err_msg=f"{target} {kind} over {axis}")
 
     def test_protocol_sweep_takes_no_spectrum_of_the_kernel(self, monkeypatch):
-        # the Cramer-Rao check is certified at every point; the one eigvalsh
-        # left is the 2 x 2 one-body density matrix of the prepared state
+        # the Cramer-Rao check is certified at every point
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
         run_sweep(small_spec(target="protocol_qfi", steps=9))
-        assert calls == [(2, 2)]
+        assert calls == []
 
     def test_validity_warning_is_one_line_per_sweep(self, caplog):
         spec = small_spec(target="protocol_qfi", steps=9)
