@@ -6,8 +6,9 @@ spec with the same `config.build_run`, so `validate` refuses exactly the
 inputs `sweep` refuses before its first point.
 
 Exit codes: 0 success, 1 input refused (bad parameter values, unreadable
-configs, N too large to address), 2 I/O failure, 3 numerical failure,
-including any failure inside a sweep point, or out of memory.
+configs or sweep CSVs, N too large to address), 2 I/O failure, 3 numerical
+failure, including any failure inside a sweep point, or out of memory. The
+`error:` line names the outermost failure and the cause at its root.
 
 `main` keeps freed n x n arrays in glibc's heap for the rest of the process;
 library callers of `run_sweep` keep the allocator's defaults.
@@ -195,7 +196,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
         code = _classify(exc)
         if code is None:
             raise
-        print(f"error: {exc}", file=sys.stderr)
+        root = exc
+        while root.__cause__ is not None:
+            root = root.__cause__
+        detail = f"{exc}: {root}" if root is not exc and str(root) else str(exc)
+        print(f"error: {detail}", file=sys.stderr)
         return code
 
 

@@ -1,4 +1,4 @@
-"""Spectral evolution, the dynamical generator and channel QFI.
+"""The dynamical generator, channel QFI and the QFI of a state.
 
 The response of the evolved state to the estimated acceleration is
 encoded in the Hermitian generator G = i U(lambda)^dag d/dlambda U(lambda)
@@ -20,9 +20,9 @@ cancellation in (e^{i w t} - 1) / (i w).
 `decompose` fixes no sign of the columns of V: flipping them is the
 similarity G~ -> D G~ D with D = diag(+-1), which changes neither readout.
 
-The generator comes in two steps: `dynamical_generator` takes H to
-(E, V, V^T Jx V), which does not depend on t, and `generator_at` reads
-that out at one time. A sweep along t therefore decomposes H once. The
+The generator comes in two steps: `dynamical_generator` takes H to the
+arrays (E, V, V^T Jx V), which do not depend on t, and `generator_at`
+reads them out at one time. A sweep along t therefore decomposes H once. The
 spectrum of G~ is taken only when the channel QFI is read; the QFI of a
 state needs only products with G~.
 """
@@ -35,15 +35,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericsError
-from .hamiltonians import HermitianOperator, total_hamiltonian
+from .hamiltonians import total_hamiltonian
 from .modes import SystemParams
 from .spin_core import DickeState, SpinOperators
 
 __all__ = [
-    "SpectralDecomposition",
     "GeneratorResult",
     "decompose",
-    "evolve",
     "dynamical_generator",
     "generator_at",
     "qfi_and_ritz_spread",
@@ -51,58 +49,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues in ascending order and the matching unitary of column eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.eigenvalues, dtype=float)
-        vecs = np.array(self.eigenvectors)
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
-
-    @property
-    def dimension(self) -> int:
-        return self.eigenvalues.shape[0]
-
-
-def decompose(h: HermitianOperator) -> SpectralDecomposition:
-    """Full eigendecomposition: eigenvalues ascending, real matrices keep
-    real eigenvectors, and each column keeps the phase LAPACK gives it."""
+def decompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition: eigenvalues ascending and the matching column
+    eigenvectors, real for a real h, each with the phase LAPACK gives it.
+    Both arrays are set read-only in place, without a copy."""
     try:
-        vals, vecs = np.linalg.eigh(h.matrix)
+        energies, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericsError("eigendecomposition failed") from exc
-    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
-
-
-def evolve(h: HermitianOperator, t: float, state: DickeState) -> DickeState:
-    """Apply exp(-i H t) through the spectral decomposition of H."""
-    if h.dimension != state.dimension:
-        raise ValueError(
-            f"operator dimension {h.dimension} does not match state dimension {state.dimension}"
-        )
-    dec = decompose(h)
-    coeffs = dec.eigenvectors.conj().T @ state.amplitudes
-    out = dec.eigenvectors @ (np.exp(-1j * dec.eigenvalues * t) * coeffs)
-    return DickeState(amplitudes=out / np.linalg.norm(out))
+    energies.setflags(write=False)
+    vectors.setflags(write=False)
+    return energies, vectors
 
 
 @dataclass(frozen=True)
 class GeneratorResult:
-    """Dynamical generator as the spectrum of H, Jx in its eigenbasis
-    (V^T Jx V) and the real kernel G~.
+    """Dynamical generator as the spectrum of H (energies E ascending, vectors
+    V), Jx in its eigenbasis (V^T Jx V) and the real kernel G~.
 
-    The seminorm, the channel QFI and the Dicke-basis generator are
-    computed only when read.
+    The seminorm and the channel QFI are computed only when read.
     """
 
-    spectrum: SpectralDecomposition
+    energies: np.ndarray
+    vectors: np.ndarray
     jx: np.ndarray
     kernel: np.ndarray
     t: float
@@ -117,23 +86,17 @@ class GeneratorResult:
     def cqfi(self) -> float:
         return self.seminorm * self.seminorm
 
-    @cached_property
-    def generator(self) -> HermitianOperator:
-        """G = W G~ W^dag with the frame W = V diag(exp(i E t/2))."""
-        frame = self.spectrum.eigenvectors * np.exp(0.5j * self.t * self.spectrum.eigenvalues)
-        mat = frame @ self.kernel @ frame.conj().T
-        return HermitianOperator(matrix=(mat + mat.conj().T) / 2.0)
 
-
-def generator_at(spectrum: SpectralDecomposition, jx: np.ndarray, t: float) -> GeneratorResult:
-    """The generator after time t from the spectrum of H and the symmetric jx = V^T Jx V.
+def generator_at(energies: np.ndarray, vectors: np.ndarray, jx: np.ndarray, t: float) -> GeneratorResult:
+    """The generator after time t from the spectrum (energies, vectors) of H
+    and the symmetric jx = V^T Jx V.
 
     In the eigenbasis of H, int_0^t e^{i(E_k-E_l)s} ds = e^{i(E_k-E_l)t/2} t
     sin(x)/x with x = (E_l-E_k)t/2; the phases are the unitary frame W, which
     leaves the spectrum alone. sin(x)/x, even and 1 at x = 0, is taken once per
     level pair, where x > 0, and mirrored, so the kernel is exactly symmetric.
     """
-    x = spectrum.eigenvalues - spectrum.eigenvalues[:, np.newaxis]
+    x = energies - energies[:, np.newaxis]
     x *= 0.5 * t
     above = x > 0
     kernel = np.zeros_like(x)
@@ -146,7 +109,7 @@ def generator_at(spectrum: SpectralDecomposition, jx: np.ndarray, t: float) -> G
     np.add(jx, jx.T, out=kernel, where=level)
     np.multiply(kernel, 0.5 * t, out=kernel, where=level)
     kernel.setflags(write=False)
-    return GeneratorResult(spectrum=spectrum, jx=jx, kernel=kernel, t=t)
+    return GeneratorResult(energies=energies, vectors=vectors, jx=jx, kernel=kernel, t=t)
 
 
 def dynamical_generator(p: SystemParams, ops: SpinOperators) -> GeneratorResult:
@@ -156,10 +119,9 @@ def dynamical_generator(p: SystemParams, ops: SpinOperators) -> GeneratorResult:
     tridiagonal, so V^T Jx V = M + M^T with M = V[:-1]^T (ladder/2 * V[1:]):
     one matrix product, and exactly symmetric.
     """
-    spectrum = decompose(total_hamiltonian(p, ops))
-    v = spectrum.eigenvectors
+    energies, v = decompose(total_hamiltonian(p, ops))
     half = v[:-1].T @ ((0.5 * ops.ladder)[:, np.newaxis] * v[1:])
-    return generator_at(spectrum, half + half.T, p.t)
+    return generator_at(energies, v, half + half.T, p.t)
 
 
 def _pairs(z: np.ndarray) -> np.ndarray:
@@ -178,13 +140,11 @@ def qfi_and_ritz_spread(gen: GeneratorResult, state: DickeState) -> tuple[float,
     basis, so it does not share the QFI's assumption |phi| = 1. It is 0
     when phi is an eigenvector of G~, whose span holds one Ritz value.
     """
-    spectrum = gen.spectrum
-    if spectrum.dimension != state.dimension:
-        raise ValueError(
-            f"generator dimension {spectrum.dimension} does not match state dimension {state.dimension}"
-        )
-    rotated = (spectrum.eigenvectors.T @ _pairs(state.amplitudes)).view(complex).ravel()
-    phi = _pairs(np.exp(-0.5j * gen.t * spectrum.eigenvalues) * rotated)
+    dim = gen.energies.shape[0]
+    if dim != state.dimension:
+        raise ValueError(f"generator dimension {dim} does not match state dimension {state.dimension}")
+    rotated = (gen.vectors.T @ _pairs(state.amplitudes)).view(complex).ravel()
+    phi = _pairs(np.exp(-0.5j * gen.t * gen.energies) * rotated)
     applied = gen.kernel @ phi
     mean = np.vdot(phi, applied)
     qfi = 4.0 * max(np.vdot(applied, applied) - mean * mean, 0.0)

@@ -11,41 +11,13 @@ which parameter sweeps construct once per N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvariantError
 from .modes import SystemParams
 from .spin_core import SpinOperators
 
-__all__ = ["HermitianOperator", "total_hamiltonian"]
-
-HERMITICITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class HermitianOperator:
-    """Dense Hermitian matrix (energies in trap units) with finite entries."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InvariantError(f"expected a square matrix, got shape {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise InvariantError("matrix has non-finite entries")
-        if not np.array_equal(mat, mat.conj().T):
-            defect = np.abs(mat - mat.conj().T).max()
-            if defect > HERMITICITY_TOL:
-                raise InvariantError(f"matrix deviates from Hermiticity by {defect!r}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
+__all__ = ["total_hamiltonian"]
 
 
 def _jx2_plus_xi_jy2(ops: SpinOperators, xi: float) -> np.ndarray:
@@ -65,8 +37,10 @@ def _jx2_plus_xi_jy2(ops: SpinOperators, xi: float) -> np.ndarray:
 def _model_matrix(p: SystemParams, ops: SpinOperators) -> np.ndarray:
     """q Jz + (eta g / N)(Jx^2 + xi Jy^2) + lambda_acc Jx in one array (q: renormalized splitting).
 
-    An entry that overflows is left as inf or NaN, without a warning, for
-    HermitianOperator to refuse.
+    Each off-diagonal band and its mirror are written in one chained
+    assignment, so the matrix is exactly symmetric by construction. An
+    entry that overflows is left as inf or NaN, without a warning, for
+    total_hamiltonian to refuse.
     """
     n = p.n_particles
     if ops.dimension != n + 1:
@@ -80,7 +54,7 @@ def _model_matrix(p: SystemParams, ops: SpinOperators) -> np.ndarray:
     return mat
 
 
-def total_hamiltonian(p: SystemParams, ops: SpinOperators) -> HermitianOperator:
+def total_hamiltonian(p: SystemParams, ops: SpinOperators) -> np.ndarray:
     """Phase-accumulation Hamiltonian: the interacting single-trap system
     plus the linear potential lambda_acc Jx (lambda_acc = 2 * force * dipole
     element),
@@ -93,5 +67,12 @@ def total_hamiltonian(p: SystemParams, ops: SpinOperators) -> HermitianOperator:
     eta and xi. At lambda_acc = 0 only Jz, Jx^2 and Jy^2 appear, so matrix
     elements between Dicke states whose k differ by an odd number vanish
     identically. The derivative with respect to lambda_acc is exactly Jx.
+
+    Every parameter is finite, but an entry can still overflow (e.g.
+    delta_eps * m near the float limit); such a matrix is refused here, so
+    its point fails instead of handing inf or NaN to the eigensolver.
     """
-    return HermitianOperator(matrix=_model_matrix(p, ops))
+    mat = _model_matrix(p, ops)
+    if not np.isfinite(mat).all():
+        raise InvariantError("matrix has non-finite entries")
+    return mat

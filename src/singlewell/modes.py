@@ -1,4 +1,4 @@
-"""Orbital layer: overlap integrals of the trap modes and derived couplings.
+"""Parameter layer: one point of the two-mode model and its diagnostics.
 
 The two retained orbitals are the ground and first excited states of the
 harmonic trap (units hbar = m = omega = 1). All interaction couplings are
@@ -12,78 +12,16 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import InvariantError, NumericsError
+from .errors import InvariantError
 
 __all__ = [
-    "ModeIntegrals",
     "SystemParams",
-    "harmonic_mode_integrals",
-    "derive_params",
     "renormalized_q",
     "validity_gamma",
 ]
 
-_REALITY_TOL = 1e-10
-_QUAD_TOL = 1e-10
-
-# The harmonic dipole element <0|x|1>, exact; harmonic_mode_integrals()
-# gives it to quadrature precision.
+# The harmonic dipole element <0|x|1> = 1/sqrt(2), exact; the tests check it by quadrature.
 HARMONIC_KAPPA = 2.0 ** -0.5
-
-# Orbital prefactors with the Gaussian exp(-x^2/2) stripped off:
-# psi_i(x) = h_i(x) exp(-x^2/2), and d/dx psi_i(x) = d_i(x) exp(-x^2/2).
-_PI4 = np.pi ** -0.25
-
-
-def _h0(x):
-    return _PI4 * np.ones_like(x)
-
-
-def _h1(x):
-    return _PI4 * np.sqrt(2.0) * x
-
-
-def _d0(x):
-    return -_PI4 * x
-
-
-def _d1(x):
-    return _PI4 * np.sqrt(2.0) * (1.0 - x * x)
-
-
-@dataclass(frozen=True)
-class ModeIntegrals:
-    """Reduced couplings of the two-orbital expansion.
-
-    a1, a2 are the in-mode interaction integrals, a3 the pair-tunneling
-    amplitude and a4 the density-density coupling; sigma_a = a1 + a2.
-    kappa is the dipole element <0|x|1> and eps0, eps1 the single-particle
-    energies, all in trap units.
-    """
-
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    sigma_a: float
-    kappa: float
-    eps0: float
-    eps1: float
-
-    def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4"):
-            if getattr(self, name) < -_REALITY_TOL:
-                raise InvariantError(f"coupling {name} = {getattr(self, name)!r} is negative")
-        if abs(self.a4 - 4.0 * self.a3) > _REALITY_TOL:
-            raise InvariantError(
-                f"real orbitals require a4 = 4*a3, got a4 = {self.a4!r}, a3 = {self.a3!r}"
-            )
-        if abs(self.sigma_a - (self.a1 + self.a2)) > _REALITY_TOL:
-            raise InvariantError("sigma_a must equal a1 + a2")
-        if self.sigma_a < 2.0 * self.a3 - _REALITY_TOL:
-            raise InvariantError(
-                f"sigma_a = {self.sigma_a!r} below the pair-tunneling bound 2*a3 = {2 * self.a3!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -94,10 +32,12 @@ class SystemParams:
     splitting; delta_a, eta, xi the interaction shape parameters;
     lambda_acc the acceleration strength and t the accumulation time.
     The defaults are the harmonic-orbital point at N = 50, which the CLI,
-    tests and scripts start from; its delta_a, eta and xi are exact, and
-    derive_params of harmonic_mode_integrals() gives them to quadrature
-    precision. g_1d must keep gamma (`validity_gamma`) a finite float, and
-    N t the Heisenberg ceiling (N t)^2.
+    tests and scripts start from. Its shape is exact: the harmonic orbitals'
+    in-mode integrals a1 = 1, a2 = 3/4, pair tunneling a3 = 1/2 and
+    density-density coupling a4 = 2 (sigma_a = a1 + a2) give
+    delta_a = a1 - a2, eta = (a4 + 2 a3 - sigma_a)/2 and
+    xi = (sigma_a + 2 a3 - a4)/(sigma_a - 2 a3 - a4). g_1d must keep gamma
+    (`validity_gamma`) a finite float, and N t the Heisenberg ceiling (N t)^2.
     """
 
     n_particles: int = 50
@@ -144,101 +84,6 @@ class SystemParams:
     @property
     def g_1d(self) -> float:
         return self.g / self.n_particles
-
-
-def _gauss_hermite_integrals(num_nodes: int) -> dict[str, float]:
-    """Evaluate every orbital integral with num_nodes Gauss-Hermite nodes."""
-    x, w = np.polynomial.hermite.hermgauss(num_nodes)
-
-    # Quartic products carry the weight exp(-2x^2); substituting y = sqrt(2) x
-    # maps them onto the native exp(-y^2) weight exactly.
-    xq = x / np.sqrt(2.0)
-    wq = w / np.sqrt(2.0)
-    h0q, h1q = _h0(xq), _h1(xq)
-    v0000 = float(np.sum(wq * h0q ** 4))
-    v1111 = float(np.sum(wq * h1q ** 4))
-    v0011 = float(np.sum(wq * h0q ** 2 * h1q ** 2))
-
-    h0, h1, d0, d1 = _h0(x), _h1(x), _d0(x), _d1(x)
-    kappa = float(np.sum(w * x * h0 * h1))
-    eps0 = 0.5 * float(np.sum(w * (d0 ** 2 + x ** 2 * h0 ** 2)))
-    eps1 = 0.5 * float(np.sum(w * (d1 ** 2 + x ** 2 * h1 ** 2)))
-    return {
-        "v0000": v0000,
-        "v1111": v1111,
-        "v0011": v0011,
-        "kappa": kappa,
-        "eps0": eps0,
-        "eps1": eps1,
-    }
-
-
-def harmonic_mode_integrals(num_nodes: int = 64) -> ModeIntegrals:
-    """Quadrature of the harmonic-orbital overlaps, normalized so a1 = 1.
-
-    Doubling the node count must move every integral by less than 1e-10,
-    otherwise the quadrature has not converged and a NumericsError is
-    raised. The converged values are a2 = 3/4, a3 = 1/2, a4 = 2,
-    kappa = 1/sqrt(2), eps1 - eps0 = 1.
-    """
-    coarse = _gauss_hermite_integrals(num_nodes)
-    fine = _gauss_hermite_integrals(2 * num_nodes)
-    for name in coarse:
-        if abs(fine[name] - coarse[name]) > _QUAD_TOL:
-            raise NumericsError(
-                f"quadrature for {name} moved by {abs(fine[name] - coarse[name])!r} "
-                f"when doubling from {num_nodes} nodes"
-            )
-    scale = fine["v0000"]
-    return ModeIntegrals(
-        a1=1.0,
-        a2=fine["v1111"] / scale,
-        a3=fine["v0011"] / scale,
-        a4=4.0 * fine["v0011"] / scale,
-        sigma_a=1.0 + fine["v1111"] / scale,
-        kappa=fine["kappa"],
-        eps0=fine["eps0"],
-        eps1=fine["eps1"],
-    )
-
-
-def derive_params(
-    mi: ModeIntegrals,
-    n_particles: int,
-    g: float,
-    lambda_acc: float,
-    t: float,
-    delta_eps_override: float | None = None,
-) -> SystemParams:
-    """Map mode integrals to the Hamiltonian parameters (delta_a, eta, xi, delta_eps).
-
-    delta_eps defaults to the orbital splitting eps1 - eps0 but may be
-    overridden: parameter scans treat it as a free knob while keeping the
-    interaction shape fixed.
-    """
-    if g < 0.0:
-        raise InvariantError(f"repulsive model requires g >= 0, got {g!r}")
-    if n_particles < 1:
-        raise InvariantError("n_particles must be at least 1")
-    denom = mi.sigma_a - (2.0 * mi.a3 + mi.a4)
-    if abs(denom) < 1e-12:
-        raise InvariantError(
-            "singular mode geometry: sigma_a - (2*a3 + a4) vanishes, xi is undefined"
-        )
-    delta_a = mi.a1 - mi.a2
-    eta = (mi.a4 + 2.0 * mi.a3 - mi.sigma_a) / 2.0
-    xi = (mi.sigma_a + 2.0 * mi.a3 - mi.a4) / denom
-    delta_eps = (mi.eps1 - mi.eps0) if delta_eps_override is None else delta_eps_override
-    return SystemParams(
-        n_particles=int(n_particles),
-        g=float(g),
-        delta_eps=float(delta_eps),
-        delta_a=float(delta_a),
-        eta=float(eta),
-        xi=float(xi),
-        lambda_acc=float(lambda_acc),
-        t=float(t),
-    )
 
 
 def renormalized_q(p: SystemParams) -> float:

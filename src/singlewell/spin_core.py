@@ -5,13 +5,12 @@ spin j = N/2. Basis states are indexed by k, the occupation of mode 1,
 so the Jz eigenvalue at index k is m = N/2 - k and the condensate in
 mode 0 sits at index 0. Jz is diagonal and Jx, Jy are tridiagonal there,
 so `SpinOperators` holds two vectors, m and the ladder <k|J+|k+1>, and
-builds the dense matrices only when they are read.
+no dense matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import lgamma
 
 import numpy as np
@@ -25,12 +24,9 @@ __all__ = [
     "spin_coherent_state",
     "fragmented_ground_state",
     "degree_of_fragmentation",
-    "expectation",
-    "variance",
 ]
 
 NORM_TOL = 1e-12
-IMAG_TOL = 1e-10
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -40,8 +36,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpinOperators:
-    """Jz eigenvalues m and ladder[k] = <k|J+|k+1>; the dense Jx, Jy, Jz
-    (only Jy complex) are built on first read. All arrays are read-only."""
+    """Jz eigenvalues m and ladder[k] = <k|J+|k+1>, both read-only."""
 
     m: np.ndarray
     ladder: np.ndarray
@@ -57,18 +52,6 @@ class SpinOperators:
     @property
     def n_particles(self) -> int:
         return self.dimension - 1
-
-    @cached_property
-    def jx(self) -> np.ndarray:
-        return _read_only(np.diag(self.ladder / 2.0, 1) + np.diag(self.ladder / 2.0, -1))
-
-    @cached_property
-    def jy(self) -> np.ndarray:
-        return _read_only(np.diag(self.ladder / 2.0j, 1) - np.diag(self.ladder / 2.0j, -1))
-
-    @cached_property
-    def jz(self) -> np.ndarray:
-        return _read_only(np.diag(self.m))
 
 
 @dataclass(frozen=True)
@@ -177,23 +160,3 @@ def degree_of_fragmentation(state: DickeState, ops: SpinOperators | None = None)
     if not -1e-9 <= frag <= 1.0 + 1e-9:
         raise NumericsError(f"degree of fragmentation {frag!r} outside [0, 1]")
     return float(min(max(frag, 0.0), 1.0))
-
-
-def expectation(mat: np.ndarray, state: DickeState) -> float:
-    """<psi|A|psi> for Hermitian A; the imaginary residue must stay below 1e-10."""
-    if mat.shape != (state.dimension, state.dimension):
-        raise ValueError(f"operator shape {mat.shape} does not match state dimension {state.dimension}")
-    val = np.vdot(state.amplitudes, mat @ state.amplitudes)
-    if abs(val.imag) >= IMAG_TOL:
-        raise NumericsError(f"expectation value has imaginary residue {val.imag!r}")
-    return float(val.real)
-
-
-def variance(mat: np.ndarray, state: DickeState) -> float:
-    """<A^2> - <A>^2, evaluated as ||A psi||^2 - <A>^2 so it stays real."""
-    if mat.shape != (state.dimension, state.dimension):
-        raise ValueError(f"operator shape {mat.shape} does not match state dimension {state.dimension}")
-    applied = mat @ state.amplitudes
-    second = float(np.real(np.vdot(applied, applied)))
-    first = expectation(mat, state)
-    return max(second - first * first, 0.0)

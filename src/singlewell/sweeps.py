@@ -135,7 +135,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 rows.append((cqfi, bound, None))
                 continue
             if spec.axis == "t" and gen is not None:
-                gen = generator_at(gen.spectrum, gen.jx, p.t)  # H does not depend on t
+                gen = generator_at(gen.energies, gen.vectors, gen.jx, p.t)  # H does not depend on t
             else:
                 gen = None  # release the last point's arrays before building the next H
                 gen = dynamical_generator(p, ops)
@@ -208,8 +208,16 @@ def emit_csv(result: SweepResult, path: str) -> None:
         fh.write(text)
 
 
+_COLUMNS = ["value", "bound", "ideal"]  # after the axis; ideal only in protocol sweeps
+
+
 def load_csv(path: str) -> SweepResult:
-    """Read back a sweep CSV produced by emit_csv."""
+    """Read back a sweep CSV produced by emit_csv.
+
+    The file may come from anywhere, so it is checked as it is read: the
+    header must be axis,value,bound[,ideal], every row as wide as the
+    header, and every value finite; anything else is a ValueError.
+    """
     metadata: dict = {}
     header: list[str] | None = None
     rows: list[list[float]] = []
@@ -223,8 +231,17 @@ def load_csv(path: str) -> SweepResult:
                 metadata[key.strip()] = _parse_meta(val.strip())
             elif header is None:
                 header = [c.strip() for c in line.split(",")]
+                if header[0] not in AXES or header[1:] not in (_COLUMNS[:2], _COLUMNS):
+                    raise ValueError(f"header {line!r} of {path!r} is not axis,value,bound[,ideal]")
             else:
-                rows.append([float(c) for c in line.split(",")])
+                row = [float(c) for c in line.split(",")]
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"row {line!r} of {path!r} has {len(row)} columns, its header {len(header)}"
+                    )
+                if not np.isfinite(row).all():
+                    raise ValueError(f"row {line!r} of {path!r} has a non-finite value")
+                rows.append(row)
     if header is None or not rows:
         raise ValueError(f"no sweep data found in {path!r}")
     data = np.array(rows)

@@ -22,10 +22,65 @@ def finite_difference_generator(p: SystemParams, ops, h: float = 1e-6) -> np.nda
     Uses scipy's matrix exponential for the propagators, independent of the
     spectral-formula code path under test.
     """
-    up = expm(-1j * p.t * total_hamiltonian(replace(p, lambda_acc=p.lambda_acc + h), ops).matrix)
-    um = expm(-1j * p.t * total_hamiltonian(replace(p, lambda_acc=p.lambda_acc - h), ops).matrix)
-    u0 = expm(-1j * p.t * total_hamiltonian(p, ops).matrix)
+    up = expm(-1j * p.t * total_hamiltonian(replace(p, lambda_acc=p.lambda_acc + h), ops))
+    um = expm(-1j * p.t * total_hamiltonian(replace(p, lambda_acc=p.lambda_acc - h), ops))
+    u0 = expm(-1j * p.t * total_hamiltonian(p, ops))
     return 1j * u0.conj().T @ (up - um) / (2.0 * h)
+
+
+def dense_spin(ops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense Jx, Jy, Jz (only Jy complex) from the Jz eigenvalues and the ladder."""
+    jx = np.diag(ops.ladder / 2.0, 1) + np.diag(ops.ladder / 2.0, -1)
+    jy = np.diag(ops.ladder / 2.0j, 1) - np.diag(ops.ladder / 2.0j, -1)
+    return jx, jy, np.diag(ops.m)
+
+
+def variance(mat: np.ndarray, psi: np.ndarray) -> float:
+    """<A^2> - <A>^2 of a Hermitian A, as ||A psi||^2 - <A>^2 so it stays real."""
+    applied = mat @ psi
+    mean = np.vdot(psi, applied).real
+    return max(float(np.vdot(applied, applied).real - mean * mean), 0.0)
+
+
+def evolve(h: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
+    """exp(-i H t) psi through the eigendecomposition of H, not renormalized."""
+    energies, vectors = np.linalg.eigh(h)
+    return vectors @ (np.exp(-1j * energies * t) * (vectors.conj().T @ psi))
+
+
+def dense_generator(gen) -> np.ndarray:
+    """The Dicke-basis G = W G~ W^dag, with the frame W = V diag(exp(i E t/2))."""
+    frame = gen.vectors * np.exp(0.5j * gen.t * gen.energies)
+    mat = frame @ gen.kernel @ frame.conj().T
+    return (mat + mat.conj().T) / 2.0
+
+
+def harmonic_shape(num_nodes: int = 64) -> dict[str, float]:
+    """The harmonic orbitals by Gauss-Hermite quadrature: reduced couplings
+    a2, a3, a4 (a1 = 1), dipole element kappa, energies eps0, eps1, and the
+    shape delta_a, eta, xi they give. Doubling num_nodes must move no
+    integral by more than 1e-10.
+    """
+    def integrals(nodes):
+        # psi_i = h_i exp(-x^2/2) with h0 = c, h1 = sqrt(2) c x, c = pi^(-1/4); quartic
+        # products carry exp(-2x^2), which y = sqrt(2) x maps onto the native weight
+        x, w = np.polynomial.hermite.hermgauss(nodes)
+        c = np.pi ** -0.25
+        xq, wq = x / np.sqrt(2.0), w / np.sqrt(2.0)
+        h1q, h1 = np.sqrt(2.0) * c * xq, np.sqrt(2.0) * c * x
+        d0, d1 = -c * x, np.sqrt(2.0) * c * (1.0 - x * x)  # d/dx psi_i, Gaussian stripped
+        return np.array([np.sum(wq * c ** 4), np.sum(wq * h1q ** 4), np.sum(wq * c ** 2 * h1q ** 2),
+                         np.sum(w * x * c * h1), 0.5 * np.sum(w * (d0 ** 2 + x ** 2 * c ** 2)),
+                         0.5 * np.sum(w * (d1 ** 2 + x ** 2 * h1 ** 2))])
+
+    coarse, fine = integrals(num_nodes), integrals(2 * num_nodes)
+    assert np.abs(fine - coarse).max() <= 1e-10, (num_nodes, fine - coarse)
+    v0000, v1111, v0011, kappa, eps0, eps1 = fine
+    a2, a3, a4 = v1111 / v0000, v0011 / v0000, 4.0 * v0011 / v0000
+    sigma_a = 1.0 + a2
+    return {"a2": a2, "a3": a3, "a4": a4, "kappa": kappa, "eps0": eps0, "eps1": eps1,
+            "delta_a": 1.0 - a2, "eta": (a4 + 2.0 * a3 - sigma_a) / 2.0,
+            "xi": (sigma_a + 2.0 * a3 - a4) / (sigma_a - (2.0 * a3 + a4))}
 
 
 def random_valid_params(rng: np.random.Generator, n_particles: int | None = None) -> SystemParams:

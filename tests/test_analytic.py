@@ -8,9 +8,8 @@ from singlewell import (
     dynamical_generator,
     phase_shift_qfi,
     spin_coherent_state,
-    variance,
 )
-from conftest import harmonic_params
+from conftest import dense_spin, harmonic_params, variance
 
 
 class TestCqfiNoninteracting:
@@ -60,19 +59,19 @@ class TestCqfiNoninteracting:
 
 def ideal_qfi(state, t, ops):
     """QFI under a pure phase shift lambda Jx: 4 t^2 Var_psi(Jx)."""
-    return phase_shift_qfi(variance(ops.jx, state), t)
+    return phase_shift_qfi(variance(dense_spin(ops)[0], state.amplitudes), t)
 
 
 class TestIdealQfi:
     def test_jx_eigenvector_is_blind(self):
         ops = build_spin_operators(10)
-        vec = np.linalg.eigh(ops.jx)[1][:, 2]
+        vec = np.linalg.eigh(dense_spin(ops)[0])[1][:, 2]
         assert ideal_qfi(DickeState(amplitudes=vec), 1.0, ops) < 1e-10
 
     def test_extremal_superposition_reaches_heisenberg(self):
         n, t = 14, 1.5
         ops = build_spin_operators(n)
-        vecs = np.linalg.eigh(ops.jx)[1]
+        vecs = np.linalg.eigh(dense_spin(ops)[0])[1]
         cat = (vecs[:, 0] + vecs[:, -1]) / np.sqrt(2.0)
         assert ideal_qfi(DickeState(amplitudes=cat), t, ops) == pytest.approx((n * t) ** 2, rel=1e-12)
 

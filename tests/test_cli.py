@@ -465,6 +465,23 @@ class TestPlotCommand:
         assert code == EXIT_OK
         assert 'data-y-scale="log"' in svg_path.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("text", [
+        "g,value,bound\n0,1\n",  # a row narrower than its header
+        "g,value,bound,ideal\n0,1,2\n",
+        "g,value,bound\n0,1,2,3\n",
+        "g,value,bound\n0,nan,2\n",
+        "g,value,bound,ideal\n0,1,2,inf\n",
+        "x,value,bound\n0,1,2\n",  # not a sweep axis
+        "g,bound,value\n0,1,2\n",
+    ])
+    def test_malformed_csv_is_refused_in_one_line(self, tmp_path, capsys, text):
+        csv_path, svg_path = tmp_path / "s.csv", tmp_path / "s.svg"
+        csv_path.write_text(text, encoding="utf-8")
+        assert run_cli("plot", "--csv", str(csv_path), "--svg", str(svg_path))[0] == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not svg_path.exists()
+
     def test_missing_csv_is_io_error(self):
         code, _ = run_cli("plot", "--csv", "/nonexistent/s.csv", "--svg", "/tmp/x.svg")
         assert code == EXIT_IO
@@ -484,15 +501,19 @@ class TestExitCodeClassification:
         outer.__cause__ = inner
         assert _classify(outer) == EXIT_NUMERIC
 
-    def test_input_error_inside_a_point_is_numerical(self):
+    def test_input_error_inside_a_point_is_numerical(self, capsys):
         # the spec passed every input check, so a point that still raises one failed numerically
         for inner in (InvariantError("x"), ValueError("x"), OverflowError("x")):
             outer = SweepPointError("point failed")
             outer.__cause__ = inner
             assert _classify(outer) == EXIT_NUMERIC
-        # every parameter is a float, but H's diagonal is not: HermitianOperator refuses it
+        # every parameter is a float, but H's diagonal is not: total_hamiltonian refuses it,
+        # and the one error line names that cause after the failed point
         assert run_cli("sweep", "--n-particles", "4", "--steps", "3",
                        "--delta-eps", "1.7e308")[0] == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: sweep point failed at g = 0.0") and "non-finite" in err
 
     def test_unknown_exception_not_swallowed(self):
         assert _classify(KeyError("x")) is None

@@ -2,108 +2,58 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-import hypothesis.strategies as st
 
 from singlewell import (
     InvariantError,
-    ModeIntegrals,
     SystemParams,
-    derive_params,
-    harmonic_mode_integrals,
     renormalized_q,
     validity_gamma,
 )
 from singlewell.modes import HARMONIC_KAPPA, with_axis_value
+from conftest import harmonic_shape
 
 
 class TestHarmonicModeIntegrals:
+    """The harmonic orbitals by quadrature (the conftest oracle) against the
+    exact constants the library carries."""
+
     def test_reduced_couplings(self):
-        mi = harmonic_mode_integrals()
-        assert mi.a1 == 1.0
-        assert abs(mi.a2 - 0.75) < 1e-9
-        assert abs(mi.a3 - 0.5) < 1e-9
-        assert abs(mi.a4 - 2.0) < 1e-9
+        shape = harmonic_shape()
+        assert abs(shape["a2"] - 0.75) < 1e-9
+        assert abs(shape["a3"] - 0.5) < 1e-9
+        assert abs(shape["a4"] - 2.0) < 1e-9
 
     def test_dipole_element_matches_closed_form(self):
         # closed-form Hermite-function result: <0|x|1> = 1/sqrt(2)
-        assert abs(harmonic_mode_integrals().kappa - 2.0 ** -0.5) < 1e-9
+        assert abs(harmonic_shape()["kappa"] - 2.0 ** -0.5) < 1e-9
 
     def test_level_spacing(self):
-        mi = harmonic_mode_integrals()
-        assert abs((mi.eps1 - mi.eps0) - 1.0) < 1e-9
-        assert abs(mi.eps0 - 0.5) < 1e-9
+        shape = harmonic_shape()
+        assert abs((shape["eps1"] - shape["eps0"]) - 1.0) < 1e-9
+        assert abs(shape["eps0"] - 0.5) < 1e-9
 
     def test_exact_constants_match_quadrature(self):
         # the default point every caller starts from must be what the orbitals give
-        mi = harmonic_mode_integrals()
-        p, default = derive_params(mi, 50, 10.0, 1.0, 1.0), SystemParams()
-        assert abs(p.delta_a - default.delta_a) < 1e-12
-        assert abs(p.eta - default.eta) < 1e-12
-        assert abs(p.xi - default.xi) < 1e-12
-        assert abs(mi.kappa - HARMONIC_KAPPA) < 1e-12
+        shape, default = harmonic_shape(), SystemParams()
+        assert abs(shape["delta_a"] - default.delta_a) < 1e-12
+        assert abs(shape["eta"] - default.eta) < 1e-12
+        assert abs(shape["xi"] - default.xi) < 1e-12
+        assert abs(shape["kappa"] - HARMONIC_KAPPA) < 1e-12
 
     def test_quadrature_stable_under_node_doubling(self):
-        coarse = harmonic_mode_integrals(num_nodes=32)
-        fine = harmonic_mode_integrals(num_nodes=64)
+        coarse, fine = harmonic_shape(num_nodes=32), harmonic_shape(num_nodes=64)
         for name in ("a2", "a3", "a4", "kappa", "eps0", "eps1"):
-            assert abs(getattr(fine, name) - getattr(coarse, name)) < 1e-10
-
-
-class TestModeIntegralInvariants:
-    def test_rejects_broken_pair_tunneling_ratio(self):
-        # all couplings equal and nonzero cannot come from real orthogonal orbitals
-        with pytest.raises(InvariantError):
-            ModeIntegrals(a1=1.0, a2=1.0, a3=1.0, a4=1.0, sigma_a=2.0, kappa=0.5, eps0=0.5, eps1=1.5)
-
-    def test_rejects_negative_coupling(self):
-        with pytest.raises(InvariantError):
-            ModeIntegrals(a1=1.0, a2=-0.1, a3=0.0, a4=0.0, sigma_a=0.9, kappa=0.5, eps0=0.5, eps1=1.5)
-
-    def test_rejects_sigma_below_pair_tunneling(self):
-        with pytest.raises(InvariantError):
-            ModeIntegrals(a1=0.5, a2=0.5, a3=0.9, a4=3.6, sigma_a=1.0, kappa=0.5, eps0=0.5, eps1=1.5)
+            assert abs(fine[name] - coarse[name]) < 1e-10
 
 
 class TestDeriveParams:
     def test_harmonic_values(self):
-        p = derive_params(harmonic_mode_integrals(), 50, 10.0, 1.0, 1.0)
-        assert abs(p.eta - 0.625) < 1e-9
-        assert abs(p.delta_a - 0.25) < 1e-9
-        assert abs(p.xi - (-0.6)) < 1e-9
-        assert abs(p.delta_eps - 1.0) < 1e-9
-
-    def test_double_well_like_geometry(self):
-        mi = ModeIntegrals(a1=1.0, a2=1.0, a3=0.0, a4=0.0, sigma_a=2.0, kappa=0.0, eps0=0.5, eps1=1.5)
-        p = derive_params(mi, 20, 5.0, 1.0, 1.0)
-        assert p.delta_a == 0.0
-        assert p.eta == -1.0
-        assert p.xi == 1.0
-
-    def test_singular_geometry_rejected(self):
-        # sigma_a = 2*a3 + a4 = 6*a3 makes xi undefined
-        mi = ModeIntegrals(a1=2.0, a2=1.0, a3=0.5, a4=2.0, sigma_a=3.0, kappa=0.3, eps0=0.5, eps1=1.5)
-        with pytest.raises(InvariantError, match="singular"):
-            derive_params(mi, 10, 1.0, 1.0, 1.0)
-
-    def test_delta_eps_override(self):
-        p = derive_params(harmonic_mode_integrals(), 50, 80.0, 1.0, 1.0, delta_eps_override=10.0)
-        assert p.delta_eps == 10.0
-
-    @given(
-        st.floats(min_value=0.1, max_value=10.0),
-        st.floats(min_value=0.0, max_value=1.0),
-        st.floats(min_value=0.0, max_value=10.0),
-    )
-    @settings(deadline=None)
-    def test_valid_integrals_yield_valid_params(self, a1, a3_frac, a2_extra):
-        a3 = a1 * a3_frac
-        a2 = max(0.0, 2.0 * a3 - a1) + a2_extra
-        sigma = a1 + a2
-        assume(abs(sigma - 6.0 * a3) > 1e-6)
-        mi = ModeIntegrals(a1=a1, a2=a2, a3=a3, a4=4.0 * a3, sigma_a=sigma, kappa=0.5, eps0=0.5, eps1=1.5)
-        p = derive_params(mi, 10, 3.0, 1.0, 1.0)
-        assert isinstance(p, SystemParams)
+        # the shape and the orbital splitting eps1 - eps0 of the harmonic point
+        shape = harmonic_shape()
+        assert abs(shape["eta"] - 0.625) < 1e-9
+        assert abs(shape["delta_a"] - 0.25) < 1e-9
+        assert abs(shape["xi"] - (-0.6)) < 1e-9
+        assert abs((shape["eps1"] - shape["eps0"]) - SystemParams().delta_eps) < 1e-9
 
 
 class TestRenormalizedQ:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from singlewell import (
     GeneratorResult,
     NumericsError,
     ProtocolInput,
-    SpectralDecomposition,
     SweepSpec,
     build_spin_operators,
     cqfi_noninteracting,
@@ -17,10 +18,9 @@ from singlewell import (
     protocol_readout,
     qfi_and_ritz_spread,
     spin_coherent_state,
-    variance,
 )
 from singlewell import protocols
-from conftest import harmonic_params
+from conftest import dense_spin, harmonic_params, variance
 
 
 def _qfi_and_baseline(p, ops, state_kind="fragmented", theta=0.5):
@@ -122,12 +122,13 @@ class TestPrepareInput:
     def test_band_form_matches_the_dense_operators(self, n, kind, theta):
         ops = build_spin_operators(n)
         inp = prepare_input(ops, kind, theta)
-        assert "jx" not in vars(ops) and "jz" not in vars(ops)  # no dense operator built
         prepared = (spin_coherent_state(n, 0.0, 0.0) if kind == "coherent"
                     else fragmented_ground_state(n, theta)).amplitudes
-        splitter = np.diag(np.exp(-0.5j * np.pi * np.diag(ops.jz).real))
+        jx, _, jz = dense_spin(ops)
+        splitter = np.diag(np.exp(-0.5j * np.pi * np.diag(jz).real))
         assert np.abs(inp.state.amplitudes - splitter @ prepared).max() < 1e-15
-        assert inp.jx_variance == pytest.approx(variance(ops.jx, inp.state), rel=1e-14, abs=1e-14)
+        dense = variance(jx, inp.state.amplitudes)
+        assert inp.jx_variance == pytest.approx(dense, rel=1e-14, abs=1e-14)
 
     def test_rejects_unknown_state_kind(self, ops50):
         with pytest.raises(ValueError, match="state kind"):
@@ -161,16 +162,15 @@ class TestCramerRaoCheck:
         inp, gen = self._point(ops50, g=80.0, delta_eps=10.0)
         kernel = np.array(gen.kernel)
         kernel[0, 1] += 1e-12 * np.abs(kernel).max()
-        skewed = GeneratorResult(spectrum=gen.spectrum, jx=gen.jx, kernel=kernel, t=gen.t)
+        skewed = replace(gen, kernel=kernel)
         qfi = protocol_readout(inp, skewed)
         assert "cqfi" in vars(skewed)
         assert qfi == pytest.approx(protocol_readout(inp, gen), rel=1e-9)
 
     def test_eigenvector_input_takes_the_exact_path(self):
         # G~ diagonal, H = 0: the Dicke state |k> is an exact eigenvector, so sigma = L = 0
-        spectrum = SpectralDecomposition(eigenvalues=np.zeros(5), eigenvectors=np.eye(5))
         kernel = np.diag([-2.0, -1.0, 0.0, 1.0, 2.0])
-        gen = GeneratorResult(spectrum=spectrum, jx=kernel, kernel=kernel, t=1.0)
+        gen = GeneratorResult(energies=np.zeros(5), vectors=np.eye(5), jx=kernel, kernel=kernel, t=1.0)
         state = DickeState(amplitudes=np.eye(5)[1])
         assert qfi_and_ritz_spread(gen, state) == (0.0, 0.0)
         inp = ProtocolInput(state=state, jx_variance=0.0)

@@ -7,27 +7,26 @@ from singlewell import (
     InvariantError,
     build_spin_operators,
     degree_of_fragmentation,
-    expectation,
     fragmented_ground_state,
     spin_coherent_state,
-    variance,
 )
 from singlewell.spin_core import DickeState
+from conftest import dense_spin, variance
 
 
 class TestBuildSpinOperators:
     def test_jz_diagonal_n2(self):
         ops = build_spin_operators(2)
-        assert np.allclose(np.diag(ops.jz), [1.0, 0.0, -1.0], atol=0)
+        assert np.allclose(ops.m, [1.0, 0.0, -1.0], atol=0)
 
     def test_jx_is_half_pauli_x_for_n1(self):
-        ops = build_spin_operators(1)
-        assert np.allclose(ops.jx, [[0.0, 0.5], [0.5, 0.0]], atol=0)
+        jx = dense_spin(build_spin_operators(1))[0]
+        assert np.allclose(jx, [[0.0, 0.5], [0.5, 0.0]], atol=0)
 
     def test_jx_extremal_eigenvalue_n50(self):
         # independent eigensolver read-off; the top of the Jx spectrum is j = N/2
-        ops = build_spin_operators(50)
-        assert abs(np.linalg.eigvalsh(ops.jx).max() - 25.0) < 1e-10
+        jx = dense_spin(build_spin_operators(50))[0]
+        assert abs(np.linalg.eigvalsh(jx).max() - 25.0) < 1e-10
 
     @pytest.mark.parametrize("bad", [0, -3, 2.5, "4", True])
     def test_rejects_bad_particle_numbers(self, bad):
@@ -37,22 +36,21 @@ class TestBuildSpinOperators:
     @given(st.integers(min_value=1, max_value=20))
     @settings(deadline=None)
     def test_commutators_close(self, n):
-        ops = build_spin_operators(n)
-        pairs = [(ops.jx, ops.jy, ops.jz), (ops.jy, ops.jz, ops.jx), (ops.jz, ops.jx, ops.jy)]
+        jx, jy, jz = dense_spin(build_spin_operators(n))
+        pairs = [(jx, jy, jz), (jy, jz, jx), (jz, jx, jy)]
         for a, b, c in pairs:
             assert np.abs(a @ b - b @ a - 1j * c).max() < 1e-10
 
     @given(st.integers(min_value=1, max_value=20))
     @settings(deadline=None)
     def test_casimir(self, n):
-        ops = build_spin_operators(n)
+        jx, jy, jz = dense_spin(build_spin_operators(n))
         j = n / 2
-        casimir = ops.jx @ ops.jx + ops.jy @ ops.jy + ops.jz @ ops.jz
+        casimir = jx @ jx + jy @ jy + jz @ jz
         assert np.abs(casimir - j * (j + 1) * np.eye(n + 1)).max() < 1e-10
 
     def test_hermiticity(self):
-        ops = build_spin_operators(13)
-        for mat in (ops.jx, ops.jy, ops.jz):
+        for mat in dense_spin(build_spin_operators(13)):
             assert np.abs(mat - mat.conj().T).max() < 1e-12
 
 
@@ -69,9 +67,9 @@ class TestSpinCoherentState:
         assert np.abs(state.amplitudes[:-1]).max() < 1e-12
 
     def test_equator_points_along_x(self):
-        ops = build_spin_operators(50)
-        state = spin_coherent_state(50, np.pi / 2, 0.0)
-        assert abs(expectation(ops.jx, state) - 25.0) < 1e-10
+        jx = dense_spin(build_spin_operators(50))[0]
+        psi = spin_coherent_state(50, np.pi / 2, 0.0).amplitudes
+        assert abs(np.vdot(psi, jx @ psi) - 25.0) < 1e-10
 
     @given(
         st.integers(min_value=1, max_value=40),
@@ -81,8 +79,8 @@ class TestSpinCoherentState:
     @settings(deadline=None)
     def test_jz_expectation_tracks_polar_angle(self, n, theta, phi):
         ops = build_spin_operators(n)
-        state = spin_coherent_state(n, theta, phi)
-        assert abs(expectation(ops.jz, state) - (n / 2) * np.cos(theta)) < 1e-9
+        probs = np.abs(spin_coherent_state(n, theta, phi).amplitudes) ** 2
+        assert abs(np.dot(ops.m, probs) - (n / 2) * np.cos(theta)) < 1e-9
 
     @pytest.mark.parametrize("theta,phi", [(-0.1, 0.0), (3.5, 0.0), (0.5, -1.0), (0.5, 7.0)])
     def test_rejects_out_of_range_angles(self, theta, phi):
@@ -160,26 +158,21 @@ class TestDegreeOfFragmentation:
 
 
 class TestExpectationAndVariance:
+    """Moments of the states, read with the dense operators and the conftest variance."""
+
     def test_jz_on_polar_condensate(self):
-        ops = build_spin_operators(14)
-        assert expectation(ops.jz, spin_coherent_state(14, 0.0, 0.0)) == pytest.approx(7.0)
+        psi = spin_coherent_state(14, 0.0, 0.0).amplitudes
+        jz = dense_spin(build_spin_operators(14))[2]
+        assert np.vdot(psi, jz @ psi) == pytest.approx(7.0)
 
     def test_variance_vanishes_on_eigenvector(self):
-        ops = build_spin_operators(16)
-        _, vecs = np.linalg.eigh(ops.jx)
-        state = DickeState(amplitudes=vecs[:, 3])
-        assert variance(ops.jx, state) < 1e-10
+        jx = dense_spin(build_spin_operators(16))[0]
+        _, vecs = np.linalg.eigh(jx)
+        assert variance(jx, vecs[:, 3]) < 1e-10
 
     def test_coherent_state_has_binomial_jx_variance(self):
-        ops = build_spin_operators(50)
-        assert abs(variance(ops.jx, spin_coherent_state(50, 0.0, 0.0)) - 12.5) < 1e-9
-
-    def test_dimension_mismatch(self):
-        ops = build_spin_operators(5)
-        with pytest.raises(ValueError):
-            expectation(ops.jx, spin_coherent_state(6, 0.1, 0.0))
-        with pytest.raises(ValueError):
-            variance(ops.jx, spin_coherent_state(6, 0.1, 0.0))
+        jx = dense_spin(build_spin_operators(50))[0]
+        assert abs(variance(jx, spin_coherent_state(50, 0.0, 0.0).amplitudes) - 12.5) < 1e-9
 
 
 def test_dicke_state_rejects_unnormalized_amplitudes():
@@ -190,10 +183,8 @@ def test_dicke_state_rejects_unnormalized_amplitudes():
 def test_states_and_operators_are_immutable():
     ops = build_spin_operators(4)
     state = spin_coherent_state(4, 0.7, 0.1)
-    for name in ("m", "ladder", "jx", "jy", "jz"):
-        arr = getattr(ops, name)
+    for arr in (ops.m, ops.ladder):
         with pytest.raises(ValueError):
             arr[0] = 5.0
-        assert getattr(ops, name) is arr  # a dense view is built once
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
