@@ -18,13 +18,6 @@ import numpy as np
 from singlewell import load_csv
 
 
-def columns(result) -> dict[str, np.ndarray]:
-    cols = {result.axis: result.axis_values, "value": result.values, "bound": result.bounds}
-    if result.ideal is not None:
-        cols["ideal"] = result.ideal
-    return cols
-
-
 def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
     scale = np.maximum(np.abs(a), np.abs(b))
     diff = np.abs(a - b)
@@ -50,15 +43,14 @@ def main() -> int:
     failed, worst, worst_name = False, 0.0, None
     for name in common:
         a, b = load_csv(str(args.dir_a / name)), load_csv(str(args.dir_b / name))
-        cols_a, cols_b = columns(a), columns(b)
         if a.metadata != b.metadata:
             print(f"{name}: metadata differs")
             failed = True
-        elif list(cols_a) != list(cols_b) or a.axis_values.shape != b.axis_values.shape:
+        elif list(a.columns) != list(b.columns) or len(a.columns["value"]) != len(b.columns["value"]):
             print(f"{name}: header or row count differs")
             failed = True
         else:
-            diff = max(relative_difference(cols_a[c], cols_b[c]) for c in cols_a)
+            diff = max(relative_difference(a.columns[c], b.columns[c]) for c in a.columns)
             if diff > worst or worst_name is None:
                 worst, worst_name = diff, name
     print(f"{len(common)} CSVs compared; worst relative difference {worst:.3g} "

@@ -30,7 +30,7 @@ def main():
             stem = outdir / f"qfi_vs_g_{kind}_deps{de:g}"
             emit_csv(result, f"{stem}.csv")
             emit_plot(result, f"{stem}.svg")
-            peak = float(result.values.max())
+            peak = float(result.columns["value"].max())
             print(f"wrote {stem}.csv/.svg  (max QFI {peak:.1f})")
 
 

@@ -26,11 +26,11 @@ from typing import get_args
 
 import numpy as np
 
-from .config import FIELD_KEYS, SCHEMA, build_run, load_config, system_params
+from .config import SCHEMA, build_run, load_config, system_params
 from .errors import InvariantError, NumericsError
 from .modes import HARMONIC_KAPPA, SystemParams, renormalized_q, validity_gamma
 from .protocols import STATE_KINDS
-from .sweeps import AXES, TARGETS, SweepPointError, emit_csv, emit_plot, load_csv, run_sweep
+from .sweeps import AXES, FIELD_KEYS, TARGETS, SweepPointError, emit_csv, emit_plot, load_csv, run_sweep
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -137,9 +137,10 @@ def cmd_sweep(args, out) -> int:
         if not isinstance(exc, MemoryError) and not isinstance(exc.__cause__, MemoryError):
             raise
         n = spec.params.n_particles
-        size = 8 * (n + 1) ** 2
+        size, grid = 8 * (n + 1) ** 2, 8 * spec.steps
         raise MemoryError(f"out of memory at N = {n}: each dense (N+1)x(N+1) float64 array "
-                          f"takes {size} bytes ({size / 2 ** 30:.3g} GiB)") from exc
+                          f"takes {size} bytes ({size / 2 ** 30:.3g} GiB), and the grid of "
+                          f"{spec.steps} points takes {grid} bytes ({grid / 2 ** 30:.3g} GiB)") from exc
     if csv_path:
         emit_csv(result, csv_path)
         out.write(f"wrote {csv_path}\n")

@@ -17,16 +17,10 @@ from typing import get_args, get_type_hints
 
 import yaml
 
-from .modes import AXIS_FIELDS, HARMONIC_KAPPA, SystemParams
-from .sweeps import SweepSpec
+from .modes import HARMONIC_KAPPA, SystemParams
+from .sweeps import FIELD_KEYS, KEY_FIELDS, SweepSpec
 
-__all__ = ["SCHEMA", "KEY_FIELDS", "FIELD_KEYS", "load_config", "parse_config", "system_params",
-           "build_run"]
-
-# YAML key -> spec field for the axes and the grid ends, and back; any other
-# key is its field's name.
-KEY_FIELDS = {**AXIS_FIELDS, "min": "axis_min", "max": "axis_max"}
-FIELD_KEYS = {name: key for key, name in KEY_FIELDS.items()}
+__all__ = ["SCHEMA", "load_config", "parse_config", "system_params", "build_run"]
 
 
 def _keys(cls, names) -> dict:

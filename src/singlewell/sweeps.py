@@ -9,7 +9,9 @@ along the grid done once: the spin operators, the protocol input state,
 and, on the t axis, where H stays the same, the decomposition of H. A spec
 is checked whole when it is built, its protocol inputs included whatever
 the target, so a bad spec fails before any point runs. Identical specs
-produce byte-identical CSVs.
+produce byte-identical CSVs. A result is the CSV's table: its named
+columns, the axis first, and the metadata that echoes the target and the
+fixed parameters.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ log = logging.getLogger(__name__)
 
 TARGETS = ("cqfi_noninteracting", "cqfi_interacting", "protocol_qfi")
 AXES = tuple(AXIS_FIELDS)
+_COLUMNS = ("value", "bound", "ideal")  # after the axis; ideal only in protocol sweeps
+
+# YAML key and metadata name -> spec field for the axes and the grid ends, and
+# back; any other key is its field's name.
+KEY_FIELDS = {**AXIS_FIELDS, "min": "axis_min", "max": "axis_max"}
+FIELD_KEYS = {name: key for key, name in KEY_FIELDS.items()}
 
 
 class SweepPointError(Exception):
@@ -93,26 +101,24 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Grid values, computed target values, per-row Heisenberg bound and,
-    for protocol sweeps, the pure phase-shift baseline; metadata echoes
+    """The CSV's columns by header name: the grid under the axis name, the
+    target values, the per-row Heisenberg bound and, for protocol sweeps,
+    the pure phase-shift baseline ideal; metadata echoes the target and
     the fixed parameters."""
 
-    axis: str
-    target: str
-    axis_values: np.ndarray
-    values: np.ndarray
-    bounds: np.ndarray
-    ideal: np.ndarray | None
+    columns: dict[str, np.ndarray]
     metadata: dict = field(default_factory=dict)
 
+    @property
+    def axis(self) -> str:
+        return next(iter(self.columns))
+
     def __post_init__(self):
-        cols = [self.axis_values, self.values, self.bounds]
-        if self.ideal is not None:
-            cols.append(self.ideal)
-        for col in cols:
+        shape = self.columns[self.axis].shape
+        for col in self.columns.values():
             if not np.all(np.isfinite(col)):
                 raise NumericsError("sweep produced non-finite values")
-            if col.shape != self.axis_values.shape:
+            if col.shape != shape:
                 raise ValueError("sweep columns must share one length")
 
 
@@ -132,7 +138,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             bound = cqfi_upper_bound(p.n_particles, p.t)
             if spec.target == "cqfi_noninteracting":
                 cqfi = cqfi_noninteracting(p.n_particles, p.lambda_acc, p.delta_eps, p.t)
-                rows.append((cqfi, bound, None))
+                rows.append((cqfi, bound))
                 continue
             if spec.axis == "t" and gen is not None:
                 gen = generator_at(gen.energies, gen.vectors, gen.jx, p.t)  # H does not depend on t
@@ -144,7 +150,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 rows.append((qfi, bound, phase_shift_qfi(inp.jx_variance, p.t)))
                 gammas.append(validity_gamma(p.g_1d, p.n_particles)[0])
             else:
-                rows.append((gen.cqfi, bound, None))
+                rows.append((gen.cqfi, bound))
         except Exception as exc:
             raise SweepPointError(
                 f"sweep point failed at {spec.axis} = {value!r} "
@@ -157,29 +163,18 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             "%d of %d points outside two-mode validity, gamma_max = %.3g",
             outside, len(gammas), max(gammas),
         )
-    values = np.array([r[0] for r in rows])
-    bounds = np.array([r[1] for r in rows])
-    ideal = np.array([r[2] for r in rows]) if protocol else None
 
     p = spec.params
-    axis_names = {name: axis for axis, name in AXIS_FIELDS.items()}  # lambda_acc -> lambda
     metadata = {"target": spec.target, "axis": spec.axis, "steps": spec.steps}
-    metadata.update({axis_names.get(f.name, f.name): getattr(p, f.name) for f in fields(p)})
+    metadata.update({FIELD_KEYS.get(f.name, f.name): getattr(p, f.name) for f in fields(p)})
     metadata["log_scale"] = spec.log_scale
     # The swept axis is not a fixed parameter; keep it out of the echo.
     metadata.pop(spec.axis, None)
     if protocol:
         metadata["theta"] = spec.theta
         metadata["state_kind"] = spec.state_kind
-    return SweepResult(
-        axis=spec.axis,
-        target=spec.target,
-        axis_values=grid,
-        values=values,
-        bounds=bounds,
-        ideal=ideal,
-        metadata=metadata,
-    )
+    columns = dict(zip((spec.axis, *_COLUMNS), (grid, *np.array(rows).T)))
+    return SweepResult(columns=columns, metadata=metadata)
 
 
 def _fmt_value(v) -> str:
@@ -195,20 +190,12 @@ def emit_csv(result: SweepResult, path: str) -> None:
     if not path:
         raise ValueError("CSV path must be a non-empty string")
     lines = [f"# {key} = {_fmt_value(val)}" for key, val in result.metadata.items()]
-    header = [result.axis, "value", "bound"]
-    columns = [result.axis_values, result.values, result.bounds]
-    if result.ideal is not None:
-        header.append("ideal")
-        columns.append(result.ideal)
-    lines.append(",".join(header))
-    for row in zip(*columns):
+    lines.append(",".join(result.columns))
+    for row in zip(*result.columns.values()):
         lines.append(",".join(f"{v:.12g}" for v in row))
     text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-_COLUMNS = ["value", "bound", "ideal"]  # after the axis; ideal only in protocol sweeps
 
 
 def load_csv(path: str) -> SweepResult:
@@ -231,7 +218,7 @@ def load_csv(path: str) -> SweepResult:
                 metadata[key.strip()] = _parse_meta(val.strip())
             elif header is None:
                 header = [c.strip() for c in line.split(",")]
-                if header[0] not in AXES or header[1:] not in (_COLUMNS[:2], _COLUMNS):
+                if header[0] not in AXES or tuple(header[1:]) not in (_COLUMNS[:2], _COLUMNS):
                     raise ValueError(f"header {line!r} of {path!r} is not axis,value,bound[,ideal]")
             else:
                 row = [float(c) for c in line.split(",")]
@@ -244,17 +231,7 @@ def load_csv(path: str) -> SweepResult:
                 rows.append(row)
     if header is None or not rows:
         raise ValueError(f"no sweep data found in {path!r}")
-    data = np.array(rows)
-    ideal = data[:, 3] if "ideal" in header else None
-    return SweepResult(
-        axis=header[0],
-        target=str(metadata.get("target", "value")),
-        axis_values=data[:, 0],
-        values=data[:, 1],
-        bounds=data[:, 2],
-        ideal=ideal,
-        metadata=metadata,
-    )
+    return SweepResult(columns=dict(zip(header, np.array(rows).T)), metadata=metadata)
 
 
 def _parse_meta(raw: str):
@@ -274,14 +251,12 @@ def emit_plot(result: SweepResult, path: str, log_scale: bool | None = None) -> 
         raise ValueError("SVG path must be a non-empty string")
     if log_scale is None:
         log_scale = bool(result.metadata.get("log_scale", False))
-    series = {"value": list(result.values), "bound": list(result.bounds)}
-    if result.ideal is not None:
-        series["ideal"] = list(result.ideal)
+    (axis, grid), *series = result.columns.items()
     svg = render_svg(
-        list(result.axis_values),
-        series,
-        x_label=result.axis,
-        y_label=result.target,
+        list(grid),
+        {name: list(col) for name, col in series},
+        x_label=axis,
+        y_label=result.metadata.get("target", "value"),
         log_scale=log_scale,
         title=_title(result.metadata),
     )

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, expm_frechet
 
 from singlewell import SystemParams, total_hamiltonian
 
@@ -26,6 +26,14 @@ def finite_difference_generator(p: SystemParams, ops, h: float = 1e-6) -> np.nda
     um = expm(-1j * p.t * total_hamiltonian(replace(p, lambda_acc=p.lambda_acc - h), ops))
     u0 = expm(-1j * p.t * total_hamiltonian(p, ops))
     return 1j * u0.conj().T @ (up - um) / (2.0 * h)
+
+
+def exact_generator(h: np.ndarray, jx: np.ndarray, t: float) -> np.ndarray:
+    """G = i U^dag L(-itH, -itJx), L scipy's Frechet derivative of expm at
+    U = exp(-itH): the exact derivative, with no finite-difference step."""
+    u, du = expm_frechet(-1j * t * h, -1j * t * jx)
+    mat = 1j * u.conj().T @ du
+    return (mat + mat.conj().T) / 2.0
 
 
 def dense_spin(ops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

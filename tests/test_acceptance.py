@@ -108,8 +108,8 @@ def _protocol_curve(state_kind: str, theta: float):
     res = run_sweep(SweepSpec(target="protocol_qfi", axis="g", axis_min=0.0, axis_max=200.0,
                               steps=len(G_GRID), params=harmonic_params(delta_eps=10.0),
                               theta=theta, state_kind=state_kind))
-    assert np.array_equal(res.axis_values, G_GRID)
-    return res.values, res.ideal
+    assert np.array_equal(res.columns["g"], G_GRID)
+    return res.columns["value"], res.columns["ideal"]
 
 
 @pytest.fixture(scope="module")

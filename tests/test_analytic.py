@@ -36,6 +36,17 @@ class TestCqfiNoninteracting:
     def test_double_limit_is_continuous(self):
         assert cqfi_noninteracting(9, 0.0, 0.0, 2.0) == (9 * 2.0) ** 2
 
+    @pytest.mark.parametrize("lambda_acc, delta_eps, t", [
+        *((lam, de, 1.0) for lam in (0.0, 1e-160) for de in (1e-160, 1e-300, 5e-324)),
+        (1e-161, 0.0, 2e-137),
+        (1e-161, 1e-161, 2e-137),
+    ])
+    def test_tiny_splitting_or_time_reaches_heisenberg(self, lambda_acc, delta_eps, t):
+        # s = lambda^2 + delta_eps^2 is subnormal or 0, so 2 delta_eps / s would overflow;
+        # at t = 2e-137, t^2 lambda^2 underflows to 0 unless lambda^2 / s is taken first
+        expected = (50 * t) ** 2
+        assert cqfi_noninteracting(50, lambda_acc, delta_eps, t) == pytest.approx(expected, rel=1e-12, abs=0)
+
     def test_splitting_suppresses_near_zero(self):
         assert cqfi_noninteracting(50, 1.0, 0.01, 1.0) > cqfi_noninteracting(50, 1.0, 0.1, 1.0)
 

@@ -12,17 +12,16 @@ import pytest
 import yaml
 from hypothesis import example, given, settings
 
-import singlewell.sweeps
 from singlewell.cli import (
     EXIT_INVARIANT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _build_parser, _classify, _tables, main,
 )
-from singlewell.config import (
-    FIELD_KEYS, KEY_FIELDS, SCHEMA, build_run, load_config, parse_config, system_params,
-)
+from singlewell.config import SCHEMA, build_run, load_config, parse_config, system_params
 from singlewell.errors import InvariantError, NumericsError
 from singlewell.modes import SystemParams
 from singlewell.protocols import STATE_KINDS
-from singlewell.sweeps import AXES, TARGETS, SweepPointError, SweepSpec, load_csv, run_sweep
+from singlewell.sweeps import (
+    AXES, FIELD_KEYS, KEY_FIELDS, TARGETS, SweepPointError, SweepSpec, load_csv, run_sweep,
+)
 from conftest import harmonic_params
 
 
@@ -399,17 +398,18 @@ class TestSweepCommand:
             code, _ = run_cli(*small, *bad)
             assert code == EXIT_INVARIANT, bad
 
-    @pytest.mark.parametrize("where", ["dynamical_generator", "build_spin_operators"])
+    @pytest.mark.parametrize("where", ["dynamical_generator", "build_spin_operators", "SweepSpec.grid"])
     def test_out_of_memory_exits_three_naming_n(self, monkeypatch, capsys, where):
         def exhausted(*args):
             raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100001, 100001)")
 
-        monkeypatch.setattr(singlewell.sweeps, where, exhausted)
+        monkeypatch.setattr(f"singlewell.sweeps.{where}", exhausted)
         code, _ = run_cli("sweep", "--n-particles", "12", "--steps", "2")
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert "N = 12" in err and f"{8 * 13 ** 2} bytes" in err
+        assert "grid of 2 points takes 16 bytes" in err
 
 
 class TestHeapSetting:
@@ -464,6 +464,20 @@ class TestPlotCommand:
         code, _ = run_cli("plot", "--csv", str(csv_path), "--svg", str(svg_path), "--log-scale")
         assert code == EXIT_OK
         assert 'data-y-scale="log"' in svg_path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("flags", [
+        ("--sweep-axis", "t", "--min", "0", "--max", "2", "--g", "40"),
+        ("--target", "protocol_qfi", "--min", "0", "--max", "80", "--log-scale"),
+        ("--target", "cqfi_noninteracting", "--sweep-axis", "lambda", "--min", "-1", "--max", "2"),
+    ])
+    def test_plot_rerenders_the_svg_of_the_sweep(self, tmp_path, flags):
+        # sweep draws from the result run_sweep built, plot from the one load_csv read back
+        csv_path, first, second = tmp_path / "s.csv", tmp_path / "a.svg", tmp_path / "b.svg"
+        code, _ = run_cli("sweep", "--n-particles", "10", "--delta-eps", "5", "--steps", "7", *flags,
+                          "--csv", str(csv_path), "--svg", str(first))
+        assert code == EXIT_OK
+        assert run_cli("plot", "--csv", str(csv_path), "--svg", str(second))[0] == EXIT_OK
+        assert second.read_bytes() == first.read_bytes()
 
     @pytest.mark.parametrize("text", [
         "g,value,bound\n0,1\n",  # a row narrower than its header

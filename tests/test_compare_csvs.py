@@ -10,12 +10,13 @@ from singlewell import SweepResult, emit_csv
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_csvs.py"
 
 
-def write(directory: Path, values, metadata=None) -> None:
+def write(directory: Path, values, metadata=None, ideal=None) -> None:
     directory.mkdir(exist_ok=True)
-    result = SweepResult(axis="g", target="cqfi_interacting", axis_values=np.array([0.0, 1.0, 2.0]),
-                         values=np.asarray(values), bounds=np.full(3, 4.0), ideal=None,
-                         metadata=metadata or {"n_particles": 50})
-    emit_csv(result, str(directory / "sweep.csv"))
+    columns = {"g": np.array([0.0, 1.0, 2.0]), "value": np.asarray(values), "bound": np.full(3, 4.0)}
+    if ideal is not None:
+        columns["ideal"] = np.asarray(ideal)
+    emit_csv(SweepResult(columns=columns, metadata=metadata or {"n_particles": 50}),
+             str(directory / "sweep.csv"))
 
 
 def compare(a: Path, b: Path, *flags) -> subprocess.CompletedProcess:
@@ -38,3 +39,14 @@ def test_exit_code_follows_the_worst_relative_difference(tmp_path):
     assert compare(a, b, "--rtol", "1e-8").returncode == 0
     assert compare(a, c, "--rtol", "1").returncode == 1  # metadata differs
     assert compare(a, d).returncode == 1  # no CSV in common
+
+
+def test_ideal_column_is_compared(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    meta = {"target": "protocol_qfi", "n_particles": 50}
+    write(a, [1.0, 2.0, 3.0], meta, ideal=[0.5, 1.0, 1.5])
+    write(b, [1.0, 2.0, 3.0], meta, ideal=[0.5, 1.0, 1.5 * (1 + 1e-9)])
+    assert "worst relative difference 0" in compare(a, a).stdout
+    differs = compare(a, b)
+    assert differs.returncode == 1 and "worst relative difference 1e-09" in differs.stdout
+    assert compare(a, b, "--rtol", "1e-8").returncode == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
-from scipy.linalg import expm, expm_frechet
+from scipy.linalg import expm
 
 from singlewell import (
     DickeState,
@@ -20,8 +20,8 @@ from singlewell import (
     total_hamiltonian,
 )
 from conftest import (
-    dense_generator, dense_spin, evolve, finite_difference_generator, harmonic_params,
-    random_valid_params, variance,
+    dense_generator, dense_spin, evolve, exact_generator, finite_difference_generator,
+    harmonic_params, random_valid_params, variance,
 )
 
 
@@ -285,9 +285,7 @@ class TestExactDerivativeOracle:
         p = harmonic_params(n_particles=n, g=g, delta_eps=10.0, t=t)
         h = total_hamiltonian(p, ops)
         jx, _, jz = dense_spin(ops)
-        u, du = expm_frechet(-1j * t * h, -1j * t * jx)
-        oracle = 1j * u.conj().T @ du
-        oracle = (oracle + oracle.conj().T) / 2.0
+        oracle = exact_generator(h, jx, t)
         bound = 5.0 * np.finfo(float).eps * t * np.linalg.norm(h, 2)
 
         levels = np.linalg.eigvalsh(oracle)

@@ -2,11 +2,14 @@ import logging
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
 
 from singlewell import (
     SweepSpec,
+    SystemParams,
     build_spin_operators,
     dynamical_generator,
     emit_csv,
@@ -16,13 +19,15 @@ from singlewell import (
     prepare_input,
     protocol_readout,
     run_sweep,
+    total_hamiltonian,
     validity_gamma,
 )
-from singlewell.modes import with_axis_value
+from singlewell.modes import AXIS_FIELDS, with_axis_value
 from singlewell import sweeps
-from singlewell.sweeps import AXES, SweepPointError
+from singlewell.protocols import STATE_KINDS
+from singlewell.sweeps import AXES, TARGETS, SweepPointError
 from singlewell.errors import InvariantError, NumericsError
-from conftest import harmonic_params
+from conftest import dense_spin, exact_generator, harmonic_params, variance
 
 
 def small_spec(**overrides):
@@ -66,27 +71,28 @@ class TestSweepSpec:
 class TestRunSweep:
     def test_grid_shape_and_finiteness(self):
         res = run_sweep(small_spec())
-        assert len(res.axis_values) == 5
-        assert np.all(np.isfinite(res.values))
-        assert res.ideal is None
-        assert np.all(res.bounds == 144.0)
+        assert list(res.columns) == ["g", "value", "bound"]
+        assert len(res.columns["g"]) == 5
+        assert np.all(np.isfinite(res.columns["value"]))
+        assert np.all(res.columns["bound"] == 144.0)
 
     def test_analytic_target(self):
         res = run_sweep(small_spec(target="cqfi_noninteracting", axis="delta_eps", axis_max=20.0))
-        assert res.values[0] > res.values[-1]  # splitting suppresses the cQFI
+        assert res.columns["value"][0] > res.columns["value"][-1]  # splitting suppresses the cQFI
 
     def test_protocol_target_has_ideal_column(self):
         res = run_sweep(small_spec(target="protocol_qfi", steps=3, theta=0.5))
-        assert res.ideal is not None and len(res.ideal) == 3
+        assert list(res.columns) == ["g", "value", "bound", "ideal"]
+        assert len(res.columns["ideal"]) == 3
         assert res.metadata["state_kind"] == "fragmented"
 
     def test_bound_tracks_swept_time(self):
         res = run_sweep(small_spec(axis="t", axis_min=1.0, axis_max=2.0, steps=3))
-        assert np.allclose(res.bounds, (12.0 * res.axis_values) ** 2)
+        assert np.allclose(res.columns["bound"], (12.0 * res.columns["t"]) ** 2)
 
     def test_every_value_respects_the_bound(self):
         res = run_sweep(small_spec(steps=9))
-        assert np.all(res.values <= res.bounds * (1 + 1e-9))
+        assert np.all(res.columns["value"] <= res.columns["bound"] * (1 + 1e-9))
 
     def test_point_failure_names_the_tuple(self, monkeypatch):
         def failing_at_t0(p, ops):
@@ -116,16 +122,16 @@ class TestRunSweep:
                 spec = small_spec(target=target, axis=axis, axis_min=lo, axis_max=hi, steps=7,
                                   params=base, theta=0.7, state_kind=kind)
                 res = run_sweep(spec)
-                points = [with_axis_value(base, axis, v) for v in res.axis_values]
+                points = [with_axis_value(base, axis, v) for v in res.columns[axis]]
                 if target == "cqfi_interacting":
                     expected = [dynamical_generator(p, ops).cqfi for p in points]
                 else:
                     inp = prepare_input(ops, kind, 0.7)
                     expected = [protocol_readout(inp, dynamical_generator(p, ops)) for p in points]
                     np.testing.assert_allclose(
-                        res.ideal, [phase_shift_qfi(inp.jx_variance, p.t) for p in points],
+                        res.columns["ideal"], [phase_shift_qfi(inp.jx_variance, p.t) for p in points],
                         rtol=1e-12, atol=0)
-                np.testing.assert_allclose(res.values, expected, rtol=1e-12, atol=0,
+                np.testing.assert_allclose(res.columns["value"], expected, rtol=1e-12, atol=0,
                                            err_msg=f"{target} {kind} over {axis}")
 
     def test_protocol_sweep_takes_no_spectrum_of_the_kernel(self, monkeypatch):
@@ -159,6 +165,85 @@ class TestRunSweep:
         assert res.metadata["delta_eps"] == 5.0
 
 
+# Each axis drawn from a range around the figures' points; lambda and t include 0.
+_AXIS_VALUES = {
+    "g": st.floats(0.0, 200.0),
+    "delta_eps": st.floats(-20.0, 20.0),
+    "t": st.just(0.0) | st.floats(0.0, 3.0),
+    "lambda": st.just(0.0) | st.floats(-2.0, 2.0),
+    "delta_a": st.floats(0.0, 1.0),
+}
+
+
+@st.composite
+def _random_sweeps(draw):
+    axis = draw(st.sampled_from(AXES))
+    lo, hi = sorted(draw(_AXIS_VALUES[axis]) for _ in range(2))
+    assume(lo < hi)
+    fixed = {AXIS_FIELDS[a]: draw(_AXIS_VALUES[a]) for a in AXES if a != axis}
+    return SweepSpec(target=draw(st.sampled_from(TARGETS)), axis=axis, axis_min=lo, axis_max=hi,
+                     steps=3, params=SystemParams(n_particles=draw(st.integers(1, 24)), **fixed),
+                     theta=draw(st.floats(0.0, np.pi)), state_kind=draw(st.sampled_from(STATE_KINDS)))
+
+
+# sqrt(QFI) to k eps (1 + t ||H||) N t; the worst k measured over ~20000
+# random sweeps is 15. QFIs below the smallest normal float are compared to
+# sqrt(tiny) absolute only: their rounding is absolute, not relative.
+_ORACLE_K = 30.0
+_SUBNORMAL_FLOOR = np.sqrt(np.finfo(float).tiny)
+
+
+class TestExactOracleOverRandomSweeps:
+    """Every row of a random sweep's value column against the exact derivative
+    of expm (`exact_generator`): the channel QFI is the squared spread of
+    that G, a protocol QFI 4 Var of G over the prepared input, and the
+    closed form the channel QFI of the g = 0 model. sqrt(QFI) is a spread
+    of G, and rounding in G is ~ eps (1 + t ||H||) ||G|| with ||G|| <= N t,
+    so the bound is on sqrt(QFI), to k eps (1 + t ||H||) N t: relative near
+    the Heisenberg value (N t)^2, and a floor for QFIs near 0, where a
+    relative error grows as N t / sqrt(QFI)."""
+
+    @given(spec=_random_sweeps())
+    @example(spec=SweepSpec(  # q = 0 at the middle point, g = 90
+        target="cqfi_interacting", axis="g", axis_min=0.0, axis_max=180.0, steps=3,
+        params=SystemParams(n_particles=9, delta_eps=10.0)))
+    @example(spec=SweepSpec(  # q = 0 at g = 90 again, for the protocol readout
+        target="protocol_qfi", axis="g", axis_min=0.0, axis_max=180.0, steps=3,
+        params=SystemParams(n_particles=9, delta_eps=10.0), state_kind="coherent"))
+    @example(spec=SweepSpec(  # the t axis reuses H, from t = 0 on
+        target="cqfi_interacting", axis="t", axis_min=0.0, axis_max=3.0, steps=3,
+        params=SystemParams(n_particles=24, g=80.0, delta_eps=10.0)))
+    @example(spec=SweepSpec(
+        target="protocol_qfi", axis="t", axis_min=0.0, axis_max=3.0, steps=3,
+        params=SystemParams(n_particles=24, g=80.0, delta_eps=10.0)))
+    @settings(deadline=None, max_examples=150)
+    def test_value_column_matches_the_exact_derivative(self, spec):
+        res = run_sweep(spec)
+        protocol = spec.target == "protocol_qfi"
+        assert list(res.columns) == [spec.axis, "value", "bound"] + ["ideal"] * protocol
+        ops = build_spin_operators(spec.params.n_particles)
+        jx = dense_spin(ops)[0]
+        psi = prepare_input(ops, spec.state_kind, spec.theta).state.amplitudes
+        for row, (x, value) in enumerate(zip(res.columns[spec.axis], res.columns["value"])):
+            p = with_axis_value(spec.params, spec.axis, x)
+            assert res.columns["bound"][row] == float(p.n_particles * p.t) ** 2
+            if protocol:
+                assert res.columns["ideal"][row] == pytest.approx(4.0 * p.t ** 2 * variance(jx, psi),
+                                                                  rel=1e-12, abs=1e-300)
+            if spec.target == "cqfi_noninteracting":
+                p = replace(p, g=0.0)  # H = lambda Jx - delta_eps Jz
+            h = total_hamiltonian(p, ops)
+            oracle = exact_generator(h, jx, p.t)
+            if protocol:
+                expected = 4.0 * variance(oracle, psi)
+            else:
+                levels = np.linalg.eigvalsh(oracle)
+                expected = (levels[-1] - levels[0]) ** 2
+            scale = np.finfo(float).eps * (1.0 + p.t * np.linalg.norm(h, 2)) * p.n_particles * p.t
+            assert abs(np.sqrt(abs(value)) - np.sqrt(expected)) <= _ORACLE_K * scale + _SUBNORMAL_FLOOR, \
+                (x, value, expected)
+
+
 class TestCsv:
     def test_structure(self, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -188,9 +273,10 @@ class TestCsv:
         emit_csv(res, str(path))
         back = load_csv(str(path))
         assert back.axis == "g"
-        assert back.target == "protocol_qfi"
-        assert np.allclose(back.values, res.values, rtol=1e-11)
-        assert np.allclose(back.ideal, res.ideal, rtol=1e-11)
+        assert back.metadata["target"] == "protocol_qfi"
+        assert list(back.columns) == list(res.columns)
+        for name, col in res.columns.items():
+            assert np.allclose(back.columns[name], col, rtol=1e-11)
         assert back.metadata["n_particles"] == 12
         assert back.metadata["state_kind"] == "fragmented"
 
@@ -204,7 +290,7 @@ class TestCsv:
         path = tmp_path / "sweep.csv"
         emit_csv(run_sweep(small_spec(steps=9)), str(path))
         back = load_csv(str(path))
-        assert np.all(back.values <= back.bounds * (1 + 1e-9))
+        assert np.all(back.columns["value"] <= back.columns["bound"] * (1 + 1e-9))
 
 
 class TestPlot:
