@@ -5,8 +5,8 @@ the flags given into them (`config`); `validate` and `sweep` build their
 spec with the same `config.build_run`, so `validate` refuses exactly the
 inputs `sweep` refuses before its first point.
 
-Exit codes: 0 success, 1 input refused (bad parameter values, unreadable
-configs or sweep CSVs, N too large to address), 2 I/O failure, 3 numerical
+Exit codes: 0 success, 1 input refused (bad parameter or flag values, unreadable
+configs or sweep CSVs, N or steps too large to address), 2 I/O failure, 3 numerical
 failure, including any failure inside a sweep point, or out of memory. The
 `error:` line names the outermost failure and the cause at its root.
 
@@ -68,10 +68,15 @@ def _add_table_flags(p: argparse.ArgumentParser, *tables: str) -> None:
                                choices=_CHOICES.get(key), metavar=None if key in _CHOICES else key.upper())
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # refused as a YAML value is: one `error:` line, exit 1, no usage
+        raise ValueError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """Built once per process, as parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="singlewell",
         description="Channel QFI and ground-state QFI for acceleration sensing "
         "with two-mode bosons in a single trap.",
@@ -183,8 +188,6 @@ def _classify(exc: BaseException) -> int | None:
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     _keep_freed_arrays()
-    args = _build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     handlers = {
         "params": cmd_params,
         "validate": cmd_validate,
@@ -192,6 +195,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
         "plot": cmd_plot,
     }
     try:
+        args = _build_parser().parse_args(argv)
+        logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
         return handlers[args.command](args, out)
     except Exception as exc:  # noqa: BLE001 - map every failure to an exit code
         code = _classify(exc)

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import NumericsError
 from .hamiltonians import total_hamiltonian
 from .modes import SystemParams
-from .spin_core import DickeState, SpinOperators
+from .spin_core import build_spin_operators, check_unit_norm
 
 __all__ = [
     "GeneratorResult",
@@ -112,24 +112,25 @@ def generator_at(energies: np.ndarray, vectors: np.ndarray, jx: np.ndarray, t: f
     return GeneratorResult(energies=energies, vectors=vectors, jx=jx, kernel=kernel, t=t)
 
 
-def dynamical_generator(p: SystemParams, ops: SpinOperators) -> GeneratorResult:
+def dynamical_generator(p: SystemParams) -> GeneratorResult:
     """Generator of the acceleration imprint after time p.t.
 
     G = int_0^t e^{iHs} Jx e^{-iHs} ds, since dH/dlambda = Jx. Jx is
     tridiagonal, so V^T Jx V = M + M^T with M = V[:-1]^T (ladder/2 * V[1:]):
     one matrix product, and exactly symmetric.
     """
-    energies, v = decompose(total_hamiltonian(p, ops))
-    half = v[:-1].T @ ((0.5 * ops.ladder)[:, np.newaxis] * v[1:])
+    energies, v = decompose(total_hamiltonian(p))
+    _, ladder = build_spin_operators(p.n_particles)
+    half = v[:-1].T @ ((0.5 * ladder)[:, np.newaxis] * v[1:])
     return generator_at(energies, v, half + half.T, p.t)
 
 
 def _pairs(z: np.ndarray) -> np.ndarray:
-    """A complex vector as the n x 2 real array of its (real, imag) pairs, without a copy."""
-    return z.view(float).reshape(-1, 2)
+    """z as the n x 2 real array of its complex (real, imag) pairs; no copy for a contiguous complex z."""
+    return np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
 
 
-def qfi_and_ritz_spread(gen: GeneratorResult, state: DickeState) -> tuple[float, float]:
+def qfi_and_ritz_spread(gen: GeneratorResult, psi: np.ndarray) -> tuple[float, float]:
     """The QFI of psi, 4 Var_psi(G), and L, the spread of the two
     Rayleigh-Ritz values of G~ on span{phi, G~ phi}, phi = W^dag psi.
 
@@ -137,13 +138,15 @@ def qfi_and_ritz_spread(gen: GeneratorResult, state: DickeState) -> tuple[float,
     psi and phi. For symmetric G~, 2 sigma_psi(G) <= L (Popoviciu) and
     L <= seminorm (Cauchy interlacing), so qfi <= L^2 certifies
     qfi <= cqfi without the spectrum of G~. L comes from an orthonormal
-    basis, so it does not share the QFI's assumption |phi| = 1. It is 0
-    when phi is an eigenvector of G~, whose span holds one Ritz value.
+    basis, so it does not share the QFI's assumption |psi| = 1, which is
+    checked to 1e-12. It is 0 when phi is an eigenvector of G~, whose span
+    holds one Ritz value.
     """
     dim = gen.energies.shape[0]
-    if dim != state.dimension:
-        raise ValueError(f"generator dimension {dim} does not match state dimension {state.dimension}")
-    rotated = (gen.vectors.T @ _pairs(state.amplitudes)).view(complex).ravel()
+    if dim != len(psi):
+        raise ValueError(f"generator dimension {dim} does not match state dimension {len(psi)}")
+    check_unit_norm(psi)
+    rotated = (gen.vectors.T @ _pairs(psi)).view(complex).ravel()
     phi = _pairs(np.exp(-0.5j * gen.t * gen.energies) * rotated)
     applied = gen.kernel @ phi
     mean = np.vdot(phi, applied)

@@ -5,8 +5,8 @@ every model Hamiltonian is real symmetric and pentadiagonal in the Dicke
 basis. The quadratic part comes from the exact identities
 Jx^2 + Jy^2 = j(j+1) - Jz^2 and Jx^2 - Jy^2 = (J+^2 + J-^2)/2, so a
 Hamiltonian is written band by band into one array with no matrix product.
-The builder reads the Jz eigenvalues and the ladder of the spin operators,
-which parameter sweeps construct once per N.
+The builder reads the Jz eigenvalues and the ladder of the spin operators
+of p.n_particles, which `build_spin_operators` builds once per N.
 """
 
 from __future__ import annotations
@@ -15,26 +15,25 @@ import numpy as np
 
 from .errors import InvariantError
 from .modes import SystemParams
-from .spin_core import SpinOperators
+from .spin_core import build_spin_operators
 
 __all__ = ["total_hamiltonian"]
 
 
-def _jx2_plus_xi_jy2(ops: SpinOperators, xi: float) -> np.ndarray:
-    """Jx^2 + xi Jy^2 without a matrix product.
+def _jx2_plus_xi_jy2(m: np.ndarray, ladder: np.ndarray, xi: float) -> np.ndarray:
+    """Jx^2 + xi Jy^2 without a matrix product, from the Jz eigenvalues m and the ladder.
 
     It equals (1+xi)/2 (j(j+1) - Jz^2) + (1-xi)/4 (J+^2 + J-^2): a diagonal
     plus the two second off-diagonals, every other entry exactly zero.
     """
-    j = 0.5 * ops.n_particles
-    m, ladder = ops.m, ops.ladder
+    j = m[0]  # m runs from j down to -j
     mat = np.diag(0.5 * (1.0 + xi) * (j * (j + 1.0) - m * m))
-    k = np.arange(ops.dimension - 2)
+    k = np.arange(m.shape[0] - 2)
     mat[k, k + 2] = mat[k + 2, k] = 0.25 * (1.0 - xi) * ladder[:-1] * ladder[1:]
     return mat
 
 
-def _model_matrix(p: SystemParams, ops: SpinOperators) -> np.ndarray:
+def _model_matrix(p: SystemParams) -> np.ndarray:
     """q Jz + (eta g / N)(Jx^2 + xi Jy^2) + lambda_acc Jx in one array (q: renormalized splitting).
 
     Each off-diagonal band and its mirror are written in one chained
@@ -43,18 +42,17 @@ def _model_matrix(p: SystemParams, ops: SpinOperators) -> np.ndarray:
     total_hamiltonian to refuse.
     """
     n = p.n_particles
-    if ops.dimension != n + 1:
-        raise ValueError(f"spin operators of dimension {ops.dimension} do not match N = {n}")
+    m, ladder = build_spin_operators(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        mat = _jx2_plus_xi_jy2(ops, p.xi)
+        mat = _jx2_plus_xi_jy2(m, ladder, p.xi)
         mat *= p.eta * p.g / n
         k = np.arange(n + 1)
-        mat[k, k] += (-p.delta_eps + p.g * (n - 1) / (2.0 * n) * p.delta_a) * ops.m
-        mat[k[:-1], k[1:]] = mat[k[1:], k[:-1]] = p.lambda_acc * (0.5 * ops.ladder)
+        mat[k, k] += (-p.delta_eps + p.g * (n - 1) / (2.0 * n) * p.delta_a) * m
+        mat[k[:-1], k[1:]] = mat[k[1:], k[:-1]] = p.lambda_acc * (0.5 * ladder)
     return mat
 
 
-def total_hamiltonian(p: SystemParams, ops: SpinOperators) -> np.ndarray:
+def total_hamiltonian(p: SystemParams) -> np.ndarray:
     """Phase-accumulation Hamiltonian: the interacting single-trap system
     plus the linear potential lambda_acc Jx (lambda_acc = 2 * force * dipole
     element),
@@ -72,7 +70,7 @@ def total_hamiltonian(p: SystemParams, ops: SpinOperators) -> np.ndarray:
     delta_eps * m near the float limit); such a matrix is refused here, so
     its point fails instead of handing inf or NaN to the eigensolver.
     """
-    mat = _model_matrix(p, ops)
+    mat = _model_matrix(p)
     if not np.isfinite(mat).all():
         raise InvariantError("matrix has non-finite entries")
     return mat

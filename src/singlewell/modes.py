@@ -53,8 +53,9 @@ class SystemParams:
         non_finite = [f.name for f in fields(self) if not np.isfinite(float(getattr(self, f.name)))]
         if non_finite:
             raise InvariantError(f"parameters must be finite, got non-finite {', '.join(non_finite)}")
-        if self.n_particles < 1:
-            raise InvariantError("n_particles must be at least 1")
+        n = self.n_particles
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise InvariantError(f"n_particles must be an integer of at least 1, got {n!r}")
         if 8 * (int(self.n_particles) + 1) ** 2 > np.iinfo(np.intp).max:
             raise InvariantError(
                 f"n_particles = {self.n_particles} is too large: an (N+1)x(N+1) float64 "

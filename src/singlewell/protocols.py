@@ -8,65 +8,53 @@ closing splitter-and-measurement step does not change the QFI and is
 omitted.
 
 The input side depends only on N, theta and the state kind, so a sweep
-builds it once with `prepare_input` and pairs it with the generator of
-each parameter point in `protocol_readout`. Every readout checks
-qfi <= cqfi, certified in O(n^2) where it can be, so a protocol point
-costs one eigendecomposition, that of H.
+builds the split state psi and its Var(Jx) once with `prepare_input`
+and pairs psi with the generator of each parameter point in
+`protocol_readout`. Every readout checks qfi <= cqfi, certified in O(n^2)
+where it can be, so a protocol point costs one eigendecomposition, that of H.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import GeneratorResult, qfi_and_ritz_spread
 from .errors import NumericsError
-from .spin_core import DickeState, SpinOperators, fragmented_ground_state, spin_coherent_state
+from .spin_core import build_spin_operators, fragmented_ground_state, spin_coherent_state
 
-__all__ = ["ProtocolInput", "prepare_input", "protocol_readout"]
+__all__ = ["prepare_input", "protocol_readout"]
 
 _CRB_SLACK = 1e-9
 
 STATE_KINDS = ("fragmented", "coherent")
 
 
-@dataclass(frozen=True)
-class ProtocolInput:
-    """The split input state and its Var(Jx)."""
-
-    state: DickeState
-    jx_variance: float
-
-
-def prepare_input(ops: SpinOperators, state_kind: str, theta: float) -> ProtocolInput:
-    """Prepare the fragmented or coherent state of ops.n_particles bosons
-    and apply the splitter; the coherent kind ignores theta.
+def prepare_input(n_particles: int, state_kind: str, theta: float) -> tuple[np.ndarray, float]:
+    """The fragmented or coherent state of N bosons after the splitter, read-only,
+    and its Var(Jx); the coherent kind ignores theta.
 
     The splitter turns the coherent-state azimuth phi by a quarter turn and
     leaves the polar angle alone. It is diagonal and Jx tridiagonal, so both
     act on the band: no dense operator is built.
     """
-    n = ops.n_particles
+    m, ladder = build_spin_operators(n_particles)
     if state_kind == "coherent":
-        prepared = spin_coherent_state(n, 0.0, 0.0)
+        prepared = spin_coherent_state(n_particles, 0.0, 0.0)
     elif state_kind == "fragmented":
-        prepared = fragmented_ground_state(n, theta)
+        prepared = fragmented_ground_state(n_particles, theta)
     else:
         raise ValueError(f"unknown state kind {state_kind!r}; expected one of {STATE_KINDS}")
-    psi = np.exp(-1j * (np.pi / 2.0) * ops.m) * prepared.amplitudes
+    psi = np.exp(-1j * (np.pi / 2.0) * m) * prepared
     jx_psi = np.zeros_like(psi)
-    jx_psi[:-1] += 0.5 * ops.ladder * psi[1:]
-    jx_psi[1:] += 0.5 * ops.ladder * psi[:-1]
+    jx_psi[:-1] += 0.5 * ladder * psi[1:]
+    jx_psi[1:] += 0.5 * ladder * psi[:-1]
     mean = np.vdot(psi, jx_psi).real
-    return ProtocolInput(
-        state=DickeState(amplitudes=psi),
-        jx_variance=max(float(np.vdot(jx_psi, jx_psi).real - mean * mean), 0.0),
-    )
+    psi.setflags(write=False)
+    return psi, max(float(np.vdot(jx_psi, jx_psi).real - mean * mean), 0.0)
 
 
-def protocol_readout(inp: ProtocolInput, gen: GeneratorResult) -> float:
-    """QFI of a prepared input under one generator.
+def protocol_readout(psi: np.ndarray, gen: GeneratorResult) -> float:
+    """QFI of a prepared input psi under one generator.
 
     The state QFI may not exceed the channel QFI of the same dynamics
     (up to a 1e-9 relative slack); a breach means a corrupted generator.
@@ -74,7 +62,7 @@ def protocol_readout(inp: ProtocolInput, gen: GeneratorResult) -> float:
     spread of `qfi_and_ritz_spread`, passes without the spectrum of G~;
     otherwise, e.g. for L = 0, gen.cqfi decides.
     """
-    qfi, spread = qfi_and_ritz_spread(gen, inp.state)
+    qfi, spread = qfi_and_ritz_spread(gen, psi)
     kernel = gen.kernel
     certified = np.array_equal(kernel, kernel.T) and qfi < spread * spread * (1.0 + _CRB_SLACK)
     if not certified and qfi > gen.cqfi * (1.0 + _CRB_SLACK):

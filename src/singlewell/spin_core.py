@@ -4,13 +4,13 @@ The symmetric (Dicke) sector of N two-mode bosons is an (N+1)-dimensional
 spin j = N/2. Basis states are indexed by k, the occupation of mode 1,
 so the Jz eigenvalue at index k is m = N/2 - k and the condensate in
 mode 0 sits at index 0. Jz is diagonal and Jx, Jy are tridiagonal there,
-so `SpinOperators` holds two vectors, m and the ladder <k|J+|k+1>, and
-no dense matrix.
+so the spin operators are two read-only vectors of N, m and the ladder
+<k|J+|k+1>, and no dense matrix; a state is a read-only complex (N+1)-vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma
 
 import numpy as np
@@ -18,8 +18,6 @@ import numpy as np
 from .errors import InvariantError, NumericsError
 
 __all__ = [
-    "SpinOperators",
-    "DickeState",
     "build_spin_operators",
     "spin_coherent_state",
     "fragmented_ground_state",
@@ -34,74 +32,44 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class SpinOperators:
-    """Jz eigenvalues m and ladder[k] = <k|J+|k+1>, both read-only."""
-
-    m: np.ndarray
-    ladder: np.ndarray
-
-    def __post_init__(self):
-        for name in ("m", "ladder"):
-            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
-
-    @property
-    def dimension(self) -> int:
-        return self.m.shape[0]
-
-    @property
-    def n_particles(self) -> int:
-        return self.dimension - 1
-
-
-@dataclass(frozen=True)
-class DickeState:
-    """Normalized pure state; amplitudes[k] weights the |N-k, k> occupation state."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _read_only(np.array(self.amplitudes, dtype=complex)))
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise InvariantError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
-
-    @property
-    def dimension(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @property
-    def n_particles(self) -> int:
-        return self.dimension - 1
-
-
-def build_spin_operators(n_particles: int) -> SpinOperators:
-    """The spin j = N/2 in the Dicke basis: Jz = diag(m), m = N/2 - k, and
-    J+, which moves a particle from mode 1 to mode 0 (k+1 -> k), with the
-    standard element <j,m+1|J+|j,m> = sqrt(j(j+1) - m(m+1)).
-    """
+def _check_particle_number(n_particles) -> None:
     if isinstance(n_particles, bool) or not isinstance(n_particles, (int, np.integer)):
         raise ValueError(f"particle number must be an integer, got {n_particles!r}")
     if n_particles < 1:
         raise ValueError("need at least one particle for a two-mode system")
 
-    n = int(n_particles)
+
+def check_unit_norm(psi: np.ndarray) -> None:
+    """Refuse a state whose norm deviates from 1 by more than NORM_TOL."""
+    norm = np.linalg.norm(psi)
+    if abs(norm - 1.0) > NORM_TOL:
+        raise InvariantError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+
+
+def build_spin_operators(n_particles: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spin j = N/2 in the Dicke basis as the read-only pair (m, ladder): Jz = diag(m),
+    m = N/2 - k, and ladder[k] = <k|J+|k+1>, J+ moving a particle from mode 1 to mode 0
+    (k+1 -> k), with the standard element <j,m+1|J+|j,m> = sqrt(j(j+1) - m(m+1)).
+    """
+    _check_particle_number(n_particles)  # before the cache, so 1.0 or True never hit 1's entry
+    return _spin_operators(int(n_particles))
+
+
+@lru_cache(maxsize=8)  # every point of a sweep reads the pair of one N; bounded, as N can be large
+def _spin_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
     j = n / 2.0
     m = j - np.arange(n + 1)
-    return SpinOperators(m=m, ladder=np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)))
+    return _read_only(m), _read_only(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)))
 
 
-def spin_coherent_state(n_particles: int, theta: float, phi: float) -> DickeState:
+def spin_coherent_state(n_particles: int, theta: float, phi: float) -> np.ndarray:
     """All N bosons in the single-particle mode cos(t/2) psi0 + e^{i phi} sin(t/2) psi1.
 
     The amplitude at index k is sqrt(C(N,k)) cos(theta/2)^(N-k)
     (e^{i phi} sin(theta/2))^k. Binomial coefficients are evaluated in
     log space so large N does not overflow.
     """
-    if isinstance(n_particles, bool) or not isinstance(n_particles, (int, np.integer)):
-        raise ValueError(f"particle number must be an integer, got {n_particles!r}")
-    if n_particles < 1:
-        raise ValueError("need at least one particle for a two-mode system")
+    _check_particle_number(n_particles)
     if not 0.0 <= theta <= np.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
     if not 0.0 <= phi < 2.0 * np.pi:
@@ -120,10 +88,10 @@ def spin_coherent_state(n_particles: int, theta: float, phi: float) -> DickeStat
         sin_term = np.where(k > 0, k * np.log(s), 0.0)
     amp = np.exp(log_binom + cos_term + sin_term) * np.exp(1j * phi * k)
     amp /= np.linalg.norm(amp)
-    return DickeState(amplitudes=amp)
+    return _read_only(amp)
 
 
-def fragmented_ground_state(n_particles: int, theta: float) -> DickeState:
+def fragmented_ground_state(n_particles: int, theta: float) -> np.ndarray:
     """Equal-weight superposition of the two coherent branches at phi = pi/2, 3pi/2.
 
     The two branches overlap by cos(theta)^N at finite N, so the state is
@@ -133,27 +101,23 @@ def fragmented_ground_state(n_particles: int, theta: float) -> DickeState:
     """
     plus = spin_coherent_state(n_particles, theta, np.pi / 2.0)
     minus = spin_coherent_state(n_particles, theta, 3.0 * np.pi / 2.0)
-    amp = plus.amplitudes + 1j * minus.amplitudes
+    amp = plus + 1j * minus
     amp = amp / np.linalg.norm(amp)
-    return DickeState(amplitudes=amp)
+    return _read_only(amp)
 
 
-def degree_of_fragmentation(state: DickeState, ops: SpinOperators | None = None) -> float:
-    """F = 1 - |l0 - l1| / N from the eigenvalues of the 2x2 one-body density matrix.
+def degree_of_fragmentation(psi: np.ndarray) -> float:
+    """F = 1 - |l0 - l1| / N from the eigenvalues of the 2x2 one-body density
+    matrix of the normalized state psi, N = len(psi) - 1.
 
     F = 0 for a condensate (rank-1 one-body density matrix) and F = 1 when
     both natural orbitals are equally occupied.
     """
-    n = state.n_particles
-    if ops is None:
-        ops = build_spin_operators(n)
-    elif ops.dimension != state.dimension:
-        raise ValueError(
-            f"operator dimension {ops.dimension} does not match state dimension {state.dimension}"
-        )
-    psi = state.amplitudes
-    jplus = np.sum(ops.ladder * psi[:-1].conj() * psi[1:])  # <Jx> + i <Jy>
-    ez = float(np.sum(ops.m * np.abs(psi) ** 2))
+    check_unit_norm(psi)
+    n = psi.shape[0] - 1
+    m, ladder = build_spin_operators(n)
+    jplus = np.sum(ladder * psi[:-1].conj() * psi[1:])  # <Jx> + i <Jy>
+    ez = float(np.sum(m * np.abs(psi) ** 2))
     rho1 = np.array([[n / 2.0 + ez, jplus], [jplus.conjugate(), n / 2.0 - ez]])
     occ = np.linalg.eigvalsh(rho1)
     frag = 1.0 - abs(occ[1] - occ[0]) / n

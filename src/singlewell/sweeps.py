@@ -5,8 +5,8 @@ interacting channel QFI, or the ground-state protocol QFI) on a uniform
 grid of a single axis while every other parameter stays fixed. It is one
 loop in grid order through the kernels `dynamical_generator`,
 `prepare_input` and `protocol_readout`, with the work that does not change
-along the grid done once: the spin operators, the protocol input state,
-and, on the t axis, where H stays the same, the decomposition of H. A spec
+along the grid done once: the protocol input state and, on the t axis,
+where H stays the same, the decomposition of H. A spec
 is checked whole when it is built, its protocol inputs included whatever
 the target, so a bad spec fails before any point runs. Identical specs
 produce byte-identical CSVs. A result is the CSV's table: its named
@@ -27,7 +27,6 @@ from .errors import NumericsError
 from .modes import AXIS_FIELDS, SystemParams, validity_gamma, with_axis_value
 from .plotting import render_svg
 from .protocols import STATE_KINDS, prepare_input, protocol_readout
-from .spin_core import build_spin_operators
 
 __all__ = [
     "SweepSpec",
@@ -83,6 +82,8 @@ class SweepSpec:
             )
         if self.steps < 2:
             raise ValueError(f"a sweep needs at least 2 steps, got {self.steps}")
+        if 8 * self.steps > np.iinfo(np.intp).max:  # as SystemParams bounds N
+            raise ValueError(f"steps = {self.steps} is too large: the grid does not fit in the address space")
         if not self.axis_min < self.axis_max:
             raise ValueError(
                 f"axis range must be increasing, got [{self.axis_min!r}, {self.axis_max!r}]"
@@ -124,11 +125,10 @@ class SweepResult:
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the target over the grid; any point failure aborts the sweep."""
-    ops = build_spin_operators(spec.params.n_particles)
     grid = spec.grid()
     protocol = spec.target == "protocol_qfi"
     if protocol:
-        inp = prepare_input(ops, spec.state_kind, spec.theta)
+        psi, jx_variance = prepare_input(spec.params.n_particles, spec.state_kind, spec.theta)
     gen = None
     rows, gammas = [], []
     for value in grid:
@@ -144,10 +144,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 gen = generator_at(gen.energies, gen.vectors, gen.jx, p.t)  # H does not depend on t
             else:
                 gen = None  # release the last point's arrays before building the next H
-                gen = dynamical_generator(p, ops)
+                gen = dynamical_generator(p)
             if protocol:
-                qfi = protocol_readout(inp, gen)
-                rows.append((qfi, bound, phase_shift_qfi(inp.jx_variance, p.t)))
+                qfi = protocol_readout(psi, gen)
+                rows.append((qfi, bound, phase_shift_qfi(jx_variance, p.t)))
                 gammas.append(validity_gamma(p.g_1d, p.n_particles)[0])
             else:
                 rows.append((gen.cqfi, bound))

@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from scipy.linalg import expm, expm_frechet
 
-from singlewell import SystemParams, total_hamiltonian
+from singlewell import SystemParams, build_spin_operators, total_hamiltonian
 
 
 def harmonic_params(**overrides) -> SystemParams:
@@ -16,15 +15,15 @@ def harmonic_params(**overrides) -> SystemParams:
     return SystemParams(**overrides)
 
 
-def finite_difference_generator(p: SystemParams, ops, h: float = 1e-6) -> np.ndarray:
+def finite_difference_generator(p: SystemParams, h: float = 1e-6) -> np.ndarray:
     """Oracle for the response generator: i U(l)^dag [U(l+h) - U(l-h)] / (2h).
 
     Uses scipy's matrix exponential for the propagators, independent of the
     spectral-formula code path under test.
     """
-    up = expm(-1j * p.t * total_hamiltonian(replace(p, lambda_acc=p.lambda_acc + h), ops))
-    um = expm(-1j * p.t * total_hamiltonian(replace(p, lambda_acc=p.lambda_acc - h), ops))
-    u0 = expm(-1j * p.t * total_hamiltonian(p, ops))
+    up = expm(-1j * p.t * total_hamiltonian(replace(p, lambda_acc=p.lambda_acc + h)))
+    um = expm(-1j * p.t * total_hamiltonian(replace(p, lambda_acc=p.lambda_acc - h)))
+    u0 = expm(-1j * p.t * total_hamiltonian(p))
     return 1j * u0.conj().T @ (up - um) / (2.0 * h)
 
 
@@ -36,11 +35,12 @@ def exact_generator(h: np.ndarray, jx: np.ndarray, t: float) -> np.ndarray:
     return (mat + mat.conj().T) / 2.0
 
 
-def dense_spin(ops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense Jx, Jy, Jz (only Jy complex) from the Jz eigenvalues and the ladder."""
-    jx = np.diag(ops.ladder / 2.0, 1) + np.diag(ops.ladder / 2.0, -1)
-    jy = np.diag(ops.ladder / 2.0j, 1) - np.diag(ops.ladder / 2.0j, -1)
-    return jx, jy, np.diag(ops.m)
+def dense_spin(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense Jx, Jy, Jz (only Jy complex) of N particles from the Jz eigenvalues and the ladder."""
+    m, ladder = build_spin_operators(n)
+    jx = np.diag(ladder / 2.0, 1) + np.diag(ladder / 2.0, -1)
+    jy = np.diag(ladder / 2.0j, 1) - np.diag(ladder / 2.0j, -1)
+    return jx, jy, np.diag(m)
 
 
 def variance(mat: np.ndarray, psi: np.ndarray) -> float:
@@ -107,9 +107,3 @@ def random_valid_params(rng: np.random.Generator, n_particles: int | None = None
         t=float(rng.uniform(0.0, 10.0)),
     )
 
-
-@pytest.fixture(scope="session")
-def ops50():
-    from singlewell import build_spin_operators
-
-    return build_spin_operators(50)

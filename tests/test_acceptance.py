@@ -10,7 +10,6 @@ import pytest
 
 from singlewell import (
     SweepSpec,
-    build_spin_operators,
     cqfi_noninteracting,
     cqfi_upper_bound,
     dynamical_generator,
@@ -19,7 +18,6 @@ from singlewell import (
     run_sweep,
     total_hamiltonian,
 )
-from singlewell.spin_core import DickeState
 from conftest import (
     dense_generator, dense_spin, evolve, finite_difference_generator, harmonic_params,
     random_valid_params,
@@ -33,19 +31,7 @@ def _report(num: int, name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _ops_cache():
-    cache = {}
-
-    def get(n):
-        if n not in cache:
-            cache[n] = build_spin_operators(n)
-        return cache[n]
-
-    return get
-
-
 def test_criterion_1_analytic_numeric_agreement():
-    ops = _ops_cache()
     worst = 0.0
     count = 0
     for n in (2, 10, 50):
@@ -53,7 +39,7 @@ def test_criterion_1_analytic_numeric_agreement():
             for de in np.linspace(0.1, 20.0, 6):
                 for t in np.linspace(0.1, 10.0, 5):
                     p = harmonic_params(n_particles=n, g=0.0, delta_eps=de, lambda_acc=lam, t=t)
-                    numeric = dynamical_generator(p, ops(n)).cqfi
+                    numeric = dynamical_generator(p).cqfi
                     analytic = cqfi_noninteracting(n, lam, de, t)
                     worst = max(worst, abs(numeric - analytic) / analytic)
                     count += 1
@@ -63,12 +49,11 @@ def test_criterion_1_analytic_numeric_agreement():
 
 
 def test_criterion_2_ideal_protocol_limit():
-    ops = _ops_cache()
     worst = 0.0
     for n in range(1, 51):
         for t in (1.0, 2.7):
             p = harmonic_params(n_particles=n, g=0.0, delta_eps=0.0, t=t)
-            cqfi = dynamical_generator(p, ops(n)).cqfi
+            cqfi = dynamical_generator(p).cqfi
             worst = max(worst, abs(cqfi - (n * t) ** 2) / (n * t) ** 2)
     ok = worst <= 1e-10
     assert _report(2, "zero splitting recovers N^2 t^2", ok,
@@ -76,12 +61,11 @@ def test_criterion_2_ideal_protocol_limit():
 
 
 def test_criterion_3_heisenberg_bound():
-    ops = _ops_cache()
     rng = np.random.default_rng(20240811)
     worst_excess = -np.inf
     for _ in range(1000):
         p = random_valid_params(rng)
-        cqfi = dynamical_generator(p, ops(p.n_particles)).cqfi
+        cqfi = dynamical_generator(p).cqfi
         bound = cqfi_upper_bound(p.n_particles, p.t)
         excess = cqfi - bound * (1 + 1e-9)
         worst_excess = max(worst_excess, excess)
@@ -91,11 +75,10 @@ def test_criterion_3_heisenberg_bound():
 
 
 def test_criterion_4_interaction_restores_saturation():
-    ops = build_spin_operators(50)
     values = []
     for g in G_GRID:
         p = harmonic_params(g=float(g), delta_eps=10.0)
-        values.append(dynamical_generator(p, ops).cqfi)
+        values.append(dynamical_generator(p).cqfi)
     values = np.array(values)
     peak = float(values.max())
     peak_g = float(G_GRID[values.argmax()])
@@ -142,7 +125,6 @@ def test_criterion_6_coherent_state_ratios(protocol_curves):
 
 
 def test_criterion_7_generator_matches_finite_differences():
-    ops = build_spin_operators(20)
     rng = np.random.default_rng(777)
     worst = 0.0
     for _ in range(50):
@@ -153,8 +135,8 @@ def test_criterion_7_generator_matches_finite_differences():
             lambda_acc=float(rng.uniform(0.1, 5.0)),
             t=float(rng.uniform(0.1, 3.0)),
         )
-        gen = dense_generator(dynamical_generator(p, ops))
-        worst = max(worst, float(np.abs(gen - finite_difference_generator(p, ops)).max()))
+        gen = dense_generator(dynamical_generator(p))
+        worst = max(worst, float(np.abs(gen - finite_difference_generator(p)).max()))
     ok = worst <= 1e-5
     assert _report(7, "spectral generator agrees with the central-difference oracle", ok,
                    f"50 random points at N = 20, worst elementwise error {worst:.3e} (tol 1e-5)")
@@ -164,11 +146,10 @@ def test_criterion_8_algebraic_property_suite():
     rng = np.random.default_rng(4242)
     failures = []
     for n in (1, 2, 5, 20, 50):
-        ops = build_spin_operators(n)
         dim = n + 1
         j = n / 2.0
 
-        jx, jy, jz = dense_spin(ops)
+        jx, jy, jz = dense_spin(n)
         comm = np.abs(jx @ jy - jy @ jx - 1j * jz).max()
         if comm >= 1e-10:
             failures.append(f"commutator N={n}")
@@ -177,8 +158,8 @@ def test_criterion_8_algebraic_property_suite():
             failures.append(f"casimir N={n}")
 
         p = harmonic_params(n_particles=n, g=30.0, delta_eps=5.0)
-        h_sys = total_hamiltonian(replace(p, lambda_acc=0.0), ops)
-        h_tot = total_hamiltonian(p, ops)
+        h_sys = total_hamiltonian(replace(p, lambda_acc=0.0))
+        h_tot = total_hamiltonian(p)
         if np.abs(h_tot - h_tot.conj().T).max() >= 1e-12:
             failures.append(f"hermiticity N={n}")
         k = np.arange(dim)
@@ -186,17 +167,17 @@ def test_criterion_8_algebraic_property_suite():
         if not np.all(h_sys[odd] == 0.0):
             failures.append(f"parity N={n}")
 
-        gen = dynamical_generator(p, ops)
+        gen = dynamical_generator(p)
         for _ in range(200):
             amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            state = DickeState(amplitudes=amp / np.linalg.norm(amp))
+            state = amp / np.linalg.norm(amp)
             if qfi_and_ritz_spread(gen, state)[0] > gen.cqfi * (1 + 1e-9):
                 failures.append(f"crb N={n}")
                 break
 
         amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        state = DickeState(amplitudes=amp / np.linalg.norm(amp))
-        out = evolve(total_hamiltonian(p, ops), 2.3, state.amplitudes)
+        state = amp / np.linalg.norm(amp)
+        out = evolve(total_hamiltonian(p), 2.3, state)
         if abs(np.linalg.norm(out) - 1.0) >= 1e-10:
             failures.append(f"unitarity N={n}")
     ok = not failures

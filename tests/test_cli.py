@@ -148,7 +148,7 @@ class TestSingleSourceOfTruth:
             assert changed[0] == "params.lambda_acc"
 
     @pytest.mark.parametrize("command", ["params", "validate", "sweep"])
-    def test_every_flag_sets_exactly_one_key(self, command):
+    def test_every_flag_sets_exactly_one_key(self, capsys, command):
         sub = next(a for a in _build_parser()._actions if a.dest == "command").choices[command]
         flags = {a.option_strings[0]: a.dest for a in sub._actions if "." in a.dest}
         tables = ("system",) if command == "params" else tuple(SCHEMA)
@@ -158,6 +158,16 @@ class TestSingleSourceOfTruth:
             value = _KEY_VALUES[key]
             argv = [command, flag] + ([] if value is True else [str(value)])
             assert _tables(_build_parser().parse_args(argv)) == {**parse_config(""), table: {key: value}}
+        # a flag value argparse refuses is refused input, as in YAML: one error line, exit 1
+        for argv in ([command, "--g", "abc"], [command, "--bogus"], ["sweep", "--target", "bogus"],
+                     ["validate", "--steps", "abc"], ["validate", "--sweep-axis", "n_particles"]):
+            capsys.readouterr()
+            assert run_cli(*argv)[0] == EXIT_INVARIANT, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
+        with pytest.raises(SystemExit) as info:
+            run_cli(command, "--help")
+        assert info.value.code == EXIT_OK
 
 
 class TestFixedSweptAxis:
@@ -332,6 +342,7 @@ _YAML_DOCS = st.fixed_dictionaries({}, optional={
 class TestRandomConfigs:
     @given(doc=_YAML_DOCS, n=st.integers(1, 12), steps=st.integers(2, 5))
     @example(doc={"system": {"g": 1.0e300}}, n=4, steps=2)
+    @example(doc={}, n=4, steps=10 ** 23)  # a grid beyond the address space
     @settings(deadline=None, max_examples=100)
     def test_validate_fails_exactly_when_sweep_does(self, doc, n, steps):
         # sweeps are held to N <= 12 and <= 5 steps so no example builds large matrices
@@ -398,12 +409,14 @@ class TestSweepCommand:
             code, _ = run_cli(*small, *bad)
             assert code == EXIT_INVARIANT, bad
 
-    @pytest.mark.parametrize("where", ["dynamical_generator", "build_spin_operators", "SweepSpec.grid"])
+    @pytest.mark.parametrize("where", ["sweeps.dynamical_generator", "spin_core._spin_operators",
+                                       "sweeps.SweepSpec.grid"],
+                             ids=["dynamical_generator", "build_spin_operators", "SweepSpec.grid"])
     def test_out_of_memory_exits_three_naming_n(self, monkeypatch, capsys, where):
         def exhausted(*args):
             raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100001, 100001)")
 
-        monkeypatch.setattr(f"singlewell.sweeps.{where}", exhausted)
+        monkeypatch.setattr(f"singlewell.{where}", exhausted)
         code, _ = run_cli("sweep", "--n-particles", "12", "--steps", "2")
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err

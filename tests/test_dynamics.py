@@ -5,8 +5,6 @@ import hypothesis.strategies as st
 from scipy.linalg import expm
 
 from singlewell import (
-    DickeState,
-    build_spin_operators,
     cqfi_noninteracting,
     cqfi_upper_bound,
     decompose,
@@ -25,16 +23,16 @@ from conftest import (
 )
 
 
-def random_state(rng, dim) -> DickeState:
+def random_state(rng, dim) -> np.ndarray:
     amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return DickeState(amplitudes=amp / np.linalg.norm(amp))
+    return amp / np.linalg.norm(amp)
 
 
-def optimal_state(gen) -> DickeState:
+def optimal_state(gen) -> np.ndarray:
     """Equal superposition of the extremal eigenvectors of G; it saturates the channel QFI."""
     vecs = np.linalg.eigh(dense_generator(gen))[1]
     amp = vecs[:, -1] + vecs[:, 0]
-    return DickeState(amplitudes=amp / np.linalg.norm(amp))
+    return amp / np.linalg.norm(amp)
 
 
 class TestDecompose:
@@ -44,14 +42,13 @@ class TestDecompose:
         assert not energies.flags.writeable and not vectors.flags.writeable
 
     def test_jx_spectrum_n2(self):
-        energies, _ = decompose(dense_spin(build_spin_operators(2))[0])
+        energies, _ = decompose(dense_spin(2)[0])
         assert np.abs(energies - np.array([-1.0, 0.0, 1.0])).max() < 1e-12
 
     def test_free_hamiltonian_spectrum(self):
         n, de = 8, 2.5
-        ops = build_spin_operators(n)
         p = harmonic_params(n_particles=n, g=0.0, delta_eps=de, lambda_acc=0.0)
-        energies, _ = decompose(total_hamiltonian(p, ops))
+        energies, _ = decompose(total_hamiltonian(p))
         m = n / 2 - np.arange(n + 1)
         assert np.abs(energies - np.sort(-de * m)).max() < 1e-12
 
@@ -60,9 +57,8 @@ class TestDecompose:
         a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
         cases = [(a + a.conj().T) / 2]
         for n in (50, 200):
-            ops = build_spin_operators(n)
             for g in (0.0, 80.0, 200.0):
-                cases.append(total_hamiltonian(harmonic_params(n_particles=n, g=g, delta_eps=10.0), ops))
+                cases.append(total_hamiltonian(harmonic_params(n_particles=n, g=g, delta_eps=10.0)))
         for h in cases:
             energies, vecs = decompose(h)
             dim = energies.shape[0]
@@ -74,21 +70,19 @@ class TestEvolve:
     """The conftest propagator that acceptance criterion 8 reads unitarity from."""
 
     def test_zero_time_is_identity(self):
-        ops = build_spin_operators(5)
-        psi = spin_coherent_state(5, 1.0, 0.5).amplitudes
-        assert np.abs(evolve(dense_spin(ops)[2], 0.0, psi) - psi).max() < 1e-12
+        psi = spin_coherent_state(5, 1.0, 0.5)
+        assert np.abs(evolve(dense_spin(5)[2], 0.0, psi) - psi).max() < 1e-12
 
     def test_full_period_of_jz_for_even_n(self):
         # integer Jz spectrum for even N: exp(-i 2 pi Jz) is the identity
-        ops = build_spin_operators(6)
-        psi = spin_coherent_state(6, 1.1, 0.3).amplitudes
-        out = evolve(dense_spin(ops)[2], 2.0 * np.pi, psi)
+        psi = spin_coherent_state(6, 1.1, 0.3)
+        out = evolve(dense_spin(6)[2], 2.0 * np.pi, psi)
         assert abs(abs(np.vdot(out, psi)) - 1.0) < 1e-10
 
     def test_rabi_rotation_against_expm(self):
         n, lam, t = 24, 0.7, 1.3
-        jx, _, jz = dense_spin(build_spin_operators(n))
-        psi = spin_coherent_state(n, 0.0, 0.0).amplitudes
+        jx, _, jz = dense_spin(n)
+        psi = spin_coherent_state(n, 0.0, 0.0)
         out = evolve(lam * jx, t, psi)
         jz_mean = np.real(np.vdot(out, jz @ out))
         assert abs(jz_mean - (n / 2) * np.cos(lam * t)) < 1e-8
@@ -100,9 +94,8 @@ class TestEvolve:
     def test_norm_preserved(self, seed):
         rng = np.random.default_rng(seed)
         p = random_valid_params(rng, n_particles=int(rng.integers(1, 25)))
-        ops = build_spin_operators(p.n_particles)
         state = random_state(rng, p.n_particles + 1)
-        out = evolve(total_hamiltonian(p, ops), p.t, state.amplitudes)
+        out = evolve(total_hamiltonian(p), p.t, state)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
@@ -110,19 +103,17 @@ class TestDynamicalGenerator:
     def test_pure_phase_shift_limit(self):
         # no splitting, no interaction: the generator is t * Jx
         n, t = 20, 1.7
-        ops = build_spin_operators(n)
         p = harmonic_params(n_particles=n, g=0.0, delta_eps=0.0, t=t)
-        gen = dynamical_generator(p, ops)
-        assert np.abs(dense_generator(gen) - t * dense_spin(ops)[0]).max() < 1e-10
+        gen = dynamical_generator(p)
+        assert np.abs(dense_generator(gen) - t * dense_spin(n)[0]).max() < 1e-10
         assert abs(gen.cqfi - (n * t) ** 2) < 1e-8 * (n * t) ** 2
 
     @pytest.mark.parametrize("de,lam,t", [(1.0, 1.0, 1.0), (10.0, 1.0, 1.0), (3.0, 0.4, 2.5)])
     def test_matches_closed_form_without_interaction(self, de, lam, t):
         n = 30
-        ops = build_spin_operators(n)
         p = harmonic_params(n_particles=n, g=0.0, delta_eps=de, lambda_acc=lam, t=t)
         expected = cqfi_noninteracting(n, lam, de, t)
-        assert abs(dynamical_generator(p, ops).cqfi - expected) < 1e-8 * expected
+        assert abs(dynamical_generator(p).cqfi - expected) < 1e-8 * expected
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(deadline=None, max_examples=15)
@@ -135,30 +126,26 @@ class TestDynamicalGenerator:
             lambda_acc=float(rng.uniform(0.1, 5.0)),
             t=float(rng.uniform(0.1, 3.0)),
         )
-        ops = build_spin_operators(20)
-        gen = dense_generator(dynamical_generator(p, ops))
-        oracle = finite_difference_generator(p, ops)
+        gen = dense_generator(dynamical_generator(p))
+        oracle = finite_difference_generator(p)
         assert np.abs(gen - oracle).max() < 1e-5
 
     @pytest.mark.parametrize("n", [500, 1000])
     def test_matches_closed_form_at_large_n(self, n):
-        ops = build_spin_operators(n)
         p = harmonic_params(n_particles=n, g=0.0, delta_eps=5.0, t=0.7)
         expected = cqfi_noninteracting(n, 1.0, 5.0, 0.7)
-        assert abs(dynamical_generator(p, ops).cqfi - expected) <= 1e-12 * expected
+        assert abs(dynamical_generator(p).cqfi - expected) <= 1e-12 * expected
 
     def test_matches_finite_difference_oracle_at_exact_degeneracy(self):
         # the parity blocks of H cross here: the smallest level gap is at rounding level
-        ops = build_spin_operators(50)
         p = harmonic_params(g=26.0, delta_eps=1.0, lambda_acc=0.0)
-        assert np.diff(np.linalg.eigvalsh(total_hamiltonian(p, ops))).min() < 1e-12
-        gen = dense_generator(dynamical_generator(p, ops))
-        assert np.abs(gen - finite_difference_generator(p, ops)).max() < 1e-8
+        assert np.diff(np.linalg.eigvalsh(total_hamiltonian(p))).min() < 1e-12
+        gen = dense_generator(dynamical_generator(p))
+        assert np.abs(gen - finite_difference_generator(p)).max() < 1e-8
 
     def test_seminorm_invariances(self):
-        ops = build_spin_operators(15)
         p = harmonic_params(n_particles=15, g=40.0, delta_eps=5.0)
-        gen = dynamical_generator(p, ops)
+        gen = dynamical_generator(p)
         sn = gen.seminorm
         flipped = np.linalg.eigvalsh(-dense_generator(gen))
         assert abs((flipped[-1] - flipped[0]) - sn) < 1e-9 * sn
@@ -171,12 +158,11 @@ class TestDynamicalGenerator:
     def test_time_dependence_is_quadratic_plus_oscillation(self):
         # without interaction the squared seminorm fits A t^2 + B sin^2(w t / 2)
         n, lam, de = 10, 1.0, 4.0
-        ops = build_spin_operators(n)
         omega = np.sqrt(lam * lam + de * de)
         ts = np.linspace(0.2, 8.0, 25)
         values = np.array(
             [
-                dynamical_generator(harmonic_params(n_particles=n, g=0.0, delta_eps=de, t=t), ops).cqfi
+                dynamical_generator(harmonic_params(n_particles=n, g=0.0, delta_eps=de, t=t)).cqfi
                 for t in ts
             ]
         )
@@ -186,9 +172,8 @@ class TestDynamicalGenerator:
         assert residual < 1e-8 * values.max()
 
     def test_optimal_state_saturates(self):
-        ops = build_spin_operators(25)
         p = harmonic_params(n_particles=25, g=30.0, delta_eps=5.0)
-        gen = dynamical_generator(p, ops)
+        gen = dynamical_generator(p)
         assert abs(qfi_and_ritz_spread(gen, optimal_state(gen))[0] - gen.cqfi) < 1e-8 * gen.cqfi
 
 
@@ -197,11 +182,10 @@ class TestBandedKernel:
     def test_matches_dense_jx_and_np_sinc(self, n):
         # the banded V^T Jx V and the sin(x)/x kernel against the dense
         # product and numpy's sinc(x / pi)
-        ops = build_spin_operators(n)
         p = harmonic_params(n_particles=n, g=80.0, delta_eps=10.0)
-        gen = dynamical_generator(p, ops)
+        gen = dynamical_generator(p)
         v = gen.vectors
-        dense = v.T @ dense_spin(ops)[0] @ v
+        dense = v.T @ dense_spin(n)[0] @ v
         assert np.abs(gen.jx - dense).max() <= 1e-13 * np.abs(dense).max()
         assert np.array_equal(gen.jx, gen.jx.T)
         gaps = gen.energies[:, np.newaxis] - gen.energies[np.newaxis, :]
@@ -229,7 +213,7 @@ class TestBandedKernel:
     ])
     def test_bit_identical_to_the_full_matrix_form(self, n, g, delta_eps, lambda_acc):
         p = harmonic_params(n_particles=n, g=g, delta_eps=delta_eps, lambda_acc=lambda_acc)
-        gen = dynamical_generator(p, build_spin_operators(n))
+        gen = dynamical_generator(p)
         for t in (0.0, 0.3, 1.0, 7.5):
             kernel = generator_at(gen.energies, gen.vectors, gen.jx, t).kernel
             assert kernel.tobytes() == self.full_matrix_kernel(gen.energies, gen.jx, t).tobytes()
@@ -253,8 +237,7 @@ class TestBandedKernel:
             return sin(x, *args, where=where, **kwargs)
 
         for n in (50, 200):
-            gen = dynamical_generator(harmonic_params(n_particles=n, g=80.0, delta_eps=10.0),
-                                      build_spin_operators(n))
+            gen = dynamical_generator(harmonic_params(n_particles=n, g=80.0, delta_eps=10.0))
             evaluated.clear()
             monkeypatch.setattr(np, "sin", counting_sin)
             generator_at(gen.energies, gen.vectors, gen.jx, 1.0)
@@ -265,8 +248,7 @@ class TestBandedKernel:
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-        ops = build_spin_operators(12)
-        gen = dynamical_generator(harmonic_params(n_particles=12, g=30.0, delta_eps=5.0), ops)
+        gen = dynamical_generator(harmonic_params(n_particles=12, g=30.0, delta_eps=5.0))
         assert not calls
         cqfi = gen.cqfi
         assert gen.seminorm ** 2 == cqfi and gen.cqfi == cqfi
@@ -281,34 +263,31 @@ class TestExactDerivativeOracle:
     @pytest.mark.parametrize("n, g, t", [(20, 80.0, 1.0), (100, 200.0, 10.0),
                                          (200, 300.0, 10.0), (200, 100.0, 1.0)])
     def test_channel_and_fragmented_state_qfi(self, n, g, t):
-        ops = build_spin_operators(n)
         p = harmonic_params(n_particles=n, g=g, delta_eps=10.0, t=t)
-        h = total_hamiltonian(p, ops)
-        jx, _, jz = dense_spin(ops)
+        h = total_hamiltonian(p)
+        jx, _, jz = dense_spin(n)
         oracle = exact_generator(h, jx, t)
         bound = 5.0 * np.finfo(float).eps * t * np.linalg.norm(h, 2)
 
         levels = np.linalg.eigvalsh(oracle)
         cqfi = (levels[-1] - levels[0]) ** 2
-        assert abs(dynamical_generator(p, ops).cqfi - cqfi) <= bound * cqfi
+        assert abs(dynamical_generator(p).cqfi - cqfi) <= bound * cqfi
 
-        prepared = fragmented_ground_state(n, 0.5).amplitudes
+        prepared = fragmented_ground_state(n, 0.5)
         qfi = 4.0 * variance(oracle, np.exp(-0.5j * np.pi * np.diag(jz).real) * prepared)
-        protocol = protocol_readout(prepare_input(ops, "fragmented", 0.5), dynamical_generator(p, ops))
+        protocol = protocol_readout(prepare_input(n, "fragmented", 0.5)[0], dynamical_generator(p))
         assert abs(protocol - qfi) <= bound * qfi
 
 
 class TestQfiPureState:
     def test_generator_eigenvector_carries_no_information(self):
-        ops = build_spin_operators(12)
-        gen = dynamical_generator(harmonic_params(n_particles=12, g=10.0, delta_eps=2.0), ops)
+        gen = dynamical_generator(harmonic_params(n_particles=12, g=10.0, delta_eps=2.0))
         vec = decompose(dense_generator(gen))[1][:, 4]
-        assert qfi_and_ritz_spread(gen, DickeState(amplitudes=vec))[0] < 1e-8
+        assert qfi_and_ritz_spread(gen, vec)[0] < 1e-8
 
     def test_ideal_point_reaches_heisenberg(self):
         n, t = 18, 1.0
-        ops = build_spin_operators(n)
-        gen = dynamical_generator(harmonic_params(n_particles=n, g=0.0, delta_eps=0.0, t=t), ops)
+        gen = dynamical_generator(harmonic_params(n_particles=n, g=0.0, delta_eps=0.0, t=t))
         assert abs(qfi_and_ritz_spread(gen, optimal_state(gen))[0] - (n * t) ** 2) < 1e-8 * (n * t) ** 2
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
@@ -316,8 +295,7 @@ class TestQfiPureState:
     def test_no_state_beats_the_channel_value(self, seed):
         rng = np.random.default_rng(seed)
         p = random_valid_params(rng, n_particles=15)
-        ops = build_spin_operators(15)
-        gen = dynamical_generator(p, ops)
+        gen = dynamical_generator(p)
         for _ in range(200):
             state = random_state(rng, 16)
             assert qfi_and_ritz_spread(gen, state)[0] <= gen.cqfi * (1 + 1e-9)
@@ -327,19 +305,17 @@ class TestQfiPureState:
     def test_ritz_spread_lies_between_twice_sigma_and_the_seminorm(self, seed):
         rng = np.random.default_rng(seed)
         p = random_valid_params(rng, n_particles=int(rng.integers(1, 21)))
-        ops = build_spin_operators(p.n_particles)
-        gen = dynamical_generator(p, ops)
+        gen = dynamical_generator(p)
         for _ in range(5):
             state = random_state(rng, p.n_particles + 1)
             qfi, spread = qfi_and_ritz_spread(gen, state)
             assert np.sqrt(qfi) * (1 - 1e-12) <= spread <= gen.seminorm * (1 + 1e-12)
             # the real (re, im) pair products against 4 Var of the dense generator
-            dense_qfi = 4.0 * variance(dense_generator(gen), state.amplitudes)
+            dense_qfi = 4.0 * variance(dense_generator(gen), state)
             assert abs(qfi - dense_qfi) <= 1e-10 * (1.0 + gen.cqfi)
 
     def test_dimension_mismatch(self):
-        ops = build_spin_operators(5)
-        gen = dynamical_generator(harmonic_params(n_particles=5), ops)
+        gen = dynamical_generator(harmonic_params(n_particles=5))
         with pytest.raises(ValueError):
             qfi_and_ritz_spread(gen, spin_coherent_state(6, 0.3, 0.0))
 
@@ -354,6 +330,5 @@ class TestUpperBound:
     def test_bounds_every_computed_cqfi(self, seed):
         rng = np.random.default_rng(seed)
         p = random_valid_params(rng)
-        ops = build_spin_operators(p.n_particles)
-        gen = dynamical_generator(p, ops)
+        gen = dynamical_generator(p)
         assert gen.cqfi <= cqfi_upper_bound(p.n_particles, p.t) * (1 + 1e-9) + 1e-12

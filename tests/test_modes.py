@@ -143,7 +143,7 @@ class TestSystemParamsInvariants:
         # 8 (N+1)^2 bytes must fit in the address space: N + 1 < 2^30 on 64-bit
         limit = math.isqrt(np.iinfo(np.intp).max // 8) - 1
         SystemParams(limit, 1.0, 1.0, 0.1, 0.5, -0.5, 1.0, 1.0)
-        for n in (limit + 1, np.int64(2 ** 40), 10 ** 30):
+        for n in (limit + 1, np.int64(2 ** 40), 10 ** 30, 2.5, True):  # N must also be an integer
             with pytest.raises(InvariantError, match="n_particles"):
                 SystemParams(n, 1.0, 1.0, 0.1, 0.5, -0.5, 1.0, 1.0)
 

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from singlewell import (
-    DickeState,
     GeneratorResult,
     NumericsError,
-    ProtocolInput,
     SweepSpec,
-    build_spin_operators,
     cqfi_noninteracting,
     dynamical_generator,
     fragmented_ground_state,
@@ -23,10 +20,10 @@ from singlewell import protocols
 from conftest import dense_spin, harmonic_params, variance
 
 
-def _qfi_and_baseline(p, ops, state_kind="fragmented", theta=0.5):
+def _qfi_and_baseline(p, state_kind="fragmented", theta=0.5):
     """The protocol QFI at one point and the phase-shift baseline of the same input."""
-    inp = prepare_input(ops, state_kind, theta)
-    return protocol_readout(inp, dynamical_generator(p, ops)), phase_shift_qfi(inp.jx_variance, p.t)
+    psi, jx_variance = prepare_input(p.n_particles, state_kind, theta)
+    return protocol_readout(psi, dynamical_generator(p)), phase_shift_qfi(jx_variance, p.t)
 
 
 class TestBeamSplitter:
@@ -37,16 +34,16 @@ class TestBeamSplitter:
         # go to pi, 2pi at fixed theta, both with the phase exp(-i pi j/2) of k = 0
         for n in (1, 2, 7, 18, 50, 200):
             for theta in (0.5, 1.1):
-                state = prepare_input(build_spin_operators(n), "fragmented", theta).state.amplitudes
-                turned = (spin_coherent_state(n, theta, np.pi).amplitudes
-                          + 1j * spin_coherent_state(n, theta, 0.0).amplitudes)
+                state = prepare_input(n, "fragmented", theta)[0]
+                turned = (spin_coherent_state(n, theta, np.pi)
+                          + 1j * spin_coherent_state(n, theta, 0.0))
                 turned *= np.exp(-0.25j * np.pi * n) / np.linalg.norm(turned)
                 assert np.abs(state - turned).max() < 1e-12, (n, theta)
 
-    def test_global_phase_on_polar_coherent_input(self, ops50):
+    def test_global_phase_on_polar_coherent_input(self):
         # the theta = 0 coherent input is a Jz eigenstate; an azimuthal turn cannot move it
-        state = prepare_input(ops50, "coherent", 0.0).state.amplitudes
-        turned = spin_coherent_state(50, 0.0, np.pi / 2).amplitudes
+        state = prepare_input(50, "coherent", 0.0)[0]
+        turned = spin_coherent_state(50, 0.0, np.pi / 2)
         assert abs(abs(np.vdot(turned, state)) - 1.0) < 1e-12
 
 
@@ -68,71 +65,70 @@ class TestProtocolSpec:
 class TestRunProtocol:
     """One protocol point, run through prepare_input, dynamical_generator and protocol_readout."""
 
-    def test_noninteracting_point_stays_below_suppressed_ceiling(self, ops50):
+    def test_noninteracting_point_stays_below_suppressed_ceiling(self):
         p = harmonic_params(g=0.0, delta_eps=10.0)
-        qfi, _ = _qfi_and_baseline(p, ops50, theta=0.5)
+        qfi, _ = _qfi_and_baseline(p, theta=0.5)
         ceiling = cqfi_noninteracting(50, 1.0, 10.0, 1.0)
         assert ceiling < 0.05 * 2500.0
         assert qfi <= ceiling * (1 + 1e-9)
 
-    def test_qfi_never_exceeds_reference(self, ops50):
+    def test_qfi_never_exceeds_reference(self):
         for g in (0.0, 50.0, 120.0, 200.0):
             p = harmonic_params(g=g, delta_eps=10.0)
-            qfi, _ = _qfi_and_baseline(p, ops50)
-            assert qfi <= dynamical_generator(p, ops50).cqfi * (1 + 1e-9)
+            qfi, _ = _qfi_and_baseline(p)
+            assert qfi <= dynamical_generator(p).cqfi * (1 + 1e-9)
 
-    def test_coherent_state_at_ideal_point_matches_baseline(self, ops50):
+    def test_coherent_state_at_ideal_point_matches_baseline(self):
         # g = 0, delta_eps = 0 is a pure phase shift: both code paths agree
         p = harmonic_params(g=0.0, delta_eps=0.0)
-        qfi, baseline = _qfi_and_baseline(p, ops50, state_kind="coherent")
+        qfi, baseline = _qfi_and_baseline(p, state_kind="coherent")
         assert qfi == pytest.approx(baseline, rel=1e-9)
 
-    def test_fragmented_state_beats_its_phase_shift_baseline(self, ops50):
+    def test_fragmented_state_beats_its_phase_shift_baseline(self):
         # with interactions on, the native dynamics outruns the ideal
         # interferometer on the same state by a clear factor
         best = 0.0
         for g in np.arange(50.0, 201.0, 25.0):
-            qfi, baseline = _qfi_and_baseline(harmonic_params(g=g, delta_eps=10.0), ops50, theta=0.5)
+            qfi, baseline = _qfi_and_baseline(harmonic_params(g=g, delta_eps=10.0), theta=0.5)
             best = max(best, qfi / baseline)
         assert best >= 1.5
 
-    def test_coherent_state_gains_over_baseline_at_strong_coupling(self, ops50):
+    def test_coherent_state_gains_over_baseline_at_strong_coupling(self):
         p = harmonic_params(g=150.0, delta_eps=10.0)
-        qfi, baseline = _qfi_and_baseline(p, ops50, state_kind="coherent")
+        qfi, baseline = _qfi_and_baseline(p, state_kind="coherent")
         assert qfi >= 5.0 * baseline
 
-    def test_coherent_kind_ignores_theta(self, ops50):
+    def test_coherent_kind_ignores_theta(self):
         p = harmonic_params(g=20.0, delta_eps=10.0)
-        a = prepare_input(ops50, "coherent", 0.9)
-        b = prepare_input(ops50, "coherent", 0.0)
-        assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
-        assert _qfi_and_baseline(p, ops50, "coherent", 0.9) == _qfi_and_baseline(p, ops50, "coherent", 0.0)
+        a, _ = prepare_input(50, "coherent", 0.9)
+        b, _ = prepare_input(50, "coherent", 0.0)
+        assert np.array_equal(a, b)
+        assert _qfi_and_baseline(p, "coherent", 0.9) == _qfi_and_baseline(p, "coherent", 0.0)
 
     def test_dimension_mismatch(self):
         # an input of N = 10 read out under a generator of N = 11
-        inp = prepare_input(build_spin_operators(10), "fragmented", 0.5)
-        gen = dynamical_generator(harmonic_params(n_particles=11), build_spin_operators(11))
+        psi, _ = prepare_input(10, "fragmented", 0.5)
+        gen = dynamical_generator(harmonic_params(n_particles=11))
         with pytest.raises(ValueError, match="dimension"):
-            protocol_readout(inp, gen)
+            protocol_readout(psi, gen)
 
 
 class TestPrepareInput:
     @pytest.mark.parametrize("n", [1, 2, 7, 50, 200])
     @pytest.mark.parametrize("kind, theta", [("fragmented", 0.5), ("fragmented", 1.3), ("coherent", 0.0)])
     def test_band_form_matches_the_dense_operators(self, n, kind, theta):
-        ops = build_spin_operators(n)
-        inp = prepare_input(ops, kind, theta)
+        psi, jx_variance = prepare_input(n, kind, theta)
         prepared = (spin_coherent_state(n, 0.0, 0.0) if kind == "coherent"
-                    else fragmented_ground_state(n, theta)).amplitudes
-        jx, _, jz = dense_spin(ops)
+                    else fragmented_ground_state(n, theta))
+        jx, _, jz = dense_spin(n)
         splitter = np.diag(np.exp(-0.5j * np.pi * np.diag(jz).real))
-        assert np.abs(inp.state.amplitudes - splitter @ prepared).max() < 1e-15
-        dense = variance(jx, inp.state.amplitudes)
-        assert inp.jx_variance == pytest.approx(dense, rel=1e-14, abs=1e-14)
+        assert np.abs(psi - splitter @ prepared).max() < 1e-15
+        dense = variance(jx, psi)
+        assert jx_variance == pytest.approx(dense, rel=1e-14, abs=1e-14)
 
-    def test_rejects_unknown_state_kind(self, ops50):
+    def test_rejects_unknown_state_kind(self):
         with pytest.raises(ValueError, match="state kind"):
-            prepare_input(ops50, "squeezed", 0.5)
+            prepare_input(50, "squeezed", 0.5)
 
 
 class TestCramerRaoCheck:
@@ -140,45 +136,44 @@ class TestCramerRaoCheck:
     takes the spectrum of G~ (gen.cqfi) only where that does not hold."""
 
     @staticmethod
-    def _point(ops, **overrides):
-        p = harmonic_params(n_particles=ops.n_particles, **overrides)
-        return prepare_input(ops, "fragmented", 0.5), dynamical_generator(p, ops)
+    def _point(**overrides):
+        p = harmonic_params(**overrides)
+        return prepare_input(p.n_particles, "fragmented", 0.5)[0], dynamical_generator(p)
 
-    def test_certified_point_leaves_the_spectrum_alone(self, ops50):
-        inp, gen = self._point(ops50, g=80.0, delta_eps=10.0)
-        protocol_readout(inp, gen)
+    def test_certified_point_leaves_the_spectrum_alone(self):
+        psi, gen = self._point(g=80.0, delta_eps=10.0)
+        protocol_readout(psi, gen)
         assert "cqfi" not in vars(gen) and "seminorm" not in vars(gen)
 
-    def test_corrupted_qfi_still_raises(self, ops50, monkeypatch):
+    def test_corrupted_qfi_still_raises(self, monkeypatch):
         def doubled(gen, state):
             return 2.0 * gen.cqfi, qfi_and_ritz_spread(gen, state)[1]
 
-        inp, gen = self._point(ops50, g=80.0, delta_eps=10.0)
+        psi, gen = self._point(g=80.0, delta_eps=10.0)
         monkeypatch.setattr(protocols, "qfi_and_ritz_spread", doubled)
         with pytest.raises(NumericsError, match="exceeds the channel QFI"):
-            protocol_readout(inp, gen)
+            protocol_readout(psi, gen)
 
-    def test_asymmetric_kernel_takes_the_exact_path(self, ops50):
-        inp, gen = self._point(ops50, g=80.0, delta_eps=10.0)
+    def test_asymmetric_kernel_takes_the_exact_path(self):
+        psi, gen = self._point(g=80.0, delta_eps=10.0)
         kernel = np.array(gen.kernel)
         kernel[0, 1] += 1e-12 * np.abs(kernel).max()
         skewed = replace(gen, kernel=kernel)
-        qfi = protocol_readout(inp, skewed)
+        qfi = protocol_readout(psi, skewed)
         assert "cqfi" in vars(skewed)
-        assert qfi == pytest.approx(protocol_readout(inp, gen), rel=1e-9)
+        assert qfi == pytest.approx(protocol_readout(psi, gen), rel=1e-9)
 
     def test_eigenvector_input_takes_the_exact_path(self):
         # G~ diagonal, H = 0: the Dicke state |k> is an exact eigenvector, so sigma = L = 0
         kernel = np.diag([-2.0, -1.0, 0.0, 1.0, 2.0])
         gen = GeneratorResult(energies=np.zeros(5), vectors=np.eye(5), jx=kernel, kernel=kernel, t=1.0)
-        state = DickeState(amplitudes=np.eye(5)[1])
-        assert qfi_and_ritz_spread(gen, state) == (0.0, 0.0)
-        inp = ProtocolInput(state=state, jx_variance=0.0)
-        assert protocol_readout(inp, gen) == 0.0
+        psi = np.eye(5)[1]
+        assert qfi_and_ritz_spread(gen, psi) == (0.0, 0.0)
+        assert protocol_readout(psi, gen) == 0.0
         assert "cqfi" in vars(gen) and gen.cqfi == 16.0
 
-    def test_zero_time_takes_the_exact_path(self, ops50):
+    def test_zero_time_takes_the_exact_path(self):
         # at t = 0, G~ = 0 and every input is an eigenvector
-        inp, gen = self._point(ops50, g=80.0, delta_eps=10.0, t=0.0)
-        assert protocol_readout(inp, gen) == 0.0
+        psi, gen = self._point(g=80.0, delta_eps=10.0, t=0.0)
+        assert protocol_readout(psi, gen) == 0.0
         assert "cqfi" in vars(gen) and gen.cqfi == 0.0

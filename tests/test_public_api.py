@@ -1,8 +1,8 @@
 import singlewell
 
 PUBLIC = [
-    "DickeState", "GeneratorResult", "InvariantError", "NumericsError", "ProtocolInput",
-    "SpinOperators", "SweepPointError", "SweepResult", "SweepSpec", "SystemParams",
+    "GeneratorResult", "InvariantError", "NumericsError", "SweepPointError", "SweepResult",
+    "SweepSpec", "SystemParams",
     "build_spin_operators", "cqfi_noninteracting", "cqfi_upper_bound", "decompose",
     "degree_of_fragmentation", "dynamical_generator", "emit_csv", "emit_plot",
     "fragmented_ground_state", "generator_at", "load_csv", "phase_shift_qfi", "prepare_input",

@@ -10,7 +10,6 @@ from hypothesis import assume, example, given, settings
 from singlewell import (
     SweepSpec,
     SystemParams,
-    build_spin_operators,
     dynamical_generator,
     emit_csv,
     emit_plot,
@@ -95,10 +94,10 @@ class TestRunSweep:
         assert np.all(res.columns["value"] <= res.columns["bound"] * (1 + 1e-9))
 
     def test_point_failure_names_the_tuple(self, monkeypatch):
-        def failing_at_t0(p, ops):
+        def failing_at_t0(p):
             if p.t == 0.0:
                 raise NumericsError("eigendecomposition failed")
-            return dynamical_generator(p, ops)
+            return dynamical_generator(p)
 
         monkeypatch.setattr(sweeps, "dynamical_generator", failing_at_t0)
         spec = small_spec(axis="t", axis_min=0.0, axis_max=1.0, steps=3)
@@ -107,14 +106,13 @@ class TestRunSweep:
         assert isinstance(info.value.__cause__, NumericsError)
 
     def test_sweep_matches_pointwise_evaluation(self):
-        # the sweep hoists the spin operators, the protocol input and, on the
-        # t axis, the decomposition of H; point by point it must still agree
-        # with the kernels called afresh
+        # the sweep hoists the protocol input and, on the t axis, the
+        # decomposition of H; point by point it must still agree with the
+        # kernels called afresh
         ranges = {"g": (0.0, 40.0), "delta_eps": (0.0, 10.0), "t": (0.0, 3.0),
                   "lambda": (-1.0, 2.0), "delta_a": (0.0, 1.0)}
         assert set(ranges) == set(AXES)
         base = replace(small_spec().params, g=20.0)
-        ops = build_spin_operators(base.n_particles)
         for axis, (lo, hi) in ranges.items():
             cases = [("cqfi_interacting", "fragmented")]
             cases += [("protocol_qfi", kind) for kind in ("fragmented", "coherent")]
@@ -124,12 +122,12 @@ class TestRunSweep:
                 res = run_sweep(spec)
                 points = [with_axis_value(base, axis, v) for v in res.columns[axis]]
                 if target == "cqfi_interacting":
-                    expected = [dynamical_generator(p, ops).cqfi for p in points]
+                    expected = [dynamical_generator(p).cqfi for p in points]
                 else:
-                    inp = prepare_input(ops, kind, 0.7)
-                    expected = [protocol_readout(inp, dynamical_generator(p, ops)) for p in points]
+                    psi, jx_variance = prepare_input(base.n_particles, kind, 0.7)
+                    expected = [protocol_readout(psi, dynamical_generator(p)) for p in points]
                     np.testing.assert_allclose(
-                        res.columns["ideal"], [phase_shift_qfi(inp.jx_variance, p.t) for p in points],
+                        res.columns["ideal"], [phase_shift_qfi(jx_variance, p.t) for p in points],
                         rtol=1e-12, atol=0)
                 np.testing.assert_allclose(res.columns["value"], expected, rtol=1e-12, atol=0,
                                            err_msg=f"{target} {kind} over {axis}")
@@ -221,9 +219,8 @@ class TestExactOracleOverRandomSweeps:
         res = run_sweep(spec)
         protocol = spec.target == "protocol_qfi"
         assert list(res.columns) == [spec.axis, "value", "bound"] + ["ideal"] * protocol
-        ops = build_spin_operators(spec.params.n_particles)
-        jx = dense_spin(ops)[0]
-        psi = prepare_input(ops, spec.state_kind, spec.theta).state.amplitudes
+        jx = dense_spin(spec.params.n_particles)[0]
+        psi, _ = prepare_input(spec.params.n_particles, spec.state_kind, spec.theta)
         for row, (x, value) in enumerate(zip(res.columns[spec.axis], res.columns["value"])):
             p = with_axis_value(spec.params, spec.axis, x)
             assert res.columns["bound"][row] == float(p.n_particles * p.t) ** 2
@@ -232,7 +229,7 @@ class TestExactOracleOverRandomSweeps:
                                                                   rel=1e-12, abs=1e-300)
             if spec.target == "cqfi_noninteracting":
                 p = replace(p, g=0.0)  # H = lambda Jx - delta_eps Jz
-            h = total_hamiltonian(p, ops)
+            h = total_hamiltonian(p)
             oracle = exact_generator(h, jx, p.t)
             if protocol:
                 expected = 4.0 * variance(oracle, psi)
