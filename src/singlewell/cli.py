@@ -5,10 +5,11 @@ the flags given into them (`config`); `validate` and `sweep` build their
 spec with the same `config.build_run`, so `validate` refuses exactly the
 inputs `sweep` refuses before its first point.
 
-Exit codes: 0 success, 1 input refused (bad parameter or flag values, unreadable
-configs or sweep CSVs, N or steps too large to address), 2 I/O failure, 3 numerical
-failure, including any failure inside a sweep point, or out of memory. The
-`error:` line names the outermost failure and the cause at its root.
+Exit codes, read off the type of the outermost exception: 0 success; 1 refused input,
+a `ValueError` or `OverflowError` raised where it enters (bad parameter or flag values,
+unreadable configs or sweep CSVs, N or steps too large to address); 2 I/O failure; 3
+numerical failure or out of memory, and any failure inside a sweep point, which arrives
+as a `SweepPointError`. The `error:` line names the outermost failure and its root cause.
 
 `main` keeps freed n x n arrays in glibc's heap for the rest of the process;
 library callers of `run_sweep` keep the allocator's defaults.
@@ -24,10 +25,8 @@ import sys
 from dataclasses import fields
 from typing import get_args
 
-import numpy as np
-
 from .config import SCHEMA, build_run, load_config, system_params
-from .errors import InvariantError, NumericsError
+from .errors import NumericsError
 from .modes import HARMONIC_KAPPA, SystemParams, renormalized_q, validity_gamma
 from .protocols import STATE_KINDS
 from .sweeps import AXES, FIELD_KEYS, TARGETS, SweepPointError, emit_csv, emit_plot, load_csv, run_sweep
@@ -36,6 +35,7 @@ EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+_REFUSED = (ValueError, OverflowError)  # OverflowError: e.g. float() of n_particles: 10**400
 
 
 def _keep_freed_arrays() -> None:
@@ -110,7 +110,7 @@ def _tables(args) -> dict[str, dict]:
 
 
 def _report_params(p: SystemParams, out) -> None:
-    gamma, ok = validity_gamma(p.g_1d, p.n_particles)
+    gamma, ok = validity_gamma(p)
     rows = [(FIELD_KEYS.get(f.name, f.name), getattr(p, f.name)) for f in fields(p)]
     rows += [("q", renormalized_q(p)), ("kappa", HARMONIC_KAPPA), ("gamma", gamma), ("two_mode_ok", ok)]
     for name, value in rows:
@@ -127,7 +127,7 @@ def cmd_validate(args, out) -> int:
     try:
         _report_params(system_params(tables), out)
         build_run(tables)
-    except (InvariantError, ValueError) as exc:
+    except _REFUSED as exc:
         out.write(f"FAIL: {exc}\n")
         return EXIT_INVARIANT
     out.write("OK: all structural invariants hold\n")
@@ -166,22 +166,13 @@ def cmd_plot(args, out) -> int:
 
 
 def _classify(exc: BaseException) -> int | None:
-    """Exit code of a failure, from the first known type on its cause chain.
-    An input error raised inside a sweep point is numerical: the spec passed
-    every input check before the first point ran."""
-    seen = set()
-    in_point = False
-    node: BaseException | None = exc
-    while node is not None and id(node) not in seen:
-        seen.add(id(node))
-        in_point = in_point or isinstance(node, SweepPointError)
-        if isinstance(node, (NumericsError, np.linalg.LinAlgError, MemoryError)):
-            return EXIT_NUMERIC
-        if isinstance(node, (InvariantError, ValueError, OverflowError)):
-            return EXIT_NUMERIC if in_point else EXIT_INVARIANT
-        if isinstance(node, OSError):
-            return EXIT_IO
-        node = node.__cause__ or node.__context__
+    """Exit code of a failure, from the type of the outermost exception alone."""
+    if isinstance(exc, (SweepPointError, NumericsError, MemoryError)):
+        return EXIT_NUMERIC
+    if isinstance(exc, _REFUSED):
+        return EXIT_INVARIANT
+    if isinstance(exc, OSError):
+        return EXIT_IO
     return None
 
 

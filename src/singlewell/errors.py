@@ -1,10 +1,8 @@
-"""Exception types shared across the package."""
+"""The package's one exception type. Refused input is a plain `ValueError`, raised
+where it enters; `NumericsError` marks a numerical failure. The CLI reads its
+exit code off the type of the outermost exception."""
 
-__all__ = ["InvariantError", "NumericsError"]
-
-
-class InvariantError(Exception):
-    """A physical or structural invariant of the model is violated."""
+__all__ = ["NumericsError"]
 
 
 class NumericsError(Exception):

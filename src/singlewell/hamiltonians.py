@@ -6,14 +6,17 @@ basis. The quadratic part comes from the exact identities
 Jx^2 + Jy^2 = j(j+1) - Jz^2 and Jx^2 - Jy^2 = (J+^2 + J-^2)/2, so a
 Hamiltonian is written band by band into one array with no matrix product.
 The builder reads the Jz eigenvalues and the ladder of the spin operators
-of p.n_particles, which `build_spin_operators` builds once per N.
+of p.n_particles, which `build_spin_operators` builds once per N. Every
+parameter passed `SystemParams`, but an entry can still overflow a float
+(e.g. delta_eps * m near the float limit): such a matrix fails its point as a
+`NumericsError`, a numerical failure, instead of reaching the eigensolver.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import NumericsError
 from .modes import SystemParams
 from .spin_core import build_spin_operators
 
@@ -65,12 +68,8 @@ def total_hamiltonian(p: SystemParams) -> np.ndarray:
     eta and xi. At lambda_acc = 0 only Jz, Jx^2 and Jy^2 appear, so matrix
     elements between Dicke states whose k differ by an odd number vanish
     identically. The derivative with respect to lambda_acc is exactly Jx.
-
-    Every parameter is finite, but an entry can still overflow (e.g.
-    delta_eps * m near the float limit); such a matrix is refused here, so
-    its point fails instead of handing inf or NaN to the eigensolver.
     """
     mat = _model_matrix(p)
     if not np.isfinite(mat).all():
-        raise InvariantError("matrix has non-finite entries")
+        raise NumericsError("matrix has non-finite entries")
     return mat

@@ -3,7 +3,9 @@
 The two retained orbitals are the ground and first excited states of the
 harmonic trap (units hbar = m = omega = 1). All interaction couplings are
 reduced by the 1D contact strength and normalized so the mode-0
-self-interaction integral equals one.
+self-interaction integral equals one. `SystemParams` refuses a bad point
+with a `ValueError` as it is built; `renormalized_q(p)` and
+`validity_gamma(p)` read a point that has passed those checks.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import InvariantError
+from .spin_core import check_particle_number
 
 __all__ = [
     "SystemParams",
@@ -52,33 +54,31 @@ class SystemParams:
     def __post_init__(self):
         non_finite = [f.name for f in fields(self) if not np.isfinite(float(getattr(self, f.name)))]
         if non_finite:
-            raise InvariantError(f"parameters must be finite, got non-finite {', '.join(non_finite)}")
-        n = self.n_particles
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise InvariantError(f"n_particles must be an integer of at least 1, got {n!r}")
+            raise ValueError(f"parameters must be finite, got non-finite {', '.join(non_finite)}")
+        check_particle_number(self.n_particles)
         if 8 * (int(self.n_particles) + 1) ** 2 > np.iinfo(np.intp).max:
-            raise InvariantError(
+            raise ValueError(
                 f"n_particles = {self.n_particles} is too large: an (N+1)x(N+1) float64 "
                 "matrix does not fit in the address space"
             )
         if self.g < 0.0:
-            raise InvariantError(f"repulsive model requires g >= 0, got {self.g!r}")
+            raise ValueError(f"repulsive model requires g >= 0, got {self.g!r}")
         if self.t < 0.0:
-            raise InvariantError(f"evolution time must be nonnegative, got {self.t!r}")
+            raise ValueError(f"evolution time must be nonnegative, got {self.t!r}")
         if (
             abs(self.eta) > 1e-12
             and abs(self.xi) > 1e-12
             and np.sign(self.eta) == np.sign(self.xi)
         ):
-            raise InvariantError(
+            raise ValueError(
                 f"eta = {self.eta!r} and xi = {self.xi!r} must have opposite signs"
             )
         if not (self.xi <= 1e-12 or self.xi >= 1.0 - 1e-12):
-            raise InvariantError(f"xi must be <= 0 or >= 1, got {self.xi!r}")
-        validity_gamma(self.g_1d, self.n_particles)
+            raise ValueError(f"xi must be <= 0 or >= 1, got {self.xi!r}")
+        validity_gamma(self)
         root = float(self.n_particles * self.t)
         if not root * root < np.inf:  # float * float gives inf where ** would raise
-            raise InvariantError(
+            raise ValueError(
                 f"Heisenberg ceiling (N t)^2 overflows a float at N = {self.n_particles}, t = {self.t!r}"
             )
 
@@ -92,22 +92,18 @@ def renormalized_q(p: SystemParams) -> float:
     return p.g * ((p.n_particles - 1) / p.n_particles) * (p.delta_a / 2.0) - p.delta_eps
 
 
-def validity_gamma(g_1d: float, n_particles: int) -> tuple[float, bool]:
+def validity_gamma(p: SystemParams) -> tuple[float, bool]:
     """Lieb-Liniger-type diagnostic for the two-mode truncation.
 
     gamma = 1.5 * g_1d^(4/3) * N^(-2/3); the truncation is trusted for
     gamma of order one or below. The boolean flag uses gamma <= 1 and is
     advisory only.
     """
-    if g_1d < 0.0:
-        raise InvariantError(f"repulsive model requires g_1d >= 0, got {g_1d!r}")
-    if n_particles < 1:
-        raise InvariantError("n_particles must be at least 1")
     try:
-        gamma = 1.5 * g_1d ** (4.0 / 3.0) * n_particles ** (-2.0 / 3.0)
+        gamma = 1.5 * p.g_1d ** (4.0 / 3.0) * p.n_particles ** (-2.0 / 3.0)
     except OverflowError as exc:
-        raise InvariantError(
-            f"two-mode validity gamma overflows a float at g_1d = {g_1d!r}, N = {n_particles}"
+        raise ValueError(
+            f"two-mode validity gamma overflows a float at g_1d = {p.g_1d!r}, N = {p.n_particles}"
         ) from exc
     return float(gamma), bool(gamma <= 1.0)
 

@@ -15,7 +15,7 @@ from math import lgamma
 
 import numpy as np
 
-from .errors import InvariantError, NumericsError
+from .errors import NumericsError
 
 __all__ = [
     "build_spin_operators",
@@ -32,18 +32,17 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_particle_number(n_particles) -> None:
-    if isinstance(n_particles, bool) or not isinstance(n_particles, (int, np.integer)):
-        raise ValueError(f"particle number must be an integer, got {n_particles!r}")
-    if n_particles < 1:
-        raise ValueError("need at least one particle for a two-mode system")
+def check_particle_number(n_particles) -> None:
+    """Refuse an N that is not an integer of at least 1 (a bool or 1.0 included)."""
+    if isinstance(n_particles, bool) or not isinstance(n_particles, (int, np.integer)) or n_particles < 1:
+        raise ValueError(f"n_particles must be an integer of at least 1, got {n_particles!r}")
 
 
 def check_unit_norm(psi: np.ndarray) -> None:
     """Refuse a state whose norm deviates from 1 by more than NORM_TOL."""
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > NORM_TOL:
-        raise InvariantError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+        raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
 
 
 def build_spin_operators(n_particles: int) -> tuple[np.ndarray, np.ndarray]:
@@ -51,7 +50,7 @@ def build_spin_operators(n_particles: int) -> tuple[np.ndarray, np.ndarray]:
     m = N/2 - k, and ladder[k] = <k|J+|k+1>, J+ moving a particle from mode 1 to mode 0
     (k+1 -> k), with the standard element <j,m+1|J+|j,m> = sqrt(j(j+1) - m(m+1)).
     """
-    _check_particle_number(n_particles)  # before the cache, so 1.0 or True never hit 1's entry
+    check_particle_number(n_particles)  # before the cache, so 1.0 or True never hit 1's entry
     return _spin_operators(int(n_particles))
 
 
@@ -69,7 +68,7 @@ def spin_coherent_state(n_particles: int, theta: float, phi: float) -> np.ndarra
     (e^{i phi} sin(theta/2))^k. Binomial coefficients are evaluated in
     log space so large N does not overflow.
     """
-    _check_particle_number(n_particles)
+    check_particle_number(n_particles)
     if not 0.0 <= theta <= np.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
     if not 0.0 <= phi < 2.0 * np.pi:
@@ -94,8 +93,9 @@ def spin_coherent_state(n_particles: int, theta: float, phi: float) -> np.ndarra
 def fragmented_ground_state(n_particles: int, theta: float) -> np.ndarray:
     """Equal-weight superposition of the two coherent branches at phi = pi/2, 3pi/2.
 
-    The two branches overlap by cos(theta)^N at finite N, so the state is
-    renormalized explicitly instead of carrying a fixed 1/sqrt(2) prefactor.
+    The branches overlap by cos(theta)^N, a real number, so the cross terms of
+    |plus + i minus|^2 cancel and the sum has norm sqrt(2) for every N and theta;
+    dividing by its computed norm differs from 1/sqrt(2) only by rounding.
     At theta = 0 the branches coincide and the state reduces to the
     coherent state along +z (up to a global phase).
     """

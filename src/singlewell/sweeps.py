@@ -82,7 +82,9 @@ class SweepSpec:
             )
         if self.steps < 2:
             raise ValueError(f"a sweep needs at least 2 steps, got {self.steps}")
-        if 8 * self.steps > np.iinfo(np.intp).max:  # as SystemParams bounds N
+        limit = np.iinfo(np.intp).max  # as SystemParams bounds N
+        # np.linspace allocates float(steps) entries, 2^60 from 2^60 - 64 on; int first: float() overflows
+        if 8 * self.steps > limit or 8 * float(self.steps) > limit:
             raise ValueError(f"steps = {self.steps} is too large: the grid does not fit in the address space")
         if not self.axis_min < self.axis_max:
             raise ValueError(
@@ -148,7 +150,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             if protocol:
                 qfi = protocol_readout(psi, gen)
                 rows.append((qfi, bound, phase_shift_qfi(jx_variance, p.t)))
-                gammas.append(validity_gamma(p.g_1d, p.n_particles)[0])
+                gammas.append(validity_gamma(p)[0])
             else:
                 rows.append((gen.cqfi, bound))
         except Exception as exc:

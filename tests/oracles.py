@@ -1,4 +1,4 @@
-"""Shared fixtures and independent numerical oracles for the test suite."""
+"""Independent numerical oracles and shared parameter helpers for the test suite."""
 
 from __future__ import annotations
 

@@ -18,7 +18,7 @@ from singlewell import (
     run_sweep,
     total_hamiltonian,
 )
-from conftest import (
+from oracles import (
     dense_generator, dense_spin, evolve, finite_difference_generator, harmonic_params,
     random_valid_params,
 )

@@ -7,7 +7,7 @@ from singlewell import (
     phase_shift_qfi,
     spin_coherent_state,
 )
-from conftest import dense_spin, harmonic_params, variance
+from oracles import dense_spin, harmonic_params, variance
 
 
 class TestCqfiNoninteracting:

@@ -16,13 +16,13 @@ from singlewell.cli import (
     EXIT_INVARIANT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _build_parser, _classify, _tables, main,
 )
 from singlewell.config import SCHEMA, build_run, load_config, parse_config, system_params
-from singlewell.errors import InvariantError, NumericsError
+from singlewell.errors import NumericsError
 from singlewell.modes import SystemParams
 from singlewell.protocols import STATE_KINDS
 from singlewell.sweeps import (
     AXES, FIELD_KEYS, KEY_FIELDS, TARGETS, SweepPointError, SweepSpec, load_csv, run_sweep,
 )
-from conftest import harmonic_params
+from oracles import harmonic_params
 
 
 def run_cli(*argv):
@@ -294,14 +294,19 @@ class TestValidateCommand:
             assert "Traceback" not in capsys.readouterr().err
 
     def test_unallocatable_n_exits_one_from_both(self, tmp_path, capsys):
-        # (N+1)^2 float64 entries beyond the address space: refused before any allocation
-        cfg = tmp_path / "run.yaml"
-        cfg.write_text("system: {n_particles: 1" + "0" * 30 + "}\n", encoding="utf-8")
-        for argv in (("-c", str(cfg)), ("--n-particles", str(2 ** 30 - 1))):
+        # (N+1)^2 float64 entries beyond the address space: refused before any allocation;
+        # 10**400 is beyond a float as well, and validate still prints its FAIL line
+        argvs = [("--n-particles", str(2 ** 30 - 1))]
+        for zeros in (30, 400):
+            cfg = tmp_path / f"run{zeros}.yaml"
+            cfg.write_text("system: {n_particles: 1" + "0" * zeros + "}\n", encoding="utf-8")
+            argvs.append(("-c", str(cfg)))
+        for argv in argvs:
             for command in ("validate", "sweep"):
-                code, _ = run_cli(command, *argv)
+                code, out = run_cli(command, *argv)
                 assert code == EXIT_INVARIANT, (command, argv)
                 assert "Traceback" not in capsys.readouterr().err
+                assert command == "sweep" or out.startswith("FAIL: "), argv
 
     def test_overflowing_hamiltonian_is_a_numerical_failure(self, tmp_path, capsys):
         # each parameter is a float, but H's diagonal overflows: validate runs no
@@ -343,6 +348,9 @@ class TestRandomConfigs:
     @given(doc=_YAML_DOCS, n=st.integers(1, 12), steps=st.integers(2, 5))
     @example(doc={"system": {"g": 1.0e300}}, n=4, steps=2)
     @example(doc={}, n=4, steps=10 ** 23)  # a grid beyond the address space
+    # np.linspace sizes the grid as float(steps), which is 2^60 from 2^60 - 64 on
+    @example(doc={}, n=4, steps=2 ** 60 - 64)
+    @example(doc={}, n=4, steps=2 ** 60 - 1)
     @settings(deadline=None, max_examples=100)
     def test_validate_fails_exactly_when_sweep_does(self, doc, n, steps):
         # sweeps are held to N <= 12 and <= 5 steps so no example builds large matrices
@@ -516,7 +524,6 @@ class TestPlotCommand:
 
 class TestExitCodeClassification:
     def test_direct_mapping(self):
-        assert _classify(InvariantError("x")) == EXIT_INVARIANT
         assert _classify(ValueError("x")) == EXIT_INVARIANT
         assert _classify(NumericsError("x")) == EXIT_NUMERIC
         assert _classify(OSError("x")) == EXIT_IO
@@ -530,7 +537,7 @@ class TestExitCodeClassification:
 
     def test_input_error_inside_a_point_is_numerical(self, capsys):
         # the spec passed every input check, so a point that still raises one failed numerically
-        for inner in (InvariantError("x"), ValueError("x"), OverflowError("x")):
+        for inner in (ValueError("x"), OverflowError("x")):
             outer = SweepPointError("point failed")
             outer.__cause__ = inner
             assert _classify(outer) == EXIT_NUMERIC
@@ -541,6 +548,16 @@ class TestExitCodeClassification:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: sweep point failed at g = 0.0") and "non-finite" in err
+
+    def test_any_failure_inside_a_point_exits_three(self, monkeypatch, capsys):
+        # a point's failure arrives wrapped in SweepPointError, whatever its own type
+        def broken(p):
+            raise KeyError("x")
+
+        monkeypatch.setattr("singlewell.sweeps.dynamical_generator", broken)
+        assert run_cli("sweep", "--n-particles", "4", "--steps", "2")[0] == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: sweep point failed")
 
     def test_unknown_exception_not_swallowed(self):
         assert _classify(KeyError("x")) is None

@@ -17,7 +17,7 @@ from singlewell import (
     spin_coherent_state,
     total_hamiltonian,
 )
-from conftest import (
+from oracles import (
     dense_generator, dense_spin, evolve, exact_generator, finite_difference_generator,
     harmonic_params, random_valid_params, variance,
 )
@@ -67,7 +67,7 @@ class TestDecompose:
 
 
 class TestEvolve:
-    """The conftest propagator that acceptance criterion 8 reads unitarity from."""
+    """The propagator of `oracles` that acceptance criterion 8 reads unitarity from."""
 
     def test_zero_time_is_identity(self):
         psi = spin_coherent_state(5, 1.0, 0.5)

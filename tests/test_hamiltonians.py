@@ -6,14 +6,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from singlewell import (
-    InvariantError,
     SystemParams,
     build_spin_operators,
     renormalized_q,
     total_hamiltonian,
 )
+from singlewell.errors import NumericsError
 from singlewell.hamiltonians import _jx2_plus_xi_jy2
-from conftest import dense_spin, harmonic_params, random_valid_params
+from oracles import dense_spin, harmonic_params, random_valid_params
 
 
 def system_hamiltonian(p):
@@ -110,7 +110,7 @@ class TestTotal:
                                            {"xi": -1.7e308}])
     def test_overflowing_entry_refused_without_a_warning(self, overrides):
         # a RuntimeWarning would fail the test too (filterwarnings = error)
-        with pytest.raises(InvariantError, match="non-finite"):
+        with pytest.raises(NumericsError, match="non-finite"):
             total_hamiltonian(harmonic_params(**overrides))
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))

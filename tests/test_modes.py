@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from singlewell import (
-    InvariantError,
     SystemParams,
     renormalized_q,
     validity_gamma,
 )
 from singlewell.modes import HARMONIC_KAPPA, with_axis_value
-from conftest import harmonic_shape
+from oracles import harmonic_shape
 
 
 class TestHarmonicModeIntegrals:
-    """The harmonic orbitals by quadrature (the conftest oracle) against the
+    """The harmonic orbitals by quadrature (an `oracles` helper) against the
     exact constants the library carries."""
 
     def test_reduced_couplings(self):
@@ -75,35 +74,37 @@ class TestRenormalizedQ:
 
 class TestValidityGamma:
     def test_free_gas(self):
-        gamma, ok = validity_gamma(0.0, 10)
+        gamma, ok = validity_gamma(SystemParams(n_particles=10, g=0.0))
         assert gamma == 0.0 and ok
 
     def test_intermediate_coupling(self):
-        gamma, ok = validity_gamma(4.0, 50)
+        gamma, ok = validity_gamma(SystemParams(n_particles=50, g=200.0))
         assert abs(gamma - 1.5 * 4.0 ** (4 / 3) * 50.0 ** (-2 / 3)) < 1e-12
         assert abs(gamma - 0.7018) < 1e-3
         assert ok
 
     def test_boundary_flagged(self):
         # g = N^(3/2) means g_1d = sqrt(N) and gamma = 1.5 exactly
-        gamma, ok = validity_gamma(np.sqrt(50.0), 50)
+        gamma, ok = validity_gamma(SystemParams(n_particles=50, g=50.0 ** 1.5))
         assert abs(gamma - 1.5) < 1e-12
         assert not ok
 
-    def test_overflow_is_an_invariant_error(self):
-        with pytest.raises(InvariantError, match=r"g_1d = 1e\+300, N = 7"):
-            validity_gamma(1e300, 7)
+    def test_overflow_is_refused_input(self):
+        # SystemParams reads gamma as it is built, so an overflowing g is refused there;
+        # N = 8 makes g_1d = g / N exactly 1e300
+        with pytest.raises(ValueError, match=r"g_1d = 1e\+300, N = 8"):
+            SystemParams(n_particles=8, g=8e300)
 
 
 class TestSystemParamsInvariants:
     def test_same_sign_eta_xi_rejected(self):
-        with pytest.raises(InvariantError, match="opposite signs"):
+        with pytest.raises(ValueError, match="opposite signs"):
             SystemParams(10, 1.0, 1.0, 0.1, 0.5, 0.5, 1.0, 1.0)
-        with pytest.raises(InvariantError):
+        with pytest.raises(ValueError, match="opposite signs"):
             SystemParams(10, 1.0, 1.0, 0.1, -0.5, -0.5, 1.0, 1.0)
 
     def test_xi_gap_rejected(self):
-        with pytest.raises(InvariantError, match="xi"):
+        with pytest.raises(ValueError, match="xi"):
             SystemParams(10, 1.0, 1.0, 0.1, -0.5, 0.5, 1.0, 1.0)
 
     def test_boundary_xi_values_allowed(self):
@@ -111,7 +112,7 @@ class TestSystemParamsInvariants:
         SystemParams(10, 1.0, 1.0, 0.1, 0.5, 0.0, 1.0, 1.0)
 
     def test_negative_g_rejected(self):
-        with pytest.raises(InvariantError):
+        with pytest.raises(ValueError, match="g >= 0"):
             SystemParams(10, -1.0, 1.0, 0.1, 0.5, -0.5, 1.0, 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -119,24 +120,24 @@ class TestSystemParamsInvariants:
         valid = dict(n_particles=10, g=1.0, delta_eps=1.0, delta_a=0.1, eta=0.5, xi=-0.5,
                      lambda_acc=1.0, t=1.0)
         for name in valid:
-            with pytest.raises(InvariantError, match=name):
+            with pytest.raises(ValueError, match=name):
                 SystemParams(**{**valid, name: bad})
 
     def test_g_whose_gamma_overflows_rejected(self):
         # gamma = 1.5 g_1d^(4/3) N^(-2/3) must be a float, so every grid point can report it
         SystemParams(n_particles=7, g=7e230)
-        with pytest.raises(InvariantError, match="gamma overflows"):
+        with pytest.raises(ValueError, match="gamma overflows"):
             SystemParams(n_particles=7, g=7e232)
-        with pytest.raises(InvariantError, match="gamma overflows"):
+        with pytest.raises(ValueError, match="gamma overflows"):
             with_axis_value(SystemParams(n_particles=7), "g", 1e300)
 
     def test_t_whose_heisenberg_ceiling_overflows_rejected(self):
         # (N t)^2 bounds every row of a sweep, so it must be a float too
         SystemParams(n_particles=4, t=1e153)
         for t in (1e200, 1.7e308):
-            with pytest.raises(InvariantError, match="ceiling"):
+            with pytest.raises(ValueError, match="ceiling"):
                 SystemParams(n_particles=4, t=t)
-        with pytest.raises(InvariantError, match="ceiling"):
+        with pytest.raises(ValueError, match="ceiling"):
             with_axis_value(SystemParams(n_particles=4), "t", 1e200)
 
     def test_n_whose_matrix_cannot_be_addressed_rejected(self):
@@ -144,7 +145,7 @@ class TestSystemParamsInvariants:
         limit = math.isqrt(np.iinfo(np.intp).max // 8) - 1
         SystemParams(limit, 1.0, 1.0, 0.1, 0.5, -0.5, 1.0, 1.0)
         for n in (limit + 1, np.int64(2 ** 40), 10 ** 30, 2.5, True):  # N must also be an integer
-            with pytest.raises(InvariantError, match="n_particles"):
+            with pytest.raises(ValueError, match="n_particles"):
                 SystemParams(n, 1.0, 1.0, 0.1, 0.5, -0.5, 1.0, 1.0)
 
 

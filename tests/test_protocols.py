@@ -17,7 +17,7 @@ from singlewell import (
     spin_coherent_state,
 )
 from singlewell import protocols
-from conftest import dense_spin, harmonic_params, variance
+from oracles import dense_spin, harmonic_params, variance
 
 
 def _qfi_and_baseline(p, state_kind="fragmented", theta=0.5):

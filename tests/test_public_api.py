@@ -1,7 +1,7 @@
 import singlewell
 
 PUBLIC = [
-    "GeneratorResult", "InvariantError", "NumericsError", "SweepPointError", "SweepResult",
+    "GeneratorResult", "NumericsError", "SweepPointError", "SweepResult",
     "SweepSpec", "SystemParams",
     "build_spin_operators", "cqfi_noninteracting", "cqfi_upper_bound", "decompose",
     "degree_of_fragmentation", "dynamical_generator", "emit_csv", "emit_plot",

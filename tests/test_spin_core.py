@@ -4,7 +4,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from singlewell import (
-    InvariantError,
     build_spin_operators,
     degree_of_fragmentation,
     fragmented_ground_state,
@@ -13,7 +12,7 @@ from singlewell import (
     qfi_and_ritz_spread,
     spin_coherent_state,
 )
-from conftest import dense_spin, variance
+from oracles import dense_spin, variance
 
 
 class TestBuildSpinOperators:
@@ -163,7 +162,7 @@ class TestDegreeOfFragmentation:
 
 
 class TestExpectationAndVariance:
-    """Moments of the states, read with the dense operators and the conftest variance."""
+    """Moments of the states, read with the dense operators and the variance of `oracles`."""
 
     def test_jz_on_polar_condensate(self):
         psi = spin_coherent_state(14, 0.0, 0.0)
@@ -184,9 +183,9 @@ def test_dicke_state_rejects_unnormalized_amplitudes():
     # the two public functions that assume |psi| = 1 refuse a state off it by more than 1e-12
     gen = generator_at(np.zeros(2), np.eye(2), np.zeros((2, 2)), 1.0)
     for psi in (np.array([1.0, 1.0], dtype=complex), np.array([1.0 + 1e-11, 0.0], dtype=complex)):
-        with pytest.raises(InvariantError):
+        with pytest.raises(ValueError, match="state norm"):
             degree_of_fragmentation(psi)
-        with pytest.raises(InvariantError):
+        with pytest.raises(ValueError, match="state norm"):
             qfi_and_ritz_spread(gen, psi)
     near = np.array([1.0 + 1e-13, 0.0], dtype=complex)
     degree_of_fragmentation(near)

@@ -25,8 +25,8 @@ from singlewell.modes import AXIS_FIELDS, with_axis_value
 from singlewell import sweeps
 from singlewell.protocols import STATE_KINDS
 from singlewell.sweeps import AXES, TARGETS, SweepPointError
-from singlewell.errors import InvariantError, NumericsError
-from conftest import dense_spin, exact_generator, harmonic_params, variance
+from singlewell.errors import NumericsError
+from oracles import dense_spin, exact_generator, harmonic_params, variance
 
 
 def small_spec(**overrides):
@@ -57,7 +57,7 @@ class TestSweepSpec:
 
     def test_grid_ends_outside_the_model_fail_at_the_spec(self):
         for axis, message in (("g", "g >= 0"), ("t", "evolution time")):
-            with pytest.raises(InvariantError, match=message):
+            with pytest.raises(ValueError, match=message):
                 small_spec(axis=axis, axis_min=-1e-97, axis_max=1.0)
 
     def test_rejects_unknown_target_and_axis(self):
@@ -142,7 +142,7 @@ class TestRunSweep:
 
     def test_validity_warning_is_one_line_per_sweep(self, caplog):
         spec = small_spec(target="protocol_qfi", steps=9)
-        gammas = [validity_gamma(g / 12, 12)[0] for g in spec.grid()]
+        gammas = [validity_gamma(replace(spec.params, g=g))[0] for g in spec.grid()]
         outside = sum(gamma > 1.0 for gamma in gammas)
         assert 0 < outside < 9
         with caplog.at_level(logging.WARNING):
