@@ -1,0 +1,96 @@
+"""Time and peak memory of one parameter point as N grows.
+
+For each N and stage, a fresh interpreter builds the point's inputs, then
+runs the stage at least three times and for at least a second. It reports
+the median time and the growth of the peak resident set size (ru_maxrss)
+over its level before the first run, in MB and in dense (N+1)x(N+1)
+float64 arrays of 8 (N+1)^2 bytes. The stages:
+
+- decompose: H assembled and eigendecomposed, `decompose(total_hamiltonian(p))`
+- protocol: one protocol point, `dynamical_generator` and `protocol_readout`
+- cqfi: one channel-QFI point, `dynamical_generator(p).cqfi`
+
+Each child runs with BLAS pinned to one thread and with the allocator
+thresholds that `singlewell` sets for itself (README, "CLI"), so freed
+arrays stay in the heap as they do in a sweep. The output is a Markdown table.
+
+    python scripts/limits.py                 # N = 200, 500, 1000, 2000
+    python scripts/limits.py --n 20 40
+"""
+
+import argparse
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import time
+
+from singlewell import (SystemParams, decompose, dynamical_generator, prepare_input,
+                        protocol_readout, total_hamiltonian)
+
+STAGES = ("decompose", "protocol", "cqfi")
+MIN_REPEATS, MIN_SECONDS = 3, 1.0
+WARM_UP_N = 64  # past LAPACK's divide-and-conquer crossover (25)
+CHILD_ENV = {
+    "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+    "MALLOC_MMAP_THRESHOLD_": str(32 << 20), "MALLOC_TRIM_THRESHOLD_": str(64 << 20),
+}
+
+
+def _peak_rss_bytes() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024  # KiB on Linux
+
+
+def _point(stage: str, n: int):
+    """The stage at N as a call with no arguments, its inputs built."""
+    # near q = 0, where the channel QFI peaks: g (N-1)/(2N) delta_a = delta_eps
+    p = SystemParams(n_particles=n, g=80.0, delta_eps=10.0)
+    psi, _ = prepare_input(n, "fragmented", 0.5)
+    return {
+        "decompose": lambda: decompose(total_hamiltonian(p)),
+        "protocol": lambda: protocol_readout(psi, dynamical_generator(p)),
+        "cqfi": lambda: dynamical_generator(p).cqfi,
+    }[stage]
+
+
+def measure(stage: str, n: int) -> dict:
+    """Run one stage at N in this process: its median seconds and its peak RSS growth in bytes."""
+    _point(stage, WARM_UP_N)()  # pages in LAPACK's code, which would otherwise count as growth
+    run = _point(stage, n)
+    before = _peak_rss_bytes()
+    seconds = []
+    while len(seconds) < MIN_REPEATS or sum(seconds) < MIN_SECONDS:
+        start = time.perf_counter()
+        run()
+        seconds.append(time.perf_counter() - start)
+    return {"seconds": statistics.median(seconds), "rss_growth": _peak_rss_bytes() - before}
+
+
+def _in_fresh_process(stage: str, n: int) -> dict:
+    proc = subprocess.run([sys.executable, __file__, "--stage", stage, "--n", str(n)],
+                          stdout=subprocess.PIPE, text=True, env={**os.environ, **CHILD_ENV}, check=True)
+    return json.loads(proc.stdout)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n", type=int, nargs="+", default=[200, 500, 1000, 2000])
+    parser.add_argument("--stage", choices=STAGES, help="run one stage in this process and print JSON")
+    args = parser.parse_args()
+    if args.stage:
+        print(json.dumps(measure(args.stage, args.n[0])))
+        return
+    print("| N | stage | ms per point | peak RSS growth (MB) | in (N+1)^2 float64 arrays |")
+    print("| ---: | --- | ---: | ---: | ---: |")
+    for n in args.n:
+        array = 8 * (n + 1) ** 2
+        for stage in STAGES:
+            row = _in_fresh_process(stage, n)
+            print(f"| {n} | {stage} | {1e3 * row['seconds']:.4g} | {row['rss_growth'] / 1e6:.1f} "
+                  f"| {row['rss_growth'] / array:.2f} |", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -35,7 +35,7 @@ EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
-_REFUSED = (ValueError, OverflowError)  # OverflowError: e.g. float() of n_particles: 10**400
+_REFUSED = (ValueError, OverflowError)  # OverflowError: Python refusing a number too large for an operation
 
 
 def _keep_freed_arrays() -> None:

@@ -17,7 +17,7 @@ from typing import get_args, get_type_hints
 
 import yaml
 
-from .modes import HARMONIC_KAPPA, SystemParams
+from .modes import HARMONIC_KAPPA, SystemParams, as_float
 from .sweeps import FIELD_KEYS, KEY_FIELDS, SweepSpec
 
 __all__ = ["SCHEMA", "load_config", "parse_config", "system_params", "build_run"]
@@ -99,7 +99,8 @@ def _system_fields(tables: dict[str, dict]) -> dict:
     system = dict(tables["system"])
     chi, kappa = system.pop("chi", None), system.pop("kappa", None)
     if chi is not None:
-        system["lambda"] = 2.0 * chi * (HARMONIC_KAPPA if kappa is None else kappa)
+        kappa = HARMONIC_KAPPA if kappa is None else as_float("kappa", kappa)
+        system["lambda"] = 2.0 * as_float("chi", chi) * kappa
     return {KEY_FIELDS.get(key, key): value for key, value in system.items()}
 
 

@@ -95,6 +95,8 @@ def generator_at(energies: np.ndarray, vectors: np.ndarray, jx: np.ndarray, t: f
     sin(x)/x with x = (E_l-E_k)t/2; the phases are the unitary frame W, which
     leaves the spectrum alone. sin(x)/x, even and 1 at x = 0, is taken once per
     level pair, where x > 0, and mirrored, so the kernel is exactly symmetric.
+    The mirror goes through the gap buffer x, spent by then: copying kernel.T
+    into kernel directly would make numpy allocate a hidden n x n temporary.
     """
     x = energies - energies[:, np.newaxis]
     x *= 0.5 * t
@@ -104,8 +106,9 @@ def generator_at(energies: np.ndarray, vectors: np.ndarray, jx: np.ndarray, t: f
     np.divide(kernel, x, out=kernel, where=above)
     kernel *= t
     kernel *= jx
-    np.copyto(kernel, kernel.T, where=above.T)
     level = x == 0  # the diagonal and exactly degenerate pairs: t (jx_kl + jx_lk)/2
+    np.copyto(x, kernel.T)
+    np.copyto(kernel, x, where=above.T)
     np.add(jx, jx.T, out=kernel, where=level)
     np.multiply(kernel, 0.5 * t, out=kernel, where=level)
     kernel.setflags(write=False)
@@ -122,7 +125,9 @@ def dynamical_generator(p: SystemParams) -> GeneratorResult:
     energies, v = decompose(total_hamiltonian(p))
     _, ladder = build_spin_operators(p.n_particles)
     half = v[:-1].T @ ((0.5 * ladder)[:, np.newaxis] * v[1:])
-    return generator_at(energies, v, half + half.T, p.t)
+    jx = half + half.T
+    del half  # not held through the kernel build
+    return generator_at(energies, v, jx, p.t)
 
 
 def _pairs(z: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericsError
-from .modes import SystemParams
+from .modes import SystemParams, renormalized_q
 from .spin_core import build_spin_operators
 
 __all__ = ["total_hamiltonian"]
@@ -50,7 +50,7 @@ def _model_matrix(p: SystemParams) -> np.ndarray:
         mat = _jx2_plus_xi_jy2(m, ladder, p.xi)
         mat *= p.eta * p.g / n
         k = np.arange(n + 1)
-        mat[k, k] += (-p.delta_eps + p.g * (n - 1) / (2.0 * n) * p.delta_a) * m
+        mat[k, k] += renormalized_q(p) * m
         mat[k[:-1], k[1:]] = mat[k[1:], k[:-1]] = p.lambda_acc * (0.5 * ladder)
     return mat
 

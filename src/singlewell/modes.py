@@ -52,15 +52,15 @@ class SystemParams:
     t: float = 1.0
 
     def __post_init__(self):
-        non_finite = [f.name for f in fields(self) if not np.isfinite(float(getattr(self, f.name)))]
-        if non_finite:
-            raise ValueError(f"parameters must be finite, got non-finite {', '.join(non_finite)}")
         check_particle_number(self.n_particles)
         if 8 * (int(self.n_particles) + 1) ** 2 > np.iinfo(np.intp).max:
             raise ValueError(
                 f"n_particles = {self.n_particles} is too large: an (N+1)x(N+1) float64 "
                 "matrix does not fit in the address space"
             )
+        non_finite = [f.name for f in fields(self) if not np.isfinite(as_float(f.name, getattr(self, f.name)))]
+        if non_finite:
+            raise ValueError(f"parameters must be finite, got non-finite {', '.join(non_finite)}")
         if self.g < 0.0:
             raise ValueError(f"repulsive model requires g >= 0, got {self.g!r}")
         if self.t < 0.0:
@@ -87,9 +87,19 @@ class SystemParams:
         return self.g / self.n_particles
 
 
+def as_float(name: str, value) -> float:
+    """float(value); an int beyond a float is refused as a ValueError that names it."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} is beyond the range of a float (2^1024 or more in magnitude)") from exc
+
+
 def renormalized_q(p: SystemParams) -> float:
-    """Interaction-shifted level splitting; q = 0 marks the optimal coupling."""
-    return p.g * ((p.n_particles - 1) / p.n_particles) * (p.delta_a / 2.0) - p.delta_eps
+    """Interaction-shifted level splitting q = g (N-1)/(2N) delta_a - delta_eps, the
+    coefficient of Jz in H; q = 0 marks the optimal coupling."""
+    n = p.n_particles
+    return -p.delta_eps + p.g * (n - 1) / (2.0 * n) * p.delta_a
 
 
 def validity_gamma(p: SystemParams) -> tuple[float, bool]:

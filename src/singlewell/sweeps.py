@@ -24,7 +24,7 @@ import numpy as np
 from .analytic import cqfi_noninteracting, phase_shift_qfi
 from .dynamics import cqfi_upper_bound, dynamical_generator, generator_at
 from .errors import NumericsError
-from .modes import AXIS_FIELDS, SystemParams, validity_gamma, with_axis_value
+from .modes import AXIS_FIELDS, SystemParams, as_float, validity_gamma, with_axis_value
 from .plotting import render_svg
 from .protocols import STATE_KINDS, prepare_input, protocol_readout
 
@@ -75,7 +75,8 @@ class SweepSpec:
             raise ValueError(f"unknown target {self.target!r}; expected one of {TARGETS}")
         if self.axis not in AXES:
             raise ValueError(f"unknown axis {self.axis!r}; expected one of {AXES}")
-        if not np.isfinite(float(self.axis_max) - float(self.axis_min)):  # inf or NaN ends too
+        width = as_float("axis_max", self.axis_max) - as_float("axis_min", self.axis_min)
+        if not np.isfinite(width):  # inf or NaN ends too
             raise ValueError(
                 f"axis range must be finite with a width that fits a float, "
                 f"got [{self.axis_min!r}, {self.axis_max!r}]"
@@ -142,8 +143,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 cqfi = cqfi_noninteracting(p.n_particles, p.lambda_acc, p.delta_eps, p.t)
                 rows.append((cqfi, bound))
                 continue
-            if spec.axis == "t" and gen is not None:
-                gen = generator_at(gen.energies, gen.vectors, gen.jx, p.t)  # H does not depend on t
+            if spec.axis == "t" and gen is not None:  # H does not depend on t
+                energies, vectors, jx = gen.energies, gen.vectors, gen.jx
+                gen = None  # release the last point's kernel before building the next
+                gen = generator_at(energies, vectors, jx, p.t)
             else:
                 gen = None  # release the last point's arrays before building the next H
                 gen = dynamical_generator(p)
@@ -193,7 +196,7 @@ def emit_csv(result: SweepResult, path: str) -> None:
         raise ValueError("CSV path must be a non-empty string")
     lines = [f"# {key} = {_fmt_value(val)}" for key, val in result.metadata.items()]
     lines.append(",".join(result.columns))
-    for row in zip(*result.columns.values()):
+    for row in zip(*(col.tolist() for col in result.columns.values())):  # Python floats format faster
         lines.append(",".join(f"{v:.12g}" for v in row))
     text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -255,8 +258,8 @@ def emit_plot(result: SweepResult, path: str, log_scale: bool | None = None) -> 
         log_scale = bool(result.metadata.get("log_scale", False))
     (axis, grid), *series = result.columns.items()
     svg = render_svg(
-        list(grid),
-        {name: list(col) for name, col in series},
+        grid.tolist(),  # Python floats: the renderer works value by value
+        {name: col.tolist() for name, col in series},
         x_label=axis,
         y_label=result.metadata.get("target", "value"),
         log_scale=log_scale,

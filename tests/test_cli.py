@@ -284,6 +284,9 @@ class TestValidateCommand:
         # the grid width max - min overflows a float, though both ends are finite
         ("sweep: {axis: delta_eps, min: -1.7e+308, max: 1.7e+308}\n", ("validate", "sweep")),
         ("system: {t: 1.0e+200}\n", ("validate", "sweep")),  # (N t)^2 overflows a float
+        ("sweep: {max: 1" + "0" * 400 + "}\n", ("validate", "sweep")),  # more ints beyond a float
+        ("system: {g: 1" + "0" * 400 + "}\n", ("validate", "sweep")),
+        ("system: {chi: 1" + "0" * 400 + "}\n", ("validate", "sweep")),
     ])
     def test_unreadable_or_extreme_input_exits_one(self, tmp_path, capsys, text, commands):
         cfg = tmp_path / "run.yaml"
@@ -295,18 +298,28 @@ class TestValidateCommand:
 
     def test_unallocatable_n_exits_one_from_both(self, tmp_path, capsys):
         # (N+1)^2 float64 entries beyond the address space: refused before any allocation;
-        # 10**400 is beyond a float as well, and validate still prints its FAIL line
-        argvs = [("--n-particles", str(2 ** 30 - 1))]
-        for zeros in (30, 400):
-            cfg = tmp_path / f"run{zeros}.yaml"
-            cfg.write_text("system: {n_particles: 1" + "0" * zeros + "}\n", encoding="utf-8")
-            argvs.append(("-c", str(cfg)))
-        for argv in argvs:
+        # 10**400 is beyond a float as well, and the one message line still names N. So
+        # does it name g, chi, min or max when that key holds an int beyond a float.
+        argvs = [(("--n-particles", str(2 ** 30 - 1)), "n_particles = ")]
+        for table, key, zeros, named in (("system", "n_particles", 30, "n_particles = "),
+                                         ("system", "n_particles", 400, "n_particles = "),
+                                         ("system", "g", 400, "g is beyond"),
+                                         ("system", "chi", 400, "chi is beyond"),
+                                         ("sweep", "min", 400, "axis_min is beyond"),
+                                         ("sweep", "max", 400, "axis_max is beyond")):
+            cfg = tmp_path / f"{key}{zeros}.yaml"
+            cfg.write_text(f"{table}: {{{key}: 1" + "0" * zeros + "}\n", encoding="utf-8")
+            argvs.append((("-c", str(cfg)), named))
+        for argv, named in argvs:
             for command in ("validate", "sweep"):
                 code, out = run_cli(command, *argv)
+                err = capsys.readouterr().err
                 assert code == EXIT_INVARIANT, (command, argv)
-                assert "Traceback" not in capsys.readouterr().err
-                assert command == "sweep" or out.startswith("FAIL: "), argv
+                assert "Traceback" not in err
+                # validate's FAIL line comes last, after the fixed point's parameters if they pass
+                message = out.splitlines()[-1] if command == "validate" else err
+                assert message.startswith("FAIL: " if command == "validate" else "error: "), argv
+                assert named in message and len(err.splitlines()) == (command == "sweep"), (command, argv)
 
     def test_overflowing_hamiltonian_is_a_numerical_failure(self, tmp_path, capsys):
         # each parameter is a float, but H's diagonal overflows: validate runs no

@@ -115,7 +115,7 @@ class TestSystemParamsInvariants:
         with pytest.raises(ValueError, match="g >= 0"):
             SystemParams(10, -1.0, 1.0, 0.1, 0.5, -0.5, 1.0, 1.0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 10 ** 400])  # the int is beyond a float
     def test_non_finite_fields_rejected(self, bad):
         valid = dict(n_particles=10, g=1.0, delta_eps=1.0, delta_a=0.1, eta=0.5, xi=-0.5,
                      lambda_acc=1.0, t=1.0)

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -104,6 +105,29 @@ class TestRunSweep:
         with pytest.raises(SweepPointError, match=r"t = 0\.0") as info:
             run_sweep(spec)
         assert isinstance(info.value.__cause__, NumericsError)
+
+    @pytest.mark.parametrize("target, axis", [
+        ("cqfi_interacting", "g"), ("cqfi_interacting", "t"), ("protocol_qfi", "g"),
+    ])
+    def test_a_point_peaks_below_four_and_a_half_dense_arrays(self, target, axis):
+        # numpy reports its data buffers to tracemalloc, LAPACK's workspace not:
+        # the kernel build holds V, V^T Jx V, the gaps, the kernel and two boolean
+        # masks, 4.25 arrays; a spare n x n temporary on any axis lifts it past 5
+        n = 300
+        spec = small_spec(target=target, axis=axis, axis_min=0.5, axis_max=40.0, steps=2,
+                          params=harmonic_params(n_particles=n, delta_eps=5.0))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 4.5 * 8 * (n + 1) ** 2, peak / (8 * (n + 1) ** 2)
 
     def test_sweep_matches_pointwise_evaluation(self):
         # the sweep hoists the protocol input and, on the t axis, the
