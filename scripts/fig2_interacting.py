@@ -20,11 +20,24 @@ def base_params(**overrides):
     return SystemParams(**{"delta_eps": 10.0, **overrides})
 
 
-def sweep_to(outdir: Path, stem: str, spec: SweepSpec):
-    result = run_sweep(spec)
-    emit_csv(result, str(outdir / f"{stem}.csv"))
-    emit_plot(result, str(outdir / f"{stem}.svg"))
-    print(f"wrote {outdir / stem}.csv/.svg")
+def specs() -> list[tuple[str, SweepSpec]]:
+    """(file stem, sweep) of every curve of the figure."""
+    def g_sweep(**overrides):
+        return SweepSpec(target="cqfi_interacting", axis="g", axis_min=0.0, axis_max=200.0, steps=101,
+                         params=base_params(**overrides))
+
+    return [
+        *((f"cqfi_vs_g_deps{de:g}", g_sweep(delta_eps=de)) for de in (1.0, 5.0, 10.0)),
+        *((f"cqfi_vs_g_da{da:g}", g_sweep(delta_a=da)) for da in (0.25, 0.5, 1.0)),
+        ("cqfi_vs_delta_eps_g20", SweepSpec(
+            target="cqfi_interacting", axis="delta_eps", axis_min=0.0, axis_max=20.0, steps=201,
+            params=base_params(g=20.0),
+        )),
+        *((f"cqfi_vs_t_g{g:g}", SweepSpec(
+            target="cqfi_interacting", axis="t", axis_min=0.0, axis_max=10.0, steps=201,
+            params=base_params(g=g),
+        )) for g in (0.0, 20.0, 80.0)),
+    ]
 
 
 def main():
@@ -34,28 +47,11 @@ def main():
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    for de in (1.0, 5.0, 10.0):
-        sweep_to(outdir, f"cqfi_vs_g_deps{de:g}", SweepSpec(
-            target="cqfi_interacting", axis="g", axis_min=0.0, axis_max=200.0, steps=101,
-            params=base_params(delta_eps=de),
-        ))
-
-    for da in (0.25, 0.5, 1.0):
-        sweep_to(outdir, f"cqfi_vs_g_da{da:g}", SweepSpec(
-            target="cqfi_interacting", axis="g", axis_min=0.0, axis_max=200.0, steps=101,
-            params=base_params(delta_a=da),
-        ))
-
-    sweep_to(outdir, "cqfi_vs_delta_eps_g20", SweepSpec(
-        target="cqfi_interacting", axis="delta_eps", axis_min=0.0, axis_max=20.0, steps=201,
-        params=base_params(g=20.0),
-    ))
-
-    for g in (0.0, 20.0, 80.0):
-        sweep_to(outdir, f"cqfi_vs_t_g{g:g}", SweepSpec(
-            target="cqfi_interacting", axis="t", axis_min=0.0, axis_max=10.0, steps=201,
-            params=base_params(g=g),
-        ))
+    for stem, spec in specs():
+        result = run_sweep(spec)
+        emit_csv(result, str(outdir / f"{stem}.csv"))
+        emit_plot(result, str(outdir / f"{stem}.svg"))
+        print(f"wrote {outdir / stem}.csv/.svg")
 
 
 if __name__ == "__main__":
