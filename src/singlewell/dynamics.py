@@ -7,7 +7,7 @@ the QFI maximized over initial pure states, and 4 Var_psi(G) is the QFI
 of a particular input psi.
 
 H is real symmetric, so one real eigendecomposition H = V diag(E) V^T
-carries both readouts. Centering the integration window on t/2 factors G
+carries both readouts; it is taken from H's band by `linalg.eigh_band`. Centering the integration window on t/2 factors G
 as W G~ W^dag with W = V diag(exp(i E t/2)) and the real symmetric kernel
 
     G~_kl = (V^T Jx V)_kl * t * sin(x_kl) / x_kl,   x_kl = (E_l - E_k) t / 2.
@@ -34,8 +34,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericsError
 from .hamiltonians import total_hamiltonian
+from .linalg import eigh_band
 from .modes import SystemParams
 from .spin_core import build_spin_operators, check_unit_norm
 
@@ -49,14 +49,12 @@ __all__ = [
 ]
 
 
-def decompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition: eigenvalues ascending and the matching column
-    eigenvectors, real for a real h, each with the phase LAPACK gives it.
-    Both arrays are set read-only in place, without a copy."""
-    try:
-        energies, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError("eigendecomposition failed") from exc
+def decompose(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition of the real symmetric H held as its lower band,
+    band[d, k] = H[k+d, k], as `total_hamiltonian` returns it: eigenvalues
+    ascending and the matching real column eigenvectors, each with the sign
+    LAPACK gives it. Both arrays are set read-only in place, without a copy."""
+    energies, vectors = eigh_band(band)
     energies.setflags(write=False)
     vectors.setflags(write=False)
     return energies, vectors

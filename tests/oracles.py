@@ -15,15 +15,35 @@ def harmonic_params(**overrides) -> SystemParams:
     return SystemParams(**overrides)
 
 
+def dense_of_band(band: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose lower band is band, band[d, k] = H[k+d, k]; padding ignored."""
+    n = band.shape[1]
+    mat = np.diag(band[0])
+    for d in range(1, min(band.shape[0], n)):
+        mat += np.diag(band[d, :n - d], -d) + np.diag(band[d, :n - d], d)
+    return mat
+
+
+def lower_band(mat: np.ndarray, kd: int = 2) -> np.ndarray:
+    """The lower band, band[d, k] = mat[k+d, k] zero-padded at the end, of a symmetric mat."""
+    n = mat.shape[0]
+    return np.array([np.concatenate([np.diagonal(mat, -d), np.zeros(min(d, n))]) for d in range(kd + 1)])
+
+
+def dense_hamiltonian(p: SystemParams) -> np.ndarray:
+    """The dense H that total_hamiltonian(p) holds as its band: the matrix the code decomposes."""
+    return dense_of_band(total_hamiltonian(p))
+
+
 def finite_difference_generator(p: SystemParams, h: float = 1e-6) -> np.ndarray:
     """Oracle for the response generator: i U(l)^dag [U(l+h) - U(l-h)] / (2h).
 
     Uses scipy's matrix exponential for the propagators, independent of the
     spectral-formula code path under test.
     """
-    up = expm(-1j * p.t * total_hamiltonian(replace(p, lambda_acc=p.lambda_acc + h)))
-    um = expm(-1j * p.t * total_hamiltonian(replace(p, lambda_acc=p.lambda_acc - h)))
-    u0 = expm(-1j * p.t * total_hamiltonian(p))
+    up = expm(-1j * p.t * dense_hamiltonian(replace(p, lambda_acc=p.lambda_acc + h)))
+    um = expm(-1j * p.t * dense_hamiltonian(replace(p, lambda_acc=p.lambda_acc - h)))
+    u0 = expm(-1j * p.t * dense_hamiltonian(p))
     return 1j * u0.conj().T @ (up - um) / (2.0 * h)
 
 

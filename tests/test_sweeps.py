@@ -19,7 +19,6 @@ from singlewell import (
     prepare_input,
     protocol_readout,
     run_sweep,
-    total_hamiltonian,
     validity_gamma,
 )
 from singlewell.modes import AXIS_FIELDS, with_axis_value
@@ -27,7 +26,7 @@ from singlewell import sweeps
 from singlewell.protocols import STATE_KINDS
 from singlewell.sweeps import AXES, TARGETS, SweepPointError
 from singlewell.errors import NumericsError
-from oracles import dense_spin, exact_generator, harmonic_params, variance
+from oracles import dense_hamiltonian, dense_spin, exact_generator, harmonic_params, variance
 
 
 def small_spec(**overrides):
@@ -253,7 +252,7 @@ class TestExactOracleOverRandomSweeps:
                                                                   rel=1e-12, abs=1e-300)
             if spec.target == "cqfi_noninteracting":
                 p = replace(p, g=0.0)  # H = lambda Jx - delta_eps Jz
-            h = total_hamiltonian(p)
+            h = dense_hamiltonian(p)
             oracle = exact_generator(h, jx, p.t)
             if protocol:
                 expected = 4.0 * variance(oracle, psi)
