@@ -65,8 +65,12 @@ def parse_config(text: str) -> dict[str, dict]:
     """Every table of a YAML config, empty where absent; keys and value types checked."""
     try:
         raw = yaml.load(text, Loader=_Loader) or {}
-    except yaml.YAMLError as exc:
-        raise ValueError(f"config is not valid YAML: {exc}") from exc
+    except yaml.MarkedYAMLError as exc:  # the parser's problem and where, on one line
+        mark = exc.problem_mark or exc.context_mark
+        where = f" at line {mark.line + 1}:{mark.column + 1}" if mark else ""
+        raise ValueError(f"config is not valid YAML: {exc.problem or exc.context}{where}") from None
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: e.g. an int past Python's 4300 digits
+        raise ValueError(f"config is not valid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError("config root must be a mapping of tables")
     for section in raw:

@@ -122,7 +122,10 @@ def dynamical_generator(p: SystemParams) -> GeneratorResult:
     """
     energies, v = decompose(total_hamiltonian(p))
     _, ladder = build_spin_operators(p.n_particles)
-    half = v[:-1].T @ ((0.5 * ladder)[:, np.newaxis] * v[1:])
+    # half is allocated before the N x (N+1) scaled rows, so that once they are
+    # freed the heap holds a whole n x n slot for jx to fill
+    half = np.empty(v.shape)
+    np.matmul(v[:-1].T, (0.5 * ladder)[:, np.newaxis] * v[1:], out=half)
     jx = half + half.T
     del half  # not held through the kernel build
     return generator_at(energies, v, jx, p.t)

@@ -296,6 +296,22 @@ class TestValidateCommand:
             assert code == EXIT_INVARIANT, command
             assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, detail", [
+        ("system: {g: [1\n", "expected ',' or ']', but got '<stream end>' at line 2:1"),
+        ("system:\n  g: 1\n\tt: 2\n", "found character '\\t' that cannot start any token at line 3:1"),
+        ("system: {g: *x}\n", "found undefined alias 'x' at line 1:13"),
+        # PyYAML's int() of more digits than Python converts to an int
+        ("system: {g: 1" + "0" * 5000 + "}\n", "for integer string conversion"),
+    ])
+    def test_invalid_yaml_is_refused_in_one_line(self, tmp_path, capsys, text, detail):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        for command in ("validate", "sweep"):
+            assert run_cli(command, "-c", str(cfg))[0] == EXIT_INVARIANT, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: config is not valid YAML: ") and len(err.splitlines()) == 1, err
+            assert detail in err
+
     def test_unallocatable_n_exits_one_from_both(self, tmp_path, capsys):
         # (N+1)^2 float64 entries beyond the address space: refused before any allocation;
         # 10**400 is beyond a float as well, and the one message line still names N. So

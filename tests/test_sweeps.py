@@ -109,8 +109,9 @@ class TestRunSweep:
         ("cqfi_interacting", "g"), ("cqfi_interacting", "t"), ("protocol_qfi", "g"),
     ])
     def test_a_point_peaks_below_four_and_a_half_dense_arrays(self, target, axis):
-        # numpy reports its data buffers to tracemalloc, LAPACK's workspace not:
-        # the kernel build holds V, V^T Jx V, the gaps, the kernel and two boolean
+        # numpy reports its data buffers to tracemalloc, dsbevd's workspace among
+        # them, as numpy owns it: decompose holds V and 2n^2 of workspace, 3 arrays,
+        # and the kernel build V, V^T Jx V, the gaps, the kernel and two boolean
         # masks, 4.25 arrays; a spare n x n temporary on any axis lifts it past 5
         n = 300
         spec = small_spec(target=target, axis=axis, axis_min=0.5, axis_max=40.0, steps=2,
