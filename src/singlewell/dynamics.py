@@ -96,10 +96,10 @@ def generator_at(energies: np.ndarray, vectors: np.ndarray, jx: np.ndarray, t: f
     The mirror goes through the gap buffer x, spent by then: copying kernel.T
     into kernel directly would make numpy allocate a hidden n x n temporary.
     """
+    kernel = np.zeros((energies.shape[0],) * 2)  # before x, so x is freed at the heap's top
     x = energies - energies[:, np.newaxis]
     x *= 0.5 * t
     above = x > 0
-    kernel = np.zeros_like(x)
     np.sin(x, out=kernel, where=above)
     np.divide(kernel, x, out=kernel, where=above)
     kernel *= t
