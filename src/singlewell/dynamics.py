@@ -6,9 +6,10 @@ with U = exp(-i t H(lambda)). Its seminorm (spectral spread) squared is
 the QFI maximized over initial pure states, and 4 Var_psi(G) is the QFI
 of a particular input psi.
 
-H is real symmetric, so one real eigendecomposition H = V diag(E) V^T
-carries both readouts; it is taken from H's band by `linalg.eigh_band`. Centering the integration window on t/2 factors G
-as W G~ W^dag with W = V diag(exp(i E t/2)) and the real symmetric kernel
+H is real symmetric, so one real eigendecomposition H = V diag(E) V^T,
+taken from the band of H by `linalg.eigh_band`, carries both readouts.
+Centering the integration window on t/2 factors G as W G~ W^dag with
+W = V diag(exp(i E t/2)) and the real symmetric kernel
 
     G~_kl = (V^T Jx V)_kl * t * sin(x_kl) / x_kl,   x_kl = (E_l - E_k) t / 2.
 
@@ -122,9 +123,7 @@ def dynamical_generator(p: SystemParams) -> GeneratorResult:
     """
     energies, v = decompose(total_hamiltonian(p))
     _, ladder = build_spin_operators(p.n_particles)
-    # half is allocated before the N x (N+1) scaled rows, so that once they are
-    # freed the heap holds a whole n x n slot for jx to fill
-    half = np.empty(v.shape)
+    half = np.empty(v.shape)  # before the N x (N+1) scaled rows, whose freed slot jx then fills
     np.matmul(v[:-1].T, (0.5 * ladder)[:, np.newaxis] * v[1:], out=half)
     jx = half + half.T
     del half  # not held through the kernel build

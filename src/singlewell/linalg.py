@@ -1,13 +1,9 @@
-"""Eigendecomposition of a real symmetric band matrix held as its lower band.
-
-`eigh_band` runs LAPACK's banded divide and conquer, `dsbevd`, from the
-OpenBLAS that numpy's wheel bundles (numpy.libs/libscipy_openblas64_*.so,
-64-bit integers), bound with ctypes on the first call, so importing costs
-nothing. Where numpy has no such library (e.g. a conda or MKL build),
-`_dsbevd()` is None and the band is densified for `np.linalg.eigh`.
+"""Eigendecomposition of a real symmetric matrix held as its lower band, by LAPACK's
+banded divide and conquer `dsbevd` in the OpenBLAS that numpy's wheel bundles
+(numpy.libs/libscipy_openblas64_*.so, 64-bit integers), bound with ctypes on the
+first call, so importing costs nothing. Where numpy has no such library (e.g. a
+conda or MKL build), `_dsbevd()` is None and the band is densified for `np.linalg.eigh`.
 """
-
-from __future__ import annotations
 
 import ctypes
 from functools import cache
