@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Channel QFI and ground-state QFI for acceleration sensing "
         "with two-mode bosons in a single trap.",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="enable debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, tables in (
         ("params", "print derived model parameters", ("system",)),
@@ -187,7 +186,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     }
     try:
         args = _build_parser().parse_args(argv)
-        logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
+        logging.basicConfig(level=logging.WARNING)
         return handlers[args.command](args, out)
     except Exception as exc:  # noqa: BLE001 - map every failure to an exit code
         code = _classify(exc)

@@ -17,7 +17,7 @@ from typing import get_args, get_type_hints
 
 import yaml
 
-from .modes import HARMONIC_KAPPA, SystemParams, as_float
+from .modes import SystemParams
 from .sweeps import FIELD_KEYS, KEY_FIELDS, SweepSpec
 
 __all__ = ["SCHEMA", "load_config", "parse_config", "system_params", "build_run"]
@@ -29,11 +29,9 @@ def _keys(cls, names) -> dict:
     return {FIELD_KEYS.get(name, name): hints[name] for name in names}
 
 
-# Table -> YAML key -> accepted type. chi (and kappa) set lambda = 2 chi kappa
-# instead; null leaves them, and the output paths, unset.
+# Table -> YAML key -> accepted type; null leaves an output path unset.
 SCHEMA = {
-    "system": {**_keys(SystemParams, [f.name for f in fields(SystemParams)]),
-               "chi": float | None, "kappa": float | None},
+    "system": _keys(SystemParams, [f.name for f in fields(SystemParams)]),
     "protocol": _keys(SweepSpec, ["theta", "state_kind"]),
     "sweep": _keys(SweepSpec, ["target", "axis", "axis_min", "axis_max", "steps", "log_scale"]),
     "output": {"csv": str | None, "svg": str | None},
@@ -99,13 +97,8 @@ def load_config(path: str | None) -> dict[str, dict]:
 
 
 def _system_fields(tables: dict[str, dict]) -> dict:
-    """SystemParams field -> value from [system]; chi (and kappa) give lambda = 2 chi kappa."""
-    system = dict(tables["system"])
-    chi, kappa = system.pop("chi", None), system.pop("kappa", None)
-    if chi is not None:
-        kappa = HARMONIC_KAPPA if kappa is None else as_float("kappa", kappa)
-        system["lambda"] = 2.0 * as_float("chi", chi) * kappa
-    return {KEY_FIELDS.get(key, key): value for key, value in system.items()}
+    """SystemParams field -> value from [system]."""
+    return {KEY_FIELDS.get(key, key): value for key, value in tables["system"].items()}
 
 
 def system_params(tables: dict[str, dict]) -> SystemParams:

@@ -15,13 +15,10 @@ from math import lgamma
 
 import numpy as np
 
-from .errors import NumericsError
-
 __all__ = [
     "build_spin_operators",
     "spin_coherent_state",
     "fragmented_ground_state",
-    "degree_of_fragmentation",
 ]
 
 NORM_TOL = 1e-12
@@ -104,23 +101,3 @@ def fragmented_ground_state(n_particles: int, theta: float) -> np.ndarray:
     amp = plus + 1j * minus
     amp = amp / np.linalg.norm(amp)
     return _read_only(amp)
-
-
-def degree_of_fragmentation(psi: np.ndarray) -> float:
-    """F = 1 - |l0 - l1| / N from the eigenvalues of the 2x2 one-body density
-    matrix of the normalized state psi, N = len(psi) - 1.
-
-    F = 0 for a condensate (rank-1 one-body density matrix) and F = 1 when
-    both natural orbitals are equally occupied.
-    """
-    check_unit_norm(psi)
-    n = psi.shape[0] - 1
-    m, ladder = build_spin_operators(n)
-    jplus = np.sum(ladder * psi[:-1].conj() * psi[1:])  # <Jx> + i <Jy>
-    ez = float(np.sum(m * np.abs(psi) ** 2))
-    rho1 = np.array([[n / 2.0 + ez, jplus], [jplus.conjugate(), n / 2.0 - ez]])
-    occ = np.linalg.eigvalsh(rho1)
-    frag = 1.0 - abs(occ[1] - occ[0]) / n
-    if not -1e-9 <= frag <= 1.0 + 1e-9:
-        raise NumericsError(f"degree of fragmentation {frag!r} outside [0, 1]")
-    return float(min(max(frag, 0.0), 1.0))

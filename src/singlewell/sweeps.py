@@ -142,7 +142,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             if spec.target == "cqfi_noninteracting":
                 cqfi = cqfi_noninteracting(p.n_particles, p.lambda_acc, p.delta_eps, p.t)
                 rows.append((cqfi, bound))
-                continue
+                continue  # g does not enter it, so neither does two-mode validity
             if spec.axis == "t" and gen is not None:  # H does not depend on t
                 energies, vectors, jx = gen.energies, gen.vectors, gen.jx
                 gen = None  # release the last point's kernel before building the next
@@ -153,9 +153,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             if protocol:
                 qfi = protocol_readout(psi, gen)
                 rows.append((qfi, bound, phase_shift_qfi(jx_variance, p.t)))
-                gammas.append(validity_gamma(p)[0])
             else:
                 rows.append((gen.cqfi, bound))
+            gammas.append(validity_gamma(p)[0])
         except Exception as exc:
             raise SweepPointError(
                 f"sweep point failed at {spec.axis} = {value!r} "

@@ -63,6 +63,21 @@ def dense_spin(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jx, jy, np.diag(m)
 
 
+def degree_of_fragmentation(psi: np.ndarray) -> float:
+    """F = 1 - |l0 - l1| / N from the eigenvalues of the 2x2 one-body density
+    matrix of the normalized state psi, N = len(psi) - 1: 0 for a condensate
+    (rank-1 one-body density matrix), 1 when both natural orbitals are
+    equally occupied."""
+    n = psi.shape[0] - 1
+    m, ladder = build_spin_operators(n)
+    jplus = np.sum(ladder * psi[:-1].conj() * psi[1:])  # <Jx> + i <Jy>
+    ez = float(np.sum(m * np.abs(psi) ** 2))
+    occ = np.linalg.eigvalsh(np.array([[n / 2.0 + ez, jplus], [jplus.conjugate(), n / 2.0 - ez]]))
+    frag = 1.0 - abs(occ[1] - occ[0]) / n
+    assert -1e-9 <= frag <= 1.0 + 1e-9, frag
+    return float(min(max(frag, 0.0), 1.0))
+
+
 def variance(mat: np.ndarray, psi: np.ndarray) -> float:
     """<A^2> - <A>^2 of a Hermitian A, as ||A psi||^2 - <A>^2 so it stays real."""
     applied = mat @ psi

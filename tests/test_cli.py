@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from singlewell.cli import (
     EXIT_INVARIANT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _build_parser, _classify, _tables, main,
 )
-from singlewell.config import SCHEMA, build_run, load_config, parse_config, system_params
+from singlewell.config import SCHEMA, build_run, load_config, parse_config
 from singlewell.errors import NumericsError
 from singlewell.modes import SystemParams
 from singlewell.protocols import STATE_KINDS
@@ -61,16 +61,10 @@ class TestConfigRoundTrip:
             "log_scale": True}
         assert "t" not in meta
 
-    def test_force_dipole_form(self):
-        assert system_params(parse_config("system: {chi: 2.0, kappa: 0.25}\n")).lambda_acc == 1.0
-
-    def test_chi_defaults_to_harmonic_dipole(self):
-        p = system_params(parse_config("system: {chi: 1.0, kappa: null}\n"))
-        assert p.lambda_acc == pytest.approx(2.0 ** 0.5)
-
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown key"):
-            parse_config("system:\n  coupling: 3\n")
+        for key in ("coupling", "chi", "kappa"):
+            with pytest.raises(ValueError, match=f"unknown key '{key}' in \\[system\\]"):
+                parse_config(f"system:\n  {key}: 3\n")
         with pytest.raises(ValueError, match="unknown key 'workers'"):
             parse_config("sweep:\n  workers: 2\n")
         with pytest.raises(ValueError, match="unknown config table"):
@@ -102,7 +96,7 @@ class TestConfigRoundTrip:
 # A value for every config key, each unlike the default of the field it sets.
 _KEY_VALUES = {
     "n_particles": 7, "g": 3.0, "delta_eps": 2.0, "delta_a": 0.5, "eta": 0.5, "xi": -0.3,
-    "lambda": 2.0, "t": 2.0, "chi": 2.0, "kappa": 0.5,
+    "lambda": 2.0, "t": 2.0,
     "theta": 0.25, "state_kind": "coherent",
     "target": "protocol_qfi", "axis": "t", "min": 1.0, "max": 150.0, "steps": 7, "log_scale": True,
     "csv": "a.csv", "svg": "a.svg",
@@ -133,19 +127,14 @@ class TestSingleSourceOfTruth:
     def test_every_yaml_key_sets_exactly_one_field(self, table, key):
         base = parse_config("")
         if table == "system":  # sweep an axis the key does not fix
-            base["sweep"]["axis"] = "t" if key in ("lambda", "chi", "delta_a", "kappa") else "delta_a"
-            if key == "kappa":  # kappa only scales chi
-                base["system"]["chi"] = 1.0
+            base["sweep"]["axis"] = "t" if key in ("lambda", "delta_a") else "delta_a"
         before = _run_fields(base)
         base[table][key] = _KEY_VALUES[key]
         after = _run_fields(base)
         changed = [name for name in after if after[name] != before[name]]
         assert len(changed) == 1, changed
-        if key not in ("chi", "kappa"):
-            assert changed[0].rpartition(".")[2] == KEY_FIELDS.get(key, key)
-            assert after[changed[0]] == _KEY_VALUES[key]
-        else:
-            assert changed[0] == "params.lambda_acc"
+        assert changed[0].rpartition(".")[2] == KEY_FIELDS.get(key, key)
+        assert after[changed[0]] == _KEY_VALUES[key]
 
     @pytest.mark.parametrize("command", ["params", "validate", "sweep"])
     def test_every_flag_sets_exactly_one_key(self, capsys, command):
@@ -160,7 +149,8 @@ class TestSingleSourceOfTruth:
             assert _tables(_build_parser().parse_args(argv)) == {**parse_config(""), table: {key: value}}
         # a flag value argparse refuses is refused input, as in YAML: one error line, exit 1
         for argv in ([command, "--g", "abc"], [command, "--bogus"], ["sweep", "--target", "bogus"],
-                     ["validate", "--steps", "abc"], ["validate", "--sweep-axis", "n_particles"]):
+                     ["validate", "--steps", "abc"], ["validate", "--sweep-axis", "n_particles"],
+                     ["-v", command], [command, "--chi", "1"], [command, "--kappa", "0.5"]):
             capsys.readouterr()
             assert run_cli(*argv)[0] == EXIT_INVARIANT, argv
             err = capsys.readouterr().err
@@ -175,7 +165,7 @@ class TestFixedSweptAxis:
 
     @pytest.mark.parametrize("text", ["system: {g: 1.0e+300}\n", "system: {g: 80.0}\n",
                                       "system: {t: 2.0}\nsweep: {axis: t}\n",
-                                      "system: {chi: 1.0}\nsweep: {axis: lambda}\n"])
+                                      "system: {lambda: 1.0}\nsweep: {axis: lambda}\n"])
     def test_config_file(self, tmp_path, capsys, text):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(text, encoding="utf-8")
@@ -185,7 +175,7 @@ class TestFixedSweptAxis:
             assert "OK" not in out and "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [("--g", "80"), ("--sweep-axis", "t", "--t", "2"),
-                                      ("--sweep-axis", "lambda", "--chi", "1")])
+                                      ("--sweep-axis", "lambda", "--lambda", "1")])
     def test_flags(self, argv):
         for command in ("validate", "sweep"):
             code, _ = run_cli(command, "--n-particles", "4", "--steps", "2", *argv)
@@ -218,7 +208,7 @@ class TestParamsCommand:
     def test_invariant_violation_exits_one(self):
         code, _ = run_cli("params", "--eta", "0.5", "--xi", "2.0")
         assert code == EXIT_INVARIANT
-        for flag in ("--g", "--t", "--lambda", "--eta", "--chi"):
+        for flag in ("--g", "--t", "--lambda", "--eta"):
             for bad in ("nan", "inf", "-inf"):
                 code, _ = run_cli("params", f"{flag}={bad}")
                 assert code == EXIT_INVARIANT, (flag, bad)
@@ -286,7 +276,7 @@ class TestValidateCommand:
         ("system: {t: 1.0e+200}\n", ("validate", "sweep")),  # (N t)^2 overflows a float
         ("sweep: {max: 1" + "0" * 400 + "}\n", ("validate", "sweep")),  # more ints beyond a float
         ("system: {g: 1" + "0" * 400 + "}\n", ("validate", "sweep")),
-        ("system: {chi: 1" + "0" * 400 + "}\n", ("validate", "sweep")),
+        ("system: {chi: 1" + "0" * 400 + "}\n", ("validate", "sweep")),  # a key not in the schema
     ])
     def test_unreadable_or_extreme_input_exits_one(self, tmp_path, capsys, text, commands):
         cfg = tmp_path / "run.yaml"
@@ -315,12 +305,11 @@ class TestValidateCommand:
     def test_unallocatable_n_exits_one_from_both(self, tmp_path, capsys):
         # (N+1)^2 float64 entries beyond the address space: refused before any allocation;
         # 10**400 is beyond a float as well, and the one message line still names N. So
-        # does it name g, chi, min or max when that key holds an int beyond a float.
+        # does it name g, min or max when that key holds an int beyond a float.
         argvs = [(("--n-particles", str(2 ** 30 - 1)), "n_particles = ")]
         for table, key, zeros, named in (("system", "n_particles", 30, "n_particles = "),
                                          ("system", "n_particles", 400, "n_particles = "),
                                          ("system", "g", 400, "g is beyond"),
-                                         ("system", "chi", 400, "chi is beyond"),
                                          ("sweep", "min", 400, "axis_min is beyond"),
                                          ("sweep", "max", 400, "axis_max is beyond")):
             cfg = tmp_path / f"{key}{zeros}.yaml"

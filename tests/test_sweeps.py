@@ -165,21 +165,28 @@ class TestRunSweep:
         assert calls == []
 
     def test_validity_warning_is_one_line_per_sweep(self, caplog):
-        spec = small_spec(target="protocol_qfi", steps=9)
-        gammas = [validity_gamma(replace(spec.params, g=g))[0] for g in spec.grid()]
+        # every target that g enters warns once; the noninteracting one, and a grid inside
+        # two-mode validity, do not
+        grid = small_spec(steps=9)
+        gammas = [validity_gamma(replace(grid.params, g=g))[0] for g in grid.grid()]
         outside = sum(gamma > 1.0 for gamma in gammas)
         assert 0 < outside < 9
-        with caplog.at_level(logging.WARNING):
-            run_sweep(spec)
-        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == 1
-        assert warnings[0].getMessage() == (
-            f"{outside} of 9 points outside two-mode validity, gamma_max = {max(gammas):.3g}"
-        )
-        caplog.clear()
-        with caplog.at_level(logging.WARNING):
-            run_sweep(small_spec(target="protocol_qfi", axis_max=20.0, steps=9))
-        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+        for target in ("protocol_qfi", "cqfi_interacting"):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                run_sweep(small_spec(target=target, steps=9))
+            warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+            assert len(warnings) == 1, target
+            assert warnings[0].getMessage() == (
+                f"{outside} of 9 points outside two-mode validity, gamma_max = {max(gammas):.3g}"
+            ), target
+        for spec in (small_spec(target="cqfi_noninteracting", steps=9),
+                     small_spec(target="protocol_qfi", axis_max=20.0, steps=9),
+                     small_spec(target="cqfi_interacting", axis_max=20.0, steps=9)):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                run_sweep(spec)
+            assert not [r for r in caplog.records if r.levelno == logging.WARNING], spec.target
 
     def test_swept_axis_left_out_of_metadata(self):
         res = run_sweep(small_spec())
