@@ -7,7 +7,7 @@ over its level before the first run, in MB and in dense (N+1)x(N+1)
 float64 arrays of 8 (N+1)^2 bytes. The stages:
 
 - decompose: H assembled and eigendecomposed, `decompose(total_hamiltonian(p))`
-- protocol: one protocol point, `dynamical_generator` and `protocol_readout`
+- protocol: one protocol point, `dynamical_generator` and `qfi_pure_state`
 - cqfi: one channel-QFI point, `dynamical_generator(p).cqfi`
 
 Each child runs with BLAS pinned to one thread and with the allocator
@@ -28,7 +28,7 @@ import sys
 import time
 
 from singlewell import (SystemParams, decompose, dynamical_generator, prepare_input,
-                        protocol_readout, total_hamiltonian)
+                        qfi_pure_state, total_hamiltonian)
 
 STAGES = ("decompose", "protocol", "cqfi")
 MIN_REPEATS, MIN_SECONDS = 3, 1.0
@@ -50,7 +50,7 @@ def _point(stage: str, n: int):
     psi, _ = prepare_input(n, "fragmented", 0.5)
     return {
         "decompose": lambda: decompose(total_hamiltonian(p)),
-        "protocol": lambda: protocol_readout(psi, dynamical_generator(p)),
+        "protocol": lambda: qfi_pure_state(dynamical_generator(p), psi),
         "cqfi": lambda: dynamical_generator(p).cqfi,
     }[stage]
 

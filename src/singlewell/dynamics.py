@@ -3,8 +3,9 @@
 The response of the evolved state to the estimated acceleration is
 encoded in the Hermitian generator G = i U(lambda)^dag d/dlambda U(lambda)
 with U = exp(-i t H(lambda)). Its seminorm (spectral spread) squared is
-the QFI maximized over initial pure states, and 4 Var_psi(G) is the QFI
-of a particular input psi.
+the QFI maximized over initial pure states (Boixo et al., PRL 98, 090401
+(2007)), so it bounds 4 Var_psi(G), the QFI of a particular input psi:
+the tests check that order, no readout does.
 
 H is real symmetric, so one real eigendecomposition H = V diag(E) V^T,
 taken from the band of H by `linalg.eigh_band`, carries both readouts.
@@ -13,10 +14,10 @@ W = V diag(exp(i E t/2)) and the real symmetric kernel
 
     G~_kl = (V^T Jx V)_kl * t * sin(x_kl) / x_kl,   x_kl = (E_l - E_k) t / 2.
 
-The channel QFI is read from the spectrum of G~, the QFI of psi as
-4 Var of G~ over W^dag psi. sin(x)/x is even, so it is evaluated once per
-pair of levels, and smooth through E_k = E_l, where it is 1, so exactly or
-nearly degenerate levels need no threshold and lose no precision to the
+The channel QFI `cqfi` is read from the spectrum of G~, `qfi_pure_state`
+as 4 Var of G~ over W^dag psi. sin(x)/x is even, so it is evaluated once
+per pair of levels, and smooth through E_k = E_l, where it is 1, so exactly
+or nearly degenerate levels need no threshold and lose no precision to the
 cancellation in (e^{i w t} - 1) / (i w).
 `decompose` fixes no sign of the columns of V: flipping them is the
 similarity G~ -> D G~ D with D = diag(+-1), which changes neither readout.
@@ -45,7 +46,7 @@ __all__ = [
     "decompose",
     "dynamical_generator",
     "generator_at",
-    "qfi_and_ritz_spread",
+    "qfi_pure_state",
     "cqfi_upper_bound",
 ]
 
@@ -64,10 +65,7 @@ def decompose(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class GeneratorResult:
     """Dynamical generator as the spectrum of H (energies E ascending, vectors
-    V), Jx in its eigenbasis (V^T Jx V) and the real kernel G~.
-
-    The seminorm and the channel QFI are computed only when read.
-    """
+    V), Jx in its eigenbasis (V^T Jx V) and the real kernel G~."""
 
     energies: np.ndarray
     vectors: np.ndarray
@@ -76,14 +74,11 @@ class GeneratorResult:
     t: float
 
     @cached_property
-    def seminorm(self) -> float:
-        """Spectral spread of G~ (the frame W leaves it alone), from one eigvalsh."""
-        levels = np.linalg.eigvalsh(self.kernel)
-        return float(levels[-1] - levels[0])
-
-    @cached_property
     def cqfi(self) -> float:
-        return self.seminorm * self.seminorm
+        """Channel QFI: the squared spectral spread of G~ (W leaves it alone), on first read."""
+        levels = np.linalg.eigvalsh(self.kernel)
+        spread = float(levels[-1] - levels[0])
+        return spread * spread
 
 
 def generator_at(energies: np.ndarray, vectors: np.ndarray, jx: np.ndarray, t: float) -> GeneratorResult:
@@ -135,17 +130,11 @@ def _pairs(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
 
 
-def qfi_and_ritz_spread(gen: GeneratorResult, psi: np.ndarray) -> tuple[float, float]:
-    """The QFI of psi, 4 Var_psi(G), and L, the spread of the two
-    Rayleigh-Ritz values of G~ on span{phi, G~ phi}, phi = W^dag psi.
+def qfi_pure_state(gen: GeneratorResult, psi: np.ndarray) -> float:
+    """The QFI of psi, 4 Var_psi(G) = 4 Var_phi(G~) with phi = W^dag psi.
 
     V and G~ are real, so the products act on the (real, imag) pairs of
-    psi and phi. For symmetric G~, 2 sigma_psi(G) <= L (Popoviciu) and
-    L <= seminorm (Cauchy interlacing), so qfi <= L^2 certifies
-    qfi <= cqfi without the spectrum of G~. L comes from an orthonormal
-    basis, so it does not share the QFI's assumption |psi| = 1, which is
-    checked to 1e-12. It is 0 when phi is an eigenvector of G~, whose span
-    holds one Ritz value.
+    psi and phi. The variance assumes |psi| = 1, which is checked to 1e-12.
     """
     dim = gen.energies.shape[0]
     if dim != len(psi):
@@ -155,16 +144,7 @@ def qfi_and_ritz_spread(gen: GeneratorResult, psi: np.ndarray) -> tuple[float, f
     phi = _pairs(np.exp(-0.5j * gen.t * gen.energies) * rotated)
     applied = gen.kernel @ phi
     mean = np.vdot(phi, applied)
-    qfi = 4.0 * max(np.vdot(applied, applied) - mean * mean, 0.0)
-
-    norm2 = np.vdot(phi, phi)
-    ritz = mean / norm2  # <q|G~|q> for q = phi / |phi|
-    resid = applied - ritz * phi
-    resid2 = np.vdot(resid, resid)
-    if resid2 == 0.0:
-        return qfi, 0.0
-    other = np.vdot(resid, gen.kernel @ resid) / resid2  # <r|G~|r> for r = resid / |resid|
-    return qfi, float(np.hypot(ritz - other, 2.0 * np.sqrt(resid2 / norm2)))
+    return float(4.0 * max(np.vdot(applied, applied) - mean * mean, 0.0))
 
 
 def cqfi_upper_bound(n_particles: int, t: float) -> float:

@@ -1,4 +1,4 @@
-"""Ground-state interferometry: splitter, phase accumulation, QFI readout.
+"""Ground-state interferometry: the split input state of the protocol.
 
 The sequence is: prepare the (fragmented or coherent) ground state, apply
 the pi/2 splitter exp(-i (pi/2) Jz), a phase per Dicke state read from the
@@ -8,23 +8,19 @@ closing splitter-and-measurement step does not change the QFI and is
 omitted.
 
 The input side depends only on N, theta and the state kind, so a sweep
-builds the split state psi and its Var(Jx) once with `prepare_input`
-and pairs psi with the generator of each parameter point in
-`protocol_readout`. Every readout checks qfi <= cqfi, certified in O(n^2)
-where it can be, so a protocol point costs one eigendecomposition, that of H.
+builds the split state psi and its Var(Jx) once with `prepare_input` and
+reads its QFI under the generator of each parameter point with
+`dynamics.qfi_pure_state`: a protocol point costs one eigendecomposition,
+that of H.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import GeneratorResult, qfi_and_ritz_spread
-from .errors import NumericsError
 from .spin_core import build_spin_operators, fragmented_ground_state, spin_coherent_state
 
-__all__ = ["prepare_input", "protocol_readout"]
-
-_CRB_SLACK = 1e-9
+__all__ = ["prepare_input"]
 
 STATE_KINDS = ("fragmented", "coherent")
 
@@ -51,22 +47,3 @@ def prepare_input(n_particles: int, state_kind: str, theta: float) -> tuple[np.n
     mean = np.vdot(psi, jx_psi).real
     psi.setflags(write=False)
     return psi, max(float(np.vdot(jx_psi, jx_psi).real - mean * mean), 0.0)
-
-
-def protocol_readout(psi: np.ndarray, gen: GeneratorResult) -> float:
-    """QFI of a prepared input psi under one generator.
-
-    The state QFI may not exceed the channel QFI of the same dynamics
-    (up to a 1e-9 relative slack); a breach means a corrupted generator.
-    An exactly symmetric kernel with qfi < L^2 (1 + 1e-9), L the Ritz
-    spread of `qfi_and_ritz_spread`, passes without the spectrum of G~;
-    otherwise, e.g. for L = 0, gen.cqfi decides.
-    """
-    qfi, spread = qfi_and_ritz_spread(gen, psi)
-    kernel = gen.kernel
-    certified = np.array_equal(kernel, kernel.T) and qfi < spread * spread * (1.0 + _CRB_SLACK)
-    if not certified and qfi > gen.cqfi * (1.0 + _CRB_SLACK):
-        raise NumericsError(
-            f"state QFI {qfi!r} exceeds the channel QFI {gen.cqfi!r}: corrupted generator"
-        )
-    return qfi

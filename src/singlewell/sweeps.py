@@ -4,7 +4,7 @@ A sweep evaluates one target (analytic noninteracting channel QFI,
 interacting channel QFI, or the ground-state protocol QFI) on a uniform
 grid of a single axis while every other parameter stays fixed. It is one
 loop in grid order through the kernels `dynamical_generator`,
-`prepare_input` and `protocol_readout`, with the work that does not change
+`prepare_input` and `qfi_pure_state`, with the work that does not change
 along the grid done once: the protocol input state and, on the t axis,
 where H stays the same, the decomposition of H. A spec
 is checked whole when it is built, its protocol inputs included whatever
@@ -22,11 +22,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analytic import cqfi_noninteracting, phase_shift_qfi
-from .dynamics import cqfi_upper_bound, dynamical_generator, generator_at
+from .dynamics import cqfi_upper_bound, dynamical_generator, generator_at, qfi_pure_state
 from .errors import NumericsError
 from .modes import AXIS_FIELDS, SystemParams, as_float, validity_gamma, with_axis_value
 from .plotting import render_svg
-from .protocols import STATE_KINDS, prepare_input, protocol_readout
+from .protocols import STATE_KINDS, prepare_input
 
 __all__ = [
     "SweepSpec",
@@ -81,8 +81,8 @@ class SweepSpec:
                 f"axis range must be finite with a width that fits a float, "
                 f"got [{self.axis_min!r}, {self.axis_max!r}]"
             )
-        if self.steps < 2:
-            raise ValueError(f"a sweep needs at least 2 steps, got {self.steps}")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)) or self.steps < 2:
+            raise ValueError(f"a sweep needs an integer of at least 2 steps, got {self.steps!r}")
         limit = np.iinfo(np.intp).max  # as SystemParams bounds N
         # np.linspace allocates float(steps) entries, 2^60 from 2^60 - 64 on; int first: float() overflows
         if 8 * self.steps > limit or 8 * float(self.steps) > limit:
@@ -151,8 +151,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 gen = None  # release the last point's arrays before building the next H
                 gen = dynamical_generator(p)
             if protocol:
-                qfi = protocol_readout(psi, gen)
-                rows.append((qfi, bound, phase_shift_qfi(jx_variance, p.t)))
+                rows.append((qfi_pure_state(gen, psi), bound, phase_shift_qfi(jx_variance, p.t)))
             else:
                 rows.append((gen.cqfi, bound))
             gammas.append(validity_gamma(p)[0])
@@ -206,34 +205,42 @@ def emit_csv(result: SweepResult, path: str) -> None:
 def load_csv(path: str) -> SweepResult:
     """Read back a sweep CSV produced by emit_csv.
 
-    The file may come from anywhere, so it is checked as it is read: the
-    header must be axis,value,bound[,ideal], every row as wide as the
-    header, and every value finite; anything else is a ValueError.
+    The file may come from anywhere, so it is checked as it is read: it
+    must be UTF-8, the header axis,value,bound[,ideal], every row as wide
+    as the header, and every value a finite number; anything else is a
+    ValueError that names the file.
     """
     metadata: dict = {}
     header: list[str] | None = None
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                metadata[key.strip()] = _parse_meta(val.strip())
-            elif header is None:
-                header = [c.strip() for c in line.split(",")]
-                if header[0] not in AXES or tuple(header[1:]) not in (_COLUMNS[:2], _COLUMNS):
-                    raise ValueError(f"header {line!r} of {path!r} is not axis,value,bound[,ideal]")
-            else:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path!r} is not UTF-8 text") from exc
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, val = line[1:].partition("=")
+            metadata[key.strip()] = _parse_meta(val.strip())
+        elif header is None:
+            header = [c.strip() for c in line.split(",")]
+            if header[0] not in AXES or tuple(header[1:]) not in (_COLUMNS[:2], _COLUMNS):
+                raise ValueError(f"header {line!r} of {path!r} is not axis,value,bound[,ideal]")
+        else:
+            try:
                 row = [float(c) for c in line.split(",")]
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"row {line!r} of {path!r} has {len(row)} columns, its header {len(header)}"
-                    )
-                if not np.isfinite(row).all():
-                    raise ValueError(f"row {line!r} of {path!r} has a non-finite value")
-                rows.append(row)
+            except ValueError as exc:
+                raise ValueError(f"row {line!r} of {path!r} has a value that is not a number") from exc
+            if len(row) != len(header):
+                raise ValueError(
+                    f"row {line!r} of {path!r} has {len(row)} columns, its header {len(header)}"
+                )
+            if not np.isfinite(row).all():
+                raise ValueError(f"row {line!r} of {path!r} has a non-finite value")
+            rows.append(row)
     if header is None or not rows:
         raise ValueError(f"no sweep data found in {path!r}")
     return SweepResult(columns=dict(zip(header, np.array(rows).T)), metadata=metadata)

@@ -526,13 +526,16 @@ class TestPlotCommand:
         "g,value,bound,ideal\n0,1,2,inf\n",
         "x,value,bound\n0,1,2\n",  # not a sweep axis
         "g,bound,value\n0,1,2\n",
+        "g,value,bound\n1,abc,2\n",  # a value that is not a number
+        b"\xffg,value,bound\n0,1,2\n",  # not UTF-8
     ])
     def test_malformed_csv_is_refused_in_one_line(self, tmp_path, capsys, text):
         csv_path, svg_path = tmp_path / "s.csv", tmp_path / "s.svg"
-        csv_path.write_text(text, encoding="utf-8")
+        csv_path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         assert run_cli("plot", "--csv", str(csv_path), "--svg", str(svg_path))[0] == EXIT_INVARIANT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert repr(str(csv_path)) in err  # every refusal names the file
         assert not svg_path.exists()
 
     def test_missing_csv_is_io_error(self):

@@ -12,8 +12,7 @@ from singlewell import (
     fragmented_ground_state,
     generator_at,
     prepare_input,
-    protocol_readout,
-    qfi_and_ritz_spread,
+    qfi_pure_state,
     spin_coherent_state,
     total_hamiltonian,
 )
@@ -145,7 +144,7 @@ class TestDynamicalGenerator:
     def test_seminorm_invariances(self):
         p = harmonic_params(n_particles=15, g=40.0, delta_eps=5.0)
         gen = dynamical_generator(p)
-        sn = gen.seminorm
+        sn = np.sqrt(gen.cqfi)
         flipped = np.linalg.eigvalsh(-dense_generator(gen))
         assert abs((flipped[-1] - flipped[0]) - sn) < 1e-9 * sn
         rng = np.random.default_rng(3)
@@ -173,7 +172,7 @@ class TestDynamicalGenerator:
     def test_optimal_state_saturates(self):
         p = harmonic_params(n_particles=25, g=30.0, delta_eps=5.0)
         gen = dynamical_generator(p)
-        assert abs(qfi_and_ritz_spread(gen, optimal_state(gen))[0] - gen.cqfi) < 1e-8 * gen.cqfi
+        assert abs(qfi_pure_state(gen, optimal_state(gen)) - gen.cqfi) < 1e-8 * gen.cqfi
 
 
 class TestBandedKernel:
@@ -250,7 +249,7 @@ class TestBandedKernel:
         gen = dynamical_generator(harmonic_params(n_particles=12, g=30.0, delta_eps=5.0))
         assert not calls
         cqfi = gen.cqfi
-        assert gen.seminorm ** 2 == cqfi and gen.cqfi == cqfi
+        assert gen.cqfi == cqfi
         assert len(calls) == 1
 
 
@@ -274,7 +273,7 @@ class TestExactDerivativeOracle:
 
         prepared = fragmented_ground_state(n, 0.5)
         qfi = 4.0 * variance(oracle, np.exp(-0.5j * np.pi * np.diag(jz).real) * prepared)
-        protocol = protocol_readout(prepare_input(n, "fragmented", 0.5)[0], dynamical_generator(p))
+        protocol = qfi_pure_state(dynamical_generator(p), prepare_input(n, "fragmented", 0.5)[0])
         assert abs(protocol - qfi) <= bound * qfi
 
 
@@ -282,12 +281,12 @@ class TestQfiPureState:
     def test_generator_eigenvector_carries_no_information(self):
         gen = dynamical_generator(harmonic_params(n_particles=12, g=10.0, delta_eps=2.0))
         vec = np.linalg.eigh(dense_generator(gen))[1][:, 4]
-        assert qfi_and_ritz_spread(gen, vec)[0] < 1e-8
+        assert qfi_pure_state(gen, vec) < 1e-8
 
     def test_ideal_point_reaches_heisenberg(self):
         n, t = 18, 1.0
         gen = dynamical_generator(harmonic_params(n_particles=n, g=0.0, delta_eps=0.0, t=t))
-        assert abs(qfi_and_ritz_spread(gen, optimal_state(gen))[0] - (n * t) ** 2) < 1e-8 * (n * t) ** 2
+        assert abs(qfi_pure_state(gen, optimal_state(gen)) - (n * t) ** 2) < 1e-8 * (n * t) ** 2
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(deadline=None, max_examples=10)
@@ -297,7 +296,7 @@ class TestQfiPureState:
         gen = dynamical_generator(p)
         for _ in range(200):
             state = random_state(rng, 16)
-            assert qfi_and_ritz_spread(gen, state)[0] <= gen.cqfi * (1 + 1e-9)
+            assert qfi_pure_state(gen, state) <= gen.cqfi * (1 + 1e-9)
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(deadline=None, max_examples=40)
@@ -307,8 +306,7 @@ class TestQfiPureState:
         gen = dynamical_generator(p)
         for _ in range(5):
             state = random_state(rng, p.n_particles + 1)
-            qfi, spread = qfi_and_ritz_spread(gen, state)
-            assert np.sqrt(qfi) * (1 - 1e-12) <= spread <= gen.seminorm * (1 + 1e-12)
+            qfi = qfi_pure_state(gen, state)
             # the real (re, im) pair products against 4 Var of the dense generator
             dense_qfi = 4.0 * variance(dense_generator(gen), state)
             assert abs(qfi - dense_qfi) <= 1e-10 * (1.0 + gen.cqfi)
@@ -316,7 +314,7 @@ class TestQfiPureState:
     def test_dimension_mismatch(self):
         gen = dynamical_generator(harmonic_params(n_particles=5))
         with pytest.raises(ValueError):
-            qfi_and_ritz_spread(gen, spin_coherent_state(6, 0.3, 0.0))
+            qfi_pure_state(gen, spin_coherent_state(6, 0.3, 0.0))
 
 
 class TestUpperBound:

@@ -1,29 +1,24 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from singlewell import (
     GeneratorResult,
-    NumericsError,
     SweepSpec,
     cqfi_noninteracting,
     dynamical_generator,
     fragmented_ground_state,
     phase_shift_qfi,
     prepare_input,
-    protocol_readout,
-    qfi_and_ritz_spread,
+    qfi_pure_state,
     spin_coherent_state,
 )
-from singlewell import protocols
 from oracles import dense_spin, harmonic_params, variance
 
 
 def _qfi_and_baseline(p, state_kind="fragmented", theta=0.5):
     """The protocol QFI at one point and the phase-shift baseline of the same input."""
     psi, jx_variance = prepare_input(p.n_particles, state_kind, theta)
-    return protocol_readout(psi, dynamical_generator(p)), phase_shift_qfi(jx_variance, p.t)
+    return qfi_pure_state(dynamical_generator(p), psi), phase_shift_qfi(jx_variance, p.t)
 
 
 class TestBeamSplitter:
@@ -63,7 +58,7 @@ class TestProtocolSpec:
 
 
 class TestRunProtocol:
-    """One protocol point, run through prepare_input, dynamical_generator and protocol_readout."""
+    """One protocol point, run through prepare_input, dynamical_generator and qfi_pure_state."""
 
     def test_noninteracting_point_stays_below_suppressed_ceiling(self):
         p = harmonic_params(g=0.0, delta_eps=10.0)
@@ -110,7 +105,7 @@ class TestRunProtocol:
         psi, _ = prepare_input(10, "fragmented", 0.5)
         gen = dynamical_generator(harmonic_params(n_particles=11))
         with pytest.raises(ValueError, match="dimension"):
-            protocol_readout(psi, gen)
+            qfi_pure_state(gen, psi)
 
 
 class TestPrepareInput:
@@ -131,49 +126,29 @@ class TestPrepareInput:
             prepare_input(50, "squeezed", 0.5)
 
 
-class TestCramerRaoCheck:
-    """protocol_readout certifies qfi <= cqfi from the Ritz spread L of G~ and
-    takes the spectrum of G~ (gen.cqfi) only where that does not hold."""
+class TestProtocolPoint:
+    """One protocol point reads the QFI of psi from products with G~ alone; the
+    spectrum of G~ (gen.cqfi) is taken only when the channel QFI is read."""
 
     @staticmethod
     def _point(**overrides):
         p = harmonic_params(**overrides)
         return prepare_input(p.n_particles, "fragmented", 0.5)[0], dynamical_generator(p)
 
-    def test_certified_point_leaves_the_spectrum_alone(self):
+    def test_protocol_point_leaves_the_spectrum_alone(self):
         psi, gen = self._point(g=80.0, delta_eps=10.0)
-        protocol_readout(psi, gen)
-        assert "cqfi" not in vars(gen) and "seminorm" not in vars(gen)
+        qfi_pure_state(gen, psi)
+        assert "cqfi" not in vars(gen)
 
-    def test_corrupted_qfi_still_raises(self, monkeypatch):
-        def doubled(gen, state):
-            return 2.0 * gen.cqfi, qfi_and_ritz_spread(gen, state)[1]
-
-        psi, gen = self._point(g=80.0, delta_eps=10.0)
-        monkeypatch.setattr(protocols, "qfi_and_ritz_spread", doubled)
-        with pytest.raises(NumericsError, match="exceeds the channel QFI"):
-            protocol_readout(psi, gen)
-
-    def test_asymmetric_kernel_takes_the_exact_path(self):
-        psi, gen = self._point(g=80.0, delta_eps=10.0)
-        kernel = np.array(gen.kernel)
-        kernel[0, 1] += 1e-12 * np.abs(kernel).max()
-        skewed = replace(gen, kernel=kernel)
-        qfi = protocol_readout(psi, skewed)
-        assert "cqfi" in vars(skewed)
-        assert qfi == pytest.approx(protocol_readout(psi, gen), rel=1e-9)
-
-    def test_eigenvector_input_takes_the_exact_path(self):
-        # G~ diagonal, H = 0: the Dicke state |k> is an exact eigenvector, so sigma = L = 0
+    def test_eigenvector_input_carries_no_information(self):
+        # G~ diagonal, H = 0: the Dicke state |k> is an exact eigenvector, so sigma = 0
         kernel = np.diag([-2.0, -1.0, 0.0, 1.0, 2.0])
         gen = GeneratorResult(energies=np.zeros(5), vectors=np.eye(5), jx=kernel, kernel=kernel, t=1.0)
-        psi = np.eye(5)[1]
-        assert qfi_and_ritz_spread(gen, psi) == (0.0, 0.0)
-        assert protocol_readout(psi, gen) == 0.0
-        assert "cqfi" in vars(gen) and gen.cqfi == 16.0
+        assert qfi_pure_state(gen, np.eye(5)[1]) == 0.0
+        assert gen.cqfi == 16.0
 
-    def test_zero_time_takes_the_exact_path(self):
+    def test_zero_time_carries_no_information(self):
         # at t = 0, G~ = 0 and every input is an eigenvector
         psi, gen = self._point(g=80.0, delta_eps=10.0, t=0.0)
-        assert protocol_readout(psi, gen) == 0.0
-        assert "cqfi" in vars(gen) and gen.cqfi == 0.0
+        assert qfi_pure_state(gen, psi) == 0.0
+        assert gen.cqfi == 0.0

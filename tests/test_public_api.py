@@ -11,7 +11,7 @@ PUBLIC = [
     "build_spin_operators", "cqfi_noninteracting", "cqfi_upper_bound", "decompose",
     "dynamical_generator", "emit_csv", "emit_plot",
     "fragmented_ground_state", "generator_at", "load_csv", "phase_shift_qfi", "prepare_input",
-    "protocol_readout", "qfi_and_ritz_spread", "renormalized_q", "run_sweep",
+    "qfi_pure_state", "renormalized_q", "run_sweep",
     "spin_coherent_state", "total_hamiltonian", "validity_gamma",
 ]
 

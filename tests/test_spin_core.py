@@ -8,7 +8,7 @@ from singlewell import (
     fragmented_ground_state,
     generator_at,
     prepare_input,
-    qfi_and_ritz_spread,
+    qfi_pure_state,
     spin_coherent_state,
 )
 from oracles import degree_of_fragmentation, dense_spin, variance
@@ -183,8 +183,8 @@ def test_dicke_state_rejects_unnormalized_amplitudes():
     gen = generator_at(np.zeros(2), np.eye(2), np.zeros((2, 2)), 1.0)
     for psi in (np.array([1.0, 1.0], dtype=complex), np.array([1.0 + 1e-11, 0.0], dtype=complex)):
         with pytest.raises(ValueError, match="state norm"):
-            qfi_and_ritz_spread(gen, psi)
-    qfi_and_ritz_spread(gen, np.array([1.0 + 1e-13, 0.0], dtype=complex))
+            qfi_pure_state(gen, psi)
+    qfi_pure_state(gen, np.array([1.0 + 1e-13, 0.0], dtype=complex))
 
 
 def test_states_and_operators_are_immutable():

@@ -17,7 +17,7 @@ from singlewell import (
     load_csv,
     phase_shift_qfi,
     prepare_input,
-    protocol_readout,
+    qfi_pure_state,
     run_sweep,
     validity_gamma,
 )
@@ -46,6 +46,10 @@ class TestSweepSpec:
     def test_rejects_too_few_steps(self):
         with pytest.raises(ValueError):
             small_spec(steps=1)
+        # a float steps, whole or not, fails at the spec, not in np.linspace mid-run
+        for steps in (5.0, 5.5):
+            with pytest.raises(ValueError, match="integer of at least 2 steps"):
+                small_spec(steps=steps)
 
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError):
@@ -92,6 +96,14 @@ class TestRunSweep:
     def test_every_value_respects_the_bound(self):
         res = run_sweep(small_spec(steps=9))
         assert np.all(res.columns["value"] <= res.columns["bound"] * (1 + 1e-9))
+        # no input reaches above the channel QFI of its own point, which run_sweep does not check
+        for kind in STATE_KINDS:
+            spec = small_spec(target="protocol_qfi", steps=9, state_kind=kind)
+            res = run_sweep(spec)
+            assert np.all(res.columns["value"] <= res.columns["bound"] * (1 + 1e-9))
+            for g, qfi in zip(res.columns["g"].tolist(), res.columns["value"].tolist()):
+                cqfi = dynamical_generator(with_axis_value(spec.params, "g", g)).cqfi
+                assert qfi <= cqfi * (1 + 1e-9), (kind, g)
 
     def test_point_failure_names_the_tuple(self, monkeypatch):
         def failing_at_t0(p):
@@ -149,7 +161,7 @@ class TestRunSweep:
                     expected = [dynamical_generator(p).cqfi for p in points]
                 else:
                     psi, jx_variance = prepare_input(base.n_particles, kind, 0.7)
-                    expected = [protocol_readout(psi, dynamical_generator(p)) for p in points]
+                    expected = [qfi_pure_state(dynamical_generator(p), psi) for p in points]
                     np.testing.assert_allclose(
                         res.columns["ideal"], [phase_shift_qfi(jx_variance, p.t) for p in points],
                         rtol=1e-12, atol=0)
@@ -157,7 +169,7 @@ class TestRunSweep:
                                            err_msg=f"{target} {kind} over {axis}")
 
     def test_protocol_sweep_takes_no_spectrum_of_the_kernel(self, monkeypatch):
-        # the Cramer-Rao check is certified at every point
+        # a protocol point reads the QFI of its input from products with the kernel alone
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
