@@ -123,12 +123,8 @@ def cmd_params(args, out) -> int:
 
 def cmd_validate(args, out) -> int:
     tables = _tables(args)
-    try:
-        _report_params(system_params(tables), out)
-        build_run(tables)
-    except _REFUSED as exc:
-        out.write(f"FAIL: {exc}\n")
-        return EXIT_INVARIANT
+    _report_params(system_params(tables), out)
+    build_run(tables)
     out.write("OK: all structural invariants hold\n")
     return EXIT_OK
 

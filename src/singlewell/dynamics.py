@@ -36,6 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import NumericsError
 from .hamiltonians import total_hamiltonian
 from .linalg import eigh_band
 from .modes import SystemParams
@@ -92,6 +93,8 @@ def generator_at(energies: np.ndarray, vectors: np.ndarray, jx: np.ndarray, t: f
     The mirror goes through the gap buffer x, spent by then: copying kernel.T
     into kernel directly would make numpy allocate a hidden n x n temporary.
     """
+    if not (float(energies[-1]) - float(energies[0])) * (0.5 * t) < np.inf:
+        raise NumericsError(f"level phase (E_l - E_k) t/2 overflows a float at t = {t!r}")
     kernel = np.zeros((energies.shape[0],) * 2)  # before x, so x is freed at the heap's top
     x = energies - energies[:, np.newaxis]
     x *= 0.5 * t
@@ -140,6 +143,8 @@ def qfi_pure_state(gen: GeneratorResult, psi: np.ndarray) -> float:
     if dim != len(psi):
         raise ValueError(f"generator dimension {dim} does not match state dimension {len(psi)}")
     check_unit_norm(psi)
+    if not max(-float(gen.energies[0]), float(gen.energies[-1])) * (0.5 * gen.t) < np.inf:
+        raise NumericsError(f"frame phase E t/2 overflows a float at t = {gen.t!r}")
     rotated = (gen.vectors.T @ _pairs(psi)).view(complex).ravel()
     phi = _pairs(np.exp(-0.5j * gen.t * gen.energies) * rotated)
     applied = gen.kernel @ phi

@@ -88,7 +88,10 @@ class SystemParams:
 
 
 def as_float(name: str, value) -> float:
-    """float(value); an int beyond a float is refused as a ValueError that names it."""
+    """float(value) of an int or a float; a bool, any other type or an int beyond a
+    float is refused as a ValueError that names it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a float, got {value!r}")
     try:
         return float(value)
     except OverflowError as exc:

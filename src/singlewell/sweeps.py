@@ -94,10 +94,12 @@ class SweepSpec:
         for end in (self.axis_min, self.axis_max):
             with_axis_value(self.params, self.axis, end)  # e.g. g < 0 fails here, not mid-sweep
         # The protocol input is checked whatever the target.
-        if not 0.0 <= self.theta <= np.pi:
+        if not 0.0 <= as_float("theta", self.theta) <= np.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
         if self.state_kind not in STATE_KINDS:
             raise ValueError(f"unknown state kind {self.state_kind!r}; expected one of {STATE_KINDS}")
+        if not isinstance(self.log_scale, bool):
+            raise ValueError(f"log_scale must be a bool, got {self.log_scale!r}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.axis_min, self.axis_max, self.steps)

@@ -25,6 +25,11 @@ from singlewell.sweeps import (
 from oracles import harmonic_params
 
 
+# the environment of a fresh interpreter that imports this checkout's package
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
@@ -70,7 +75,7 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="unknown config table"):
             parse_config("systems:\n  g: 3\n")
 
-    def test_exponent_floats_without_a_dot(self, tmp_path):
+    def test_exponent_floats_without_a_dot(self, tmp_path, capsys):
         # YAML 1.2 reads 1e-3 as a float; YAML 1.1 would read the string '1e-3'
         assert parse_config("system: {t: 1e-3}\n")["system"]["t"] == 0.001
         cfg = tmp_path / "run.yaml"
@@ -78,8 +83,8 @@ class TestConfigRoundTrip:
         code, out = run_cli("validate", "-c", str(cfg))
         assert code == EXIT_OK and "t = 0.001" in out
         cfg.write_text("system: {g: -2E+1}\n", encoding="utf-8")  # read as -20.0, not a string
-        code, out = run_cli("validate", "-c", str(cfg))
-        assert code == EXIT_INVARIANT and "got -20.0" in out
+        code, _ = run_cli("validate", "-c", str(cfg))
+        assert code == EXIT_INVARIANT and "got -20.0" in capsys.readouterr().err
         with pytest.raises(ValueError, match="steps must be of type int"):
             parse_config("sweep: {steps: 1e2}\n")
         tables = parse_config("system: {t: 1e-3, g: 2.5e-7}\n"
@@ -222,20 +227,20 @@ class TestValidateCommand:
         assert code == EXIT_OK
         assert "OK" in out
 
-    def test_sign_constraint_violation_named(self, tmp_path):
+    def test_sign_constraint_violation_named(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("system:\n  eta: 0.5\n  xi: 2.0\n", encoding="utf-8")
-        code, out = run_cli("validate", "-c", str(cfg))
+        code, _ = run_cli("validate", "-c", str(cfg))
         assert code == EXIT_INVARIANT
-        assert "opposite signs" in out
+        assert "opposite signs" in capsys.readouterr().err
         for flag in ("--t", "--g", "--delta-eps"):
-            code, out = run_cli("validate", flag, "nan")
+            code, _ = run_cli("validate", flag, "nan")
             assert code == EXIT_INVARIANT
-            assert "FAIL" in out and "non-finite" in out
+            assert capsys.readouterr().err.startswith("error: parameters must be finite, got non-finite")
         cfg.write_text("system:\n  t: .nan\n", encoding="utf-8")
-        code, out = run_cli("validate", "-c", str(cfg))
+        code, _ = run_cli("validate", "-c", str(cfg))
         assert code == EXIT_INVARIANT
-        assert "non-finite t" in out
+        assert "non-finite t" in capsys.readouterr().err
 
     @pytest.mark.parametrize("table, key", [
         ("system", "g"), ("sweep", "steps"), ("sweep", "min"), ("protocol", "theta"),
@@ -261,10 +266,14 @@ class TestValidateCommand:
     def test_refuses_what_sweep_refuses(self, tmp_path, capsys, text):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(text, encoding="utf-8")
+        errors = []
         for command in ("validate", "sweep"):
             code, out = run_cli(command, "-c", str(cfg))
             assert code == EXIT_INVARIANT, command
-            assert "OK" not in out and "Traceback" not in capsys.readouterr().err
+            errors.append(capsys.readouterr().err)
+            assert "OK" not in out and "Traceback" not in errors[-1]
+        # one refusal, one channel: the same `error:` line from both commands
+        assert errors[0] == errors[1] and errors[0].startswith("error: ") and len(errors[0].splitlines()) == 1
 
     @pytest.mark.parametrize("text, commands", [
         ("system: {g: [1\n", ("validate", "sweep")),  # malformed YAML
@@ -321,10 +330,8 @@ class TestValidateCommand:
                 err = capsys.readouterr().err
                 assert code == EXIT_INVARIANT, (command, argv)
                 assert "Traceback" not in err
-                # validate's FAIL line comes last, after the fixed point's parameters if they pass
-                message = out.splitlines()[-1] if command == "validate" else err
-                assert message.startswith("FAIL: " if command == "validate" else "error: "), argv
-                assert named in message and len(err.splitlines()) == (command == "sweep"), (command, argv)
+                assert err.startswith("error: ") and len(err.splitlines()) == 1, (command, argv)
+                assert named in err and "OK" not in out, (command, argv)
 
     def test_overflowing_hamiltonian_is_a_numerical_failure(self, tmp_path, capsys):
         # each parameter is a float, but H's diagonal overflows: validate runs no
@@ -339,13 +346,27 @@ class TestValidateCommand:
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "Warning" not in err
         assert not csv.exists()
 
+    @pytest.mark.parametrize("extra", [(), ("--target", "protocol_qfi"), ("--sweep-axis", "lambda")])
+    def test_overflowing_phase_fails_its_point_in_one_line(self, extra):
+        # a fresh interpreter, so a raw RuntimeWarning would reach stderr as it does for a user
+        argv = ["sweep", "--n-particles", "4", "--steps", "3", "--delta-eps", "1e200", "--t", "1e150", *extra]
+        proc = subprocess.run([sys.executable, "-m", "singlewell", *argv],
+                              capture_output=True, text=True, env=SRC_ENV, timeout=120)
+        assert proc.returncode == EXIT_NUMERIC
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: sweep point failed at ")
+        assert "phase (E_l - E_k) t/2 overflows a float at t = 1e+150" in proc.stderr
+        for word in ("RuntimeWarning", "did not converge", "non-finite values"):
+            assert word not in proc.stderr
+
     def test_gamma_overflow_names_the_parameter(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("system: {g: 1.0e+300}\n", encoding="utf-8")
-        code, out = run_cli("validate", "-c", str(cfg))
+        code, _ = run_cli("validate", "-c", str(cfg))
         assert code == EXIT_INVARIANT
-        assert "FAIL" in out and "gamma overflows" in out and "g_1d = 2" in out and "N = 50" in out
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "gamma overflows" in err and "g_1d = 2" in err and "N = 50" in err
+        assert "Traceback" not in err
 
 
 # Random YAML tables: every schema key (and one unknown) with values of every
@@ -385,12 +406,10 @@ class TestRandomConfigs:
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["singlewell", "singlewell.cli"])
     def test_python_m_runs_the_cli(self, module):
-        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         proc = subprocess.run([sys.executable, "-m", module, "validate", "--t", "nan"],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=SRC_ENV, timeout=120)
         assert proc.returncode == EXIT_INVARIANT
-        assert "non-finite t" in proc.stdout
+        assert proc.stderr == "error: parameters must be finite, got non-finite t\n"
 
 
 class TestSweepCommand:

@@ -16,6 +16,7 @@ from singlewell import (
     spin_coherent_state,
     total_hamiltonian,
 )
+from singlewell.errors import NumericsError
 from oracles import (
     dense_generator, dense_hamiltonian, dense_of_band, dense_spin, evolve, exact_generator,
     finite_difference_generator, harmonic_params, lower_band, random_valid_params, variance,
@@ -315,6 +316,18 @@ class TestQfiPureState:
         gen = dynamical_generator(harmonic_params(n_particles=5))
         with pytest.raises(ValueError):
             qfi_pure_state(gen, spin_coherent_state(6, 0.3, 0.0))
+
+    def test_overflowing_phases_refused_without_a_warning(self):
+        # filterwarnings = error turns a raw RuntimeWarning into a failure here
+        vectors, jx = np.eye(2), np.array([[0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(NumericsError, match=r"\(E_l - E_k\) t/2 overflows"):
+            generator_at(np.array([-1e300, 1e300]), vectors, jx, 1e9)
+        # one level pair, far from zero: the gaps fit a float, the frame's E t/2 does not
+        gen = generator_at(np.array([1e300, 1e300]), vectors, jx, 1e10)
+        with pytest.raises(NumericsError, match="frame phase E t/2 overflows"):
+            qfi_pure_state(gen, np.array([1.0, 0.0], dtype=complex))
+        assert qfi_pure_state(generator_at(np.array([1e300, 1e300]), vectors, jx, 2.0),
+                              np.array([1.0, 0.0], dtype=complex)) == 4.0
 
 
 class TestUpperBound:

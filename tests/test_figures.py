@@ -1,4 +1,4 @@
-"""The paper's numbers, pinned: every curve of scripts/fig1..3 against the values
+"""The paper's numbers, pinned: every curve of scripts/figures.py against the values
 scripts/freeze_figures.py froze in tests/data/figure_values.json.
 
 Sweeps run in process and are compared as floats, not as CSV text, whose
@@ -18,21 +18,24 @@ from singlewell import run_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 FROZEN = json.loads((ROOT / "tests" / "data" / "figure_values.json").read_text(encoding="utf-8"))
+FIGURES = {figure.__name__: figure
+           for figure in runpy.run_path(str(ROOT / "scripts" / "figures.py"))["FIGURES"]}
 RTOL = 1e-12
 
 
 def test_every_figure_curve_is_frozen():
+    assert list(FIGURES) == list(FROZEN)
     assert sum(map(len, FROZEN.values())) == 23
 
 
-@pytest.mark.parametrize("script", sorted(FROZEN))
-def test_curves_match_their_frozen_values(script):
-    specs = runpy.run_path(str(ROOT / "scripts" / f"{script}.py"))["specs"]()
-    assert [stem for stem, _ in specs] == list(FROZEN[script])
+@pytest.mark.parametrize("figure", sorted(FROZEN))
+def test_curves_match_their_frozen_values(figure):
+    specs = FIGURES[figure]()
+    assert [stem for stem, _ in specs] == list(FROZEN[figure])
     for stem, spec in specs:
         result = run_sweep(spec)
-        assert sorted(FROZEN[script][stem]) == sorted({"value", "ideal"} & set(result.columns))
-        for name, frozen in FROZEN[script][stem].items():
+        assert sorted(FROZEN[figure][stem]) == sorted({"value", "ideal"} & set(result.columns))
+        for name, frozen in FROZEN[figure][stem].items():
             frozen = np.array(frozen)
             drift = np.abs(result.columns[name] - frozen)
             allowed = RTOL * np.maximum(np.abs(frozen), result.columns["bound"])

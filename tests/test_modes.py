@@ -123,6 +123,17 @@ class TestSystemParamsInvariants:
             with pytest.raises(ValueError, match=name):
                 SystemParams(**{**valid, name: bad})
 
+    @pytest.mark.parametrize("name, bad", [
+        ("delta_eps", True), ("g", "1.5"), ("eta", "0.625"), ("t", None), ("xi", False),
+    ])
+    def test_wrong_typed_field_rejected(self, name, bad):
+        # a YAML value's rule: an int fits a float, a bool only a bool
+        with pytest.raises(ValueError, match=f"{name} must be a float"):
+            SystemParams(**{name: bad})
+
+    def test_numpy_numbers_accepted(self):
+        assert SystemParams(n_particles=np.int64(50), g=np.int64(2), t=np.float32(0.5)).g == 2
+
     def test_g_whose_gamma_overflows_rejected(self):
         # gamma = 1.5 g_1d^(4/3) N^(-2/3) must be a float, so every grid point can report it
         SystemParams(n_particles=7, g=7e230)

@@ -5,24 +5,21 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                                  os.environ.get("PYTHONPATH")])))
 
 
-@pytest.mark.parametrize("script, curves", [
-    ("fig1_noninteracting.py", 7),
-    ("fig2_interacting.py", 10),
-    ("fig3_ground_states.py", 6),
-])
-def test_figure_script_writes_one_csv_and_svg_per_curve(tmp_path, script, curves):
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--outdir", str(tmp_path)],
+def test_figure_script_writes_one_csv_and_svg_per_curve(tmp_path):
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "figures.py"), "--outdir", str(tmp_path)],
                           capture_output=True, text=True, env=ENV, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert len(list(tmp_path.glob("*.csv"))) == curves
-    assert len(list(tmp_path.glob("*.svg"))) == curves
+    curves = {"fig1_noninteracting": 7, "fig2_interacting": 10, "fig3_ground_states": 6}
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(curves)
+    for figure, count in curves.items():
+        assert len(list((tmp_path / figure).glob("*.csv"))) == count
+        assert len(list((tmp_path / figure).glob("*.svg"))) == count
+    assert len(proc.stdout.splitlines()) == sum(curves.values())
 
 
 def test_limits_script_prints_one_row_per_n_and_stage():

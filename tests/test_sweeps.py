@@ -70,8 +70,29 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             small_spec(axis="n_particles")
 
+    @pytest.mark.parametrize("name, bad", [
+        ("theta", "a"), ("theta", None), ("theta", True), ("log_scale", "no"), ("log_scale", 1),
+        ("axis_min", "0"), ("axis_max", False),
+    ])
+    def test_wrong_typed_field_refused_at_the_spec(self, name, bad):
+        # a YAML value's rule: an int fits a float, a bool only a bool
+        with pytest.raises(ValueError, match=name):
+            small_spec(**{name: bad})
+
 
 class TestRunSweep:
+    @pytest.mark.parametrize("target, axis", [
+        ("cqfi_interacting", "g"), ("protocol_qfi", "g"), ("cqfi_interacting", "lambda"),
+    ])
+    def test_overflowing_phase_fails_its_point(self, target, axis):
+        # every input is a float, but (E_l - E_k) t/2 is not
+        spec = SweepSpec(target=target, axis=axis, axis_max=1.0, steps=3,
+                         params=SystemParams(n_particles=4, delta_eps=1e200, t=1e150))
+        with pytest.raises(SweepPointError, match=f"{axis} = 0.0") as info:
+            run_sweep(spec)
+        assert isinstance(info.value.__cause__, NumericsError)
+        assert "phase (E_l - E_k) t/2 overflows" in str(info.value.__cause__)
+
     def test_grid_shape_and_finiteness(self):
         res = run_sweep(small_spec())
         assert list(res.columns) == ["g", "value", "bound"]
