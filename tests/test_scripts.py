@@ -5,21 +5,36 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                                  os.environ.get("PYTHONPATH")])))
 
 
-def test_figure_script_writes_one_csv_and_svg_per_curve(tmp_path):
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "figures.py"), "--outdir", str(tmp_path)],
+CURVES = {"fig1_noninteracting": 7, "fig2_interacting": 10, "fig3_ground_states": 6}
+
+
+@pytest.fixture(scope="module")
+def figures_run(tmp_path_factory):
+    """One run of figures.py, shared by the per-figure checks."""
+    outdir = tmp_path_factory.mktemp("figures")
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "figures.py"), "--outdir", str(outdir)],
                           capture_output=True, text=True, env=ENV, timeout=300)
+    return proc, outdir
+
+
+# The ids keep the names these cases had when each figure was its own script.
+@pytest.mark.parametrize("figure, count", CURVES.items(), ids=[f"{f}.py-{c}" for f, c in CURVES.items()])
+def test_figure_script_writes_one_csv_and_svg_per_curve(figures_run, figure, count):
+    proc, outdir = figures_run
     assert proc.returncode == 0, proc.stderr
-    curves = {"fig1_noninteracting": 7, "fig2_interacting": 10, "fig3_ground_states": 6}
-    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(curves)
-    for figure, count in curves.items():
-        assert len(list((tmp_path / figure).glob("*.csv"))) == count
-        assert len(list((tmp_path / figure).glob("*.svg"))) == count
-    assert len(proc.stdout.splitlines()) == sum(curves.values())
+    assert sorted(path.name for path in outdir.iterdir()) == sorted(CURVES)
+    assert len(list((outdir / figure).glob("*.csv"))) == count
+    assert len(list((outdir / figure).glob("*.svg"))) == count
+    lines = [line for line in proc.stdout.splitlines() if line.startswith(f"wrote {outdir / figure}/")]
+    assert len(lines) == count
+    assert len(proc.stdout.splitlines()) == sum(CURVES.values())
 
 
 def test_limits_script_prints_one_row_per_n_and_stage():
