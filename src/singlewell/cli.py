@@ -27,9 +27,9 @@ from typing import get_args
 
 from .config import SCHEMA, build_run, load_config, system_params
 from .errors import NumericsError
-from .modes import HARMONIC_KAPPA, SystemParams, renormalized_q, validity_gamma
+from .modes import FIELD_KEYS, HARMONIC_KAPPA, SystemParams, renormalized_q, validity_gamma
 from .protocols import STATE_KINDS
-from .sweeps import AXES, FIELD_KEYS, TARGETS, SweepPointError, emit_csv, emit_plot, load_csv, run_sweep
+from .sweeps import AXES, TARGETS, SweepPointError, emit_csv, emit_plot, load_csv, run_sweep
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1

@@ -4,48 +4,38 @@ The file has up to four tables: ``system`` (the fixed parameter point),
 ``protocol`` (initial-state choice), ``sweep`` (target and grid) and
 ``output`` (file paths). `SCHEMA` lists every key with the type of the
 spec field it sets; the CLI merges the flags it was given into the tables
-as plain values, and `build_run` turns them into a `SweepSpec`. Every
-default is the spec's own: `SystemParams` holds the harmonic point,
-`SweepSpec` the grid and the input state.
+as plain values, and `build_run` turns them into a `SweepSpec`, whose
+checks refuse a bad value. Every default is the spec's own: `SystemParams`
+holds the harmonic point, `SweepSpec` the grid and the input state.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import fields
-from typing import get_args, get_type_hints
+from typing import get_type_hints
 
 import yaml
 
-from .modes import SystemParams
-from .sweeps import FIELD_KEYS, KEY_FIELDS, SweepSpec
+from .modes import FIELD_KEYS, KEY_FIELDS, SystemParams
+from .sweeps import SweepSpec
 
 __all__ = ["SCHEMA", "load_config", "parse_config", "system_params", "build_run"]
 
 
 def _keys(cls, names) -> dict:
-    """YAML key -> accepted type for the given fields of cls."""
+    """YAML key -> type of the given fields of cls."""
     hints = get_type_hints(cls)
     return {FIELD_KEYS.get(name, name): hints[name] for name in names}
 
 
-# Table -> YAML key -> accepted type; null leaves an output path unset.
+# Table -> YAML key -> the type of its field and flag; null leaves an output path unset.
 SCHEMA = {
     "system": _keys(SystemParams, [f.name for f in fields(SystemParams)]),
     "protocol": _keys(SweepSpec, ["theta", "state_kind"]),
     "sweep": _keys(SweepSpec, ["target", "axis", "axis_min", "axis_max", "steps", "log_scale"]),
     "output": {"csv": str | None, "svg": str | None},
 }
-
-
-def _has_type(value, annotation) -> bool:
-    """Whether a YAML value fits a field type; an int fits a float, a bool only a bool."""
-    allowed = get_args(annotation) or (annotation,)
-    if isinstance(value, bool):
-        return bool in allowed
-    if isinstance(value, int) and float in allowed:
-        return True
-    return isinstance(value, allowed)
 
 
 class _Loader(yaml.SafeLoader):
@@ -60,7 +50,7 @@ _Loader.add_implicit_resolver(
 
 
 def parse_config(text: str) -> dict[str, dict]:
-    """Every table of a YAML config, empty where absent; keys and value types checked."""
+    """Every table of a YAML config, empty where absent; only tables and keys are checked."""
     try:
         raw = yaml.load(text, Loader=_Loader) or {}
     except yaml.MarkedYAMLError as exc:  # the parser's problem and where, on one line
@@ -78,13 +68,9 @@ def parse_config(text: str) -> dict[str, dict]:
     for section, table in tables.items():
         if not isinstance(table, dict):
             raise ValueError(f"[{section}] must be a mapping, got {table!r}")
-        for key, value in table.items():
+        for key in table:
             if key not in SCHEMA[section]:
                 raise ValueError(f"unknown key {key!r} in [{section}]")
-            kind = SCHEMA[section][key]
-            if not _has_type(value, kind):
-                raise ValueError(f"[{section}] {key} must be of type "
-                                 f"{getattr(kind, '__name__', kind)}, got {value!r}")
     return tables
 
 
@@ -110,8 +96,11 @@ def build_run(tables: dict[str, dict]) -> tuple[SweepSpec, str | None, str | Non
     """The spec that `validate` checks and `sweep` runs, with the CSV and SVG paths.
 
     The swept axis must not also be fixed in [system], whichever table, flag
-    or default names it.
+    or default names it. No spec field owns [output], so its paths are checked here.
     """
+    for key, value in tables["output"].items():
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"[output] {key} must be a string or null, got {value!r}")
     fixed = _system_fields(tables)
     grid = {KEY_FIELDS.get(key, key): value
             for key, value in {**tables["protocol"], **tables["sweep"]}.items()}

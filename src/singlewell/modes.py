@@ -60,7 +60,8 @@ class SystemParams:
             )
         non_finite = [f.name for f in fields(self) if not np.isfinite(as_float(f.name, getattr(self, f.name)))]
         if non_finite:
-            raise ValueError(f"parameters must be finite, got non-finite {', '.join(non_finite)}")
+            keys = ", ".join(FIELD_KEYS.get(name, name) for name in non_finite)
+            raise ValueError(f"parameters must be finite, got non-finite {keys}")
         if self.g < 0.0:
             raise ValueError(f"repulsive model requires g >= 0, got {self.g!r}")
         if self.t < 0.0:
@@ -89,13 +90,14 @@ class SystemParams:
 
 def as_float(name: str, value) -> float:
     """float(value) of an int or a float; a bool, any other type or an int beyond a
-    float is refused as a ValueError that names it."""
+    float is refused as a ValueError that names the field by its YAML key."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a float, got {value!r}")
+        raise ValueError(f"{FIELD_KEYS.get(name, name)} must be a float, got {value!r}")
     try:
         return float(value)
     except OverflowError as exc:
-        raise ValueError(f"{name} is beyond the range of a float (2^1024 or more in magnitude)") from exc
+        raise ValueError(f"{FIELD_KEYS.get(name, name)} is beyond the range of a float "
+                         "(2^1024 or more in magnitude)") from exc
 
 
 def renormalized_q(p: SystemParams) -> float:
@@ -130,6 +132,10 @@ AXIS_FIELDS = {
     "lambda": "lambda_acc",
     "delta_a": "delta_a",
 }
+# YAML key and metadata name -> spec field for the axes and the grid ends, and
+# back; any other key is its field's name. A refusal names a field by its key.
+KEY_FIELDS = {**AXIS_FIELDS, "min": "axis_min", "max": "axis_max"}
+FIELD_KEYS = {name: key for key, name in KEY_FIELDS.items()}
 
 
 def with_axis_value(p: SystemParams, axis: str, value: float) -> SystemParams:

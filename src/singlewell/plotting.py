@@ -69,6 +69,8 @@ def render_svg(
     and ``ideal`` get the ids ``curve``, ``bound`` and ``ideal``.
     """
     xs = list(xs)
+    x_label, y_label, title = (str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+                               for text in (x_label, y_label, title))  # escaped as XML text
     all_y = [y for ys in series.values() for y in ys]
     y_hi = max(all_y)
     if log_scale:

@@ -24,7 +24,7 @@ import numpy as np
 from .analytic import cqfi_noninteracting, phase_shift_qfi
 from .dynamics import cqfi_upper_bound, dynamical_generator, generator_at, qfi_pure_state
 from .errors import NumericsError
-from .modes import AXIS_FIELDS, SystemParams, as_float, validity_gamma, with_axis_value
+from .modes import AXIS_FIELDS, FIELD_KEYS, SystemParams, as_float, validity_gamma, with_axis_value
 from .plotting import render_svg
 from .protocols import STATE_KINDS, prepare_input
 
@@ -43,11 +43,6 @@ log = logging.getLogger(__name__)
 TARGETS = ("cqfi_noninteracting", "cqfi_interacting", "protocol_qfi")
 AXES = tuple(AXIS_FIELDS)
 _COLUMNS = ("value", "bound", "ideal")  # after the axis; ideal only in protocol sweeps
-
-# YAML key and metadata name -> spec field for the axes and the grid ends, and
-# back; any other key is its field's name.
-KEY_FIELDS = {**AXIS_FIELDS, "min": "axis_min", "max": "axis_max"}
-FIELD_KEYS = {name: key for key, name in KEY_FIELDS.items()}
 
 
 class SweepPointError(Exception):
@@ -71,6 +66,8 @@ class SweepSpec:
     log_scale: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.params, SystemParams):
+            raise ValueError(f"params must be a SystemParams, got {self.params!r}")
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}; expected one of {TARGETS}")
         if self.axis not in AXES:
@@ -97,7 +94,7 @@ class SweepSpec:
         if not 0.0 <= as_float("theta", self.theta) <= np.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
         if self.state_kind not in STATE_KINDS:
-            raise ValueError(f"unknown state kind {self.state_kind!r}; expected one of {STATE_KINDS}")
+            raise ValueError(f"unknown state_kind {self.state_kind!r}; expected one of {STATE_KINDS}")
         if not isinstance(self.log_scale, bool):
             raise ValueError(f"log_scale must be a bool, got {self.log_scale!r}")
 
@@ -245,6 +242,8 @@ def load_csv(path: str) -> SweepResult:
             rows.append(row)
     if header is None or not rows:
         raise ValueError(f"no sweep data found in {path!r}")
+    if not isinstance(metadata.get("log_scale", False), bool):
+        raise ValueError(f"log_scale of {path!r} must be true or false, got {metadata['log_scale']!r}")
     return SweepResult(columns=dict(zip(header, np.array(rows).T)), metadata=metadata)
 
 
@@ -264,7 +263,7 @@ def emit_plot(result: SweepResult, path: str, log_scale: bool | None = None) -> 
     if not path:
         raise ValueError("SVG path must be a non-empty string")
     if log_scale is None:
-        log_scale = bool(result.metadata.get("log_scale", False))
+        log_scale = result.metadata.get("log_scale", False)
     (axis, grid), *series = result.columns.items()
     svg = render_svg(
         grid.tolist(),  # Python floats: the renderer works value by value

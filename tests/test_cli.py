@@ -1,9 +1,11 @@
 import ctypes
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
 
@@ -17,11 +19,9 @@ from singlewell.cli import (
 )
 from singlewell.config import SCHEMA, build_run, load_config, parse_config
 from singlewell.errors import NumericsError
-from singlewell.modes import SystemParams
+from singlewell.modes import FIELD_KEYS, KEY_FIELDS, SystemParams
 from singlewell.protocols import STATE_KINDS
-from singlewell.sweeps import (
-    AXES, FIELD_KEYS, KEY_FIELDS, TARGETS, SweepPointError, SweepSpec, load_csv, run_sweep,
-)
+from singlewell.sweeps import AXES, TARGETS, SweepPointError, SweepSpec, load_csv, run_sweep
 from oracles import harmonic_params
 
 
@@ -85,8 +85,9 @@ class TestConfigRoundTrip:
         cfg.write_text("system: {g: -2E+1}\n", encoding="utf-8")  # read as -20.0, not a string
         code, _ = run_cli("validate", "-c", str(cfg))
         assert code == EXIT_INVARIANT and "got -20.0" in capsys.readouterr().err
-        with pytest.raises(ValueError, match="steps must be of type int"):
-            parse_config("sweep: {steps: 1e2}\n")
+        assert parse_config("sweep: {steps: 1e2}\n")["sweep"]["steps"] == 100.0
+        with pytest.raises(ValueError, match="integer of at least 2 steps, got 100.0"):
+            build_run(parse_config("sweep: {steps: 1e2}\n"))
         tables = parse_config("system: {t: 1e-3, g: 2.5e-7}\n"
                               "sweep: {axis: delta_eps, min: 1e-9, max: 1e20}\n")
         assert tables["system"] == {"t": 0.001, "g": 2.5e-7}
@@ -252,7 +253,7 @@ class TestValidateCommand:
             code, _ = run_cli(command, "-c", str(cfg))
             err = capsys.readouterr().err
             assert code == EXIT_INVARIANT, command
-            assert f"[{table}] {key}" in err and "Traceback" not in err
+            assert re.search(rf"\b{key}\b", err) and "Traceback" not in err
 
 
     @pytest.mark.parametrize("text", [
@@ -319,8 +320,8 @@ class TestValidateCommand:
         for table, key, zeros, named in (("system", "n_particles", 30, "n_particles = "),
                                          ("system", "n_particles", 400, "n_particles = "),
                                          ("system", "g", 400, "g is beyond"),
-                                         ("sweep", "min", 400, "axis_min is beyond"),
-                                         ("sweep", "max", 400, "axis_max is beyond")):
+                                         ("sweep", "min", 400, "min is beyond"),
+                                         ("sweep", "max", 400, "max is beyond")):
             cfg = tmp_path / f"{key}{zeros}.yaml"
             cfg.write_text(f"{table}: {{{key}: 1" + "0" * zeros + "}\n", encoding="utf-8")
             argvs.append((("-c", str(cfg)), named))
@@ -367,6 +368,40 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "gamma overflows" in err and "g_1d = 2" in err and "N = 50" in err
         assert "Traceback" not in err
+
+
+# A wrong YAML kind for every config key: a bool for an int, a string for a float,
+# a number for a string, null for a bool, a list for an output path. Every key but
+# an output path's refuses null too, and a path refuses a number.
+_WRONG_KINDS = {
+    "n_particles": "true", "g": "abc", "delta_eps": "abc", "delta_a": "abc", "eta": "abc",
+    "xi": "abc", "lambda": "abc", "t": "abc", "theta": "abc", "state_kind": "5",
+    "target": "5", "axis": "5", "min": "abc", "max": "abc", "steps": "true", "log_scale": "null",
+    "csv": "[a.csv]", "svg": "[a.svg]",
+}
+_WRONG_VALUES = ([(table, key, _WRONG_KINDS[key]) for table, key in _ALL_KEYS]
+                 + [(table, key, "null") for table, key in _ALL_KEYS if key not in ("csv", "svg", "log_scale")]
+                 + [("output", "csv", "5")])
+
+
+class TestWrongKinds:
+    """Each value is refused once, by the field it sets, in one line that names its key."""
+
+    @pytest.mark.parametrize("table, key, value", _WRONG_VALUES)
+    def test_refused_in_one_line_naming_the_key(self, tmp_path, capsys, table, key, value):
+        cfg = tmp_path / "run.yaml"
+        other = {"csv": "svg", "svg": "csv"}.get(key)  # a good path beside a bad one: still no file
+        paths = f", {other}: {tmp_path / ('out.' + other)}" if other else ""
+        cfg.write_text(f"{table}: {{{key}: {value}{paths}}}\n", encoding="utf-8")
+        for command in ("validate", "sweep"):
+            code, out = run_cli(command, "-c", str(cfg))
+            err = capsys.readouterr().err
+            assert code == EXIT_INVARIANT and "OK" not in out, command
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+            assert re.search(rf"\b{key}\b", re.split(r", got |; expected ", err)[0]), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+        # params reads [system] alone
+        assert run_cli("params", "-c", str(cfg))[0] == (EXIT_INVARIANT if table == "system" else EXIT_OK)
 
 
 # Random YAML tables: every schema key (and one unknown) with values of every
@@ -546,6 +581,10 @@ class TestPlotCommand:
         "x,value,bound\n0,1,2\n",  # not a sweep axis
         "g,bound,value\n0,1,2\n",
         "g,value,bound\n1,abc,2\n",  # a value that is not a number
+        # a log_scale that is neither true nor false
+        "# log_scale = no\ng,value,bound\n0,1,2\n",
+        "# log_scale = 0\ng,value,bound\n0,1,2\n",
+        "# log_scale = 1.5\ng,value,bound\n0,1,2\n",
         b"\xffg,value,bound\n0,1,2\n",  # not UTF-8
     ])
     def test_malformed_csv_is_refused_in_one_line(self, tmp_path, capsys, text):
@@ -556,6 +595,18 @@ class TestPlotCommand:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert repr(str(csv_path)) in err  # every refusal names the file
         assert not svg_path.exists()
+
+    @pytest.mark.parametrize("line, text", [
+        ("# n_particles = a&b", "n_particles=a&b, delta_eps=5"),  # the title
+        ("# target = <script>x</script>", "<script>x</script>"),  # the y label
+    ])
+    def test_svg_text_from_the_csv_is_escaped(self, tmp_path, line, text):
+        csv_path, svg_path = tmp_path / "s.csv", tmp_path / "s.svg"
+        csv_path.write_text(f"{line}\n# delta_eps = 5\ng,value,bound\n0,1,2\n1,2,3\n", encoding="utf-8")
+        assert run_cli("plot", "--csv", str(csv_path), "--svg", str(svg_path))[0] == EXIT_OK
+        root = ET.parse(svg_path).getroot()
+        assert text in [el.text for el in root.iter()]
+        assert not [el for el in root.iter() if "script" in el.tag]
 
     def test_missing_csv_is_io_error(self):
         code, _ = run_cli("plot", "--csv", "/nonexistent/s.csv", "--svg", "/tmp/x.svg")

@@ -8,7 +8,7 @@ from singlewell import (
     renormalized_q,
     validity_gamma,
 )
-from singlewell.modes import HARMONIC_KAPPA, with_axis_value
+from singlewell.modes import FIELD_KEYS, HARMONIC_KAPPA, with_axis_value
 from oracles import harmonic_shape
 
 
@@ -120,7 +120,7 @@ class TestSystemParamsInvariants:
         valid = dict(n_particles=10, g=1.0, delta_eps=1.0, delta_a=0.1, eta=0.5, xi=-0.5,
                      lambda_acc=1.0, t=1.0)
         for name in valid:
-            with pytest.raises(ValueError, match=name):
+            with pytest.raises(ValueError, match=FIELD_KEYS.get(name, name)):
                 SystemParams(**{**valid, name: bad})
 
     @pytest.mark.parametrize("name, bad", [

@@ -53,7 +53,7 @@ class TestProtocolSpec:
 
     def test_rejects_unknown_state_kind(self):
         for target in ("cqfi_interacting", "protocol_qfi"):
-            with pytest.raises(ValueError, match="state kind"):
+            with pytest.raises(ValueError, match="state_kind"):
                 SweepSpec(target=target, state_kind="squeezed")
 
 

@@ -21,7 +21,7 @@ from singlewell import (
     run_sweep,
     validity_gamma,
 )
-from singlewell.modes import AXIS_FIELDS, with_axis_value
+from singlewell.modes import AXIS_FIELDS, FIELD_KEYS, with_axis_value
 from singlewell import sweeps
 from singlewell.protocols import STATE_KINDS
 from singlewell.sweeps import AXES, TARGETS, SweepPointError
@@ -72,11 +72,11 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("name, bad", [
         ("theta", "a"), ("theta", None), ("theta", True), ("log_scale", "no"), ("log_scale", 1),
-        ("axis_min", "0"), ("axis_max", False),
+        ("axis_min", "0"), ("axis_max", False), ("params", None),
     ])
     def test_wrong_typed_field_refused_at_the_spec(self, name, bad):
-        # a YAML value's rule: an int fits a float, a bool only a bool
-        with pytest.raises(ValueError, match=name):
+        # a YAML value's rule: an int fits a float, a bool only a bool; named by its YAML key
+        with pytest.raises(ValueError, match=FIELD_KEYS.get(name, name)):
             small_spec(**{name: bad})
 
 
