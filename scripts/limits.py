@@ -1,7 +1,8 @@
 """Time and peak memory of one parameter point as N grows.
 
 For each N and stage, a fresh interpreter builds the point's inputs, then
-runs the stage at least three times and for at least a second. It reports
+runs the stage at least three times, and then until a second has passed
+or it has run 1000 times, whichever comes first. It reports
 the median time and the growth of the peak resident set size (ru_maxrss)
 over its level before the first run, in MB and in dense (N+1)x(N+1)
 float64 arrays of 8 (N+1)^2 bytes. The stages:
@@ -31,7 +32,7 @@ from singlewell import (SystemParams, decompose, dynamical_generator, prepare_in
                         qfi_pure_state, total_hamiltonian)
 
 STAGES = ("decompose", "protocol", "cqfi")
-MIN_REPEATS, MIN_SECONDS = 3, 1.0
+MIN_REPEATS, MIN_SECONDS, MAX_REPEATS = 3, 1.0, 1000
 WARM_UP_N = 64  # past LAPACK's divide-and-conquer crossover (25)
 CHILD_ENV = {
     "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
@@ -61,7 +62,7 @@ def measure(stage: str, n: int) -> dict:
     run = _point(stage, n)
     before = _peak_rss_bytes()
     seconds = []
-    while len(seconds) < MIN_REPEATS or sum(seconds) < MIN_SECONDS:
+    while len(seconds) < MIN_REPEATS or (sum(seconds) < MIN_SECONDS and len(seconds) < MAX_REPEATS):
         start = time.perf_counter()
         run()
         seconds.append(time.perf_counter() - start)

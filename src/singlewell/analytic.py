@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["cqfi_noninteracting", "phase_shift_qfi"]
@@ -15,18 +17,19 @@ def cqfi_noninteracting(n_particles: int, lambda_acc: float, delta_eps: float, t
     The level splitting suppresses the quadratic term and adds an
     oscillating one; at delta_eps = 0 the Heisenberg value N^2 t^2 is
     recovered, and the (lambda, delta_eps) = (0, 0) point returns that
-    same continuous limit. The terms are evaluated as t^2 (l^2/s) and
-    t^2 (d^2/s) sinc^2(x), x = (t/2) sqrt(s), s = l^2 + d^2, so neither
-    exceeds t^2: a tiny splitting does not overflow 2d/s, and a tiny t
-    does not underflow t^2 l^2 before the division by s.
+    same continuous limit. The terms are evaluated as t^2 (l/r)^2 and
+    t^2 (d/r)^2 sinc^2(x), x = (t/2) r, r = hypot(l, d), so neither
+    exceeds t^2 and no square of l or d is formed: a tiny splitting does
+    not overflow 2d/r^2, a tiny t does not underflow t^2 l^2, and a huge
+    l or d does not overflow l^2 + d^2. sinc(x) -> 0 as x -> inf.
     """
-    s = lambda_acc * lambda_acc + delta_eps * delta_eps
-    if s == 0.0:
+    r = math.hypot(lambda_acc, delta_eps)
+    if r == 0.0:
         return float(n_particles * t) ** 2
-    quadratic = t * t * (lambda_acc * lambda_acc / s)
-    x = 0.5 * t * np.sqrt(s)
-    sinc = np.sin(x) / x if x else 1.0
-    oscillating = t * t * (delta_eps * delta_eps / s) * sinc ** 2
+    quadratic = t * t * (lambda_acc / r) ** 2
+    x = 0.5 * t * r
+    sinc = 0.0 if math.isinf(x) else np.sin(x) / x if x else 1.0
+    oscillating = t * t * (delta_eps / r) ** 2 * sinc ** 2
     return float(n_particles * n_particles * (quadratic + oscillating))
 
 

@@ -131,16 +131,7 @@ def cmd_validate(args, out) -> int:
 
 def cmd_sweep(args, out) -> int:
     spec, csv_path, svg_path = build_run(_tables(args))
-    try:
-        result = run_sweep(spec)
-    except (MemoryError, SweepPointError) as exc:
-        if not isinstance(exc, MemoryError) and not isinstance(exc.__cause__, MemoryError):
-            raise
-        n = spec.params.n_particles
-        size, grid = 8 * (n + 1) ** 2, 8 * spec.steps
-        raise MemoryError(f"out of memory at N = {n}: each dense (N+1)x(N+1) float64 array "
-                          f"takes {size} bytes ({size / 2 ** 30:.3g} GiB), and the grid of "
-                          f"{spec.steps} points takes {grid} bytes ({grid / 2 ** 30:.3g} GiB)") from exc
+    result = run_sweep(spec)
     if csv_path:
         emit_csv(result, csv_path)
         out.write(f"wrote {csv_path}\n")
@@ -191,8 +182,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
         root = exc
         while root.__cause__ is not None:
             root = root.__cause__
-        detail = f"{exc}: {root}" if root is not exc and str(root) else str(exc)
-        print(f"error: {detail}", file=sys.stderr)
+        chain = (exc,) if root is exc else (exc, root)  # an exception with no text: its type name
+        print("error: " + ": ".join(str(e) or type(e).__name__ for e in chain), file=sys.stderr)
         return code
 
 

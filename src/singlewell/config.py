@@ -99,8 +99,8 @@ def build_run(tables: dict[str, dict]) -> tuple[SweepSpec, str | None, str | Non
     or default names it. No spec field owns [output], so its paths are checked here.
     """
     for key, value in tables["output"].items():
-        if value is not None and not isinstance(value, str):
-            raise ValueError(f"[output] {key} must be a string or null, got {value!r}")
+        if value is not None and not (isinstance(value, str) and value):
+            raise ValueError(f"[output] {key} must be a non-empty string or null, got {value!r}")
     fixed = _system_fields(tables)
     grid = {KEY_FIELDS.get(key, key): value
             for key, value in {**tables["protocol"], **tables["sweep"]}.items()}

@@ -10,6 +10,7 @@ stable element id.
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = ["render_svg"]
 
@@ -22,30 +23,22 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-
-
 class _Axis:
     def __init__(self, lo, hi, pixel_lo, pixel_hi, log=False):
         self.log = log
         if log:
             lo, hi = math.log10(max(lo, _LOG_FLOOR)), math.log10(max(hi, _LOG_FLOOR))
-        if hi == lo:
-            hi = lo + 1.0
-        self.lo, self.hi = lo, hi
+        self.lo, self.span = lo, (hi - lo) or 1.0  # one value: a unit span from it
         self.pixel_lo, self.pixel_hi = pixel_lo, pixel_hi
 
     def pos(self, v: float) -> float:
         if self.log:
             v = math.log10(max(v, _LOG_FLOOR))
-        frac = (v - self.lo) / (self.hi - self.lo)
+        frac = (v - self.lo) / self.span
         return self.pixel_lo + frac * (self.pixel_hi - self.pixel_lo)
 
     def tick_values(self):
-        raw = _ticks(self.lo, self.hi)
+        raw = (self.lo + self.span * (i / 4) for i in range(5))  # not span * i: 4 spans may overflow
         return [(10.0 ** r if self.log else r) for r in raw]
 
 
@@ -79,7 +72,7 @@ def render_svg(
         y_lo, y_hi = y_lo / 2.0, y_hi * 2.0
     else:
         y_lo = min(0.0, min(all_y))
-        y_hi = y_hi * 1.05 if y_hi > 0 else 1.0
+        y_hi = min(y_hi * 1.05, sys.float_info.max) if y_hi > 0 else 1.0  # headroom short of inf
     xaxis = _Axis(min(xs), max(xs), MARGIN_L, WIDTH - MARGIN_R)
     yaxis = _Axis(y_lo, y_hi, HEIGHT - MARGIN_B, MARGIN_T, log=log_scale)
 

@@ -1,5 +1,6 @@
 import ctypes
 import io
+import math
 import os
 import re
 import subprocess
@@ -381,7 +382,7 @@ _WRONG_KINDS = {
 }
 _WRONG_VALUES = ([(table, key, _WRONG_KINDS[key]) for table, key in _ALL_KEYS]
                  + [(table, key, "null") for table, key in _ALL_KEYS if key not in ("csv", "svg", "log_scale")]
-                 + [("output", "csv", "5")])
+                 + [("output", "csv", "5"), ("output", "csv", '""'), ("output", "svg", '""')])
 
 
 class TestWrongKinds:
@@ -501,8 +502,28 @@ class TestSweepCommand:
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
-        assert "N = 12" in err and f"{8 * 13 ** 2} bytes" in err
-        assert "grid of 2 points takes 16 bytes" in err
+        assert err.rstrip().endswith("Unable to allocate 74.5 GiB for an array with shape (100001, 100001)")
+        # a point's failure names the point, N with it; the grid is built before any point
+        assert ("n_particles=12" in err) == (where != "sweeps.SweepSpec.grid"), err
+
+    @pytest.mark.parametrize("flags, rows", [
+        (("--lambda", "1e200"), [16.0] * 3),  # lambda^2 overflows, the closed form does not
+        (("--sweep-axis", "delta_eps", "--min=-1e300", "--max=1e300"), [0.0, 16.0, 0.0]),
+    ], ids=["lambda", "delta_eps"])
+    def test_noninteracting_closed_form_at_huge_rates(self, tmp_path, capsys, flags, rows):
+        csv_path = tmp_path / "s.csv"
+        code, _ = run_cli("sweep", "--target", "cqfi_noninteracting", "--n-particles", "4",
+                          "--steps", "3", *flags, "--csv", str(csv_path))
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        assert list(load_csv(str(csv_path)).columns["value"]) == rows  # N^2 t^2 = 16 at delta_eps = 0
+
+    def test_failure_without_text_prints_its_type(self, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("singlewell.sweeps.SweepSpec.grid", exhausted)
+        assert run_cli("sweep", "--n-particles", "4", "--steps", "2")[0] == EXIT_NUMERIC
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 class TestHeapSetting:
@@ -533,6 +554,15 @@ class TestHeapSetting:
         run_sweep(SweepSpec(target="cqfi_interacting", axis="g", axis_min=0.0, axis_max=20.0,
                             steps=3, params=harmonic_params(n_particles=6)))
         assert lookups == []
+
+
+def _finite_coordinates(svg_path) -> bool:
+    """The SVG parses and every coordinate in it is a finite number."""
+    values = []
+    for el in ET.parse(svg_path).getroot().iter():
+        values += [el.get(name) for name in ("x", "y", "x1", "y1", "x2", "y2") if el.get(name)]
+        values += el.get("points", "").replace(",", " ").split()
+    return all(math.isfinite(float(v)) for v in values)
 
 
 class TestPlotCommand:
@@ -607,6 +637,21 @@ class TestPlotCommand:
         root = ET.parse(svg_path).getroot()
         assert text in [el.text for el in root.iter()]
         assert not [el for el in root.iter() if "script" in el.tag]
+
+    def test_one_row_plots_at_any_x(self, tmp_path):
+        # a single x spans no width, and at |x| >= 2^53 neither does x + 1
+        csv_path, svg_path = tmp_path / "s.csv", tmp_path / "s.svg"
+        csv_path.write_text("g,value,bound\n1e17,1,2\n", encoding="utf-8")
+        assert run_cli("plot", "--csv", str(csv_path), "--svg", str(svg_path))[0] == EXIT_OK
+        assert _finite_coordinates(svg_path)
+
+    def test_headroom_above_the_largest_float_stays_finite(self, tmp_path):
+        # the Heisenberg ceiling (N t)^2 is 1.75e308 here: 5% headroom above it is no float
+        svg_path = tmp_path / "s.svg"
+        code, _ = run_cli("sweep", "--n-particles", "4", "--steps", "3", "--max", "1",
+                          "--t", "3.307e153", "--svg", str(svg_path))
+        assert code == EXIT_OK
+        assert _finite_coordinates(svg_path)
 
     def test_missing_csv_is_io_error(self):
         code, _ = run_cli("plot", "--csv", "/nonexistent/s.csv", "--svg", "/tmp/x.svg")
