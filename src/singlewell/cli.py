@@ -21,6 +21,7 @@ import argparse
 import ctypes
 import functools
 import logging
+import re
 import sys
 from dataclasses import fields
 from typing import get_args
@@ -69,6 +70,10 @@ def _add_table_flags(p: argparse.ArgumentParser, *tables: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # argparse takes -2e-3 for an option; no flag here is -digit
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # refused as a YAML value is: one `error:` line, exit 1, no usage
         raise ValueError(message)
 

@@ -39,13 +39,13 @@ SCHEMA = {
 
 
 class _Loader(yaml.SafeLoader):
-    """The safe loader, reading YAML 1.2 floats with no dot such as 1e-3 as floats."""
+    """The safe loader, reading each YAML 1.2 float such as 1e-3 or -.5 as a float; ints resolve first."""
 
 
 _Loader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?[0-9]+(\.[0-9]*)?[eE][-+]?[0-9]+$"),
-    list("-+0123456789"),
+    re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"),
 )
 
 

@@ -139,8 +139,5 @@ FIELD_KEYS = {name: key for key, name in KEY_FIELDS.items()}
 
 
 def with_axis_value(p: SystemParams, axis: str, value: float) -> SystemParams:
-    """Return a copy of p with one sweepable axis replaced."""
-    field = AXIS_FIELDS.get(axis)
-    if field is None:
-        raise ValueError(f"unknown sweep axis {axis!r}")
-    return replace(p, **{field: float(value)})
+    """Return a copy of p with one sweepable axis, checked by `SweepSpec`, replaced."""
+    return replace(p, **{AXIS_FIELDS[axis]: float(value)})

@@ -17,6 +17,7 @@ __all__ = ["render_svg"]
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 30, 50
 _LOG_FLOOR = 1e-12
+_LOG_CEIL = math.nextafter(math.log10(sys.float_info.max), 0.0)  # log10 rounds up: 10 ** it overflows
 
 
 def _fmt(v: float) -> str:
@@ -39,13 +40,12 @@ class _Axis:
 
     def tick_values(self):
         raw = (self.lo + self.span * (i / 4) for i in range(5))  # not span * i: 4 spans may overflow
-        return [(10.0 ** r if self.log else r) for r in raw]
+        return [(10.0 ** min(r, _LOG_CEIL) if self.log else r) for r in raw]
 
 
-def _polyline(xs, ys, xaxis, yaxis, style, elem_id=None):
+def _polyline(xs, ys, xaxis, yaxis, elem_id, style):
     pts = " ".join(f"{_fmt(xaxis.pos(x))},{_fmt(yaxis.pos(y))}" for x, y in zip(xs, ys))
-    ident = f' id="{elem_id}"' if elem_id else ""
-    return f'<polyline{ident} fill="none" {style} points="{pts}"/>'
+    return f'<polyline id="{elem_id}" fill="none" {style} points="{pts}"/>'
 
 
 def render_svg(
@@ -58,8 +58,8 @@ def render_svg(
 ) -> str:
     """Render curves over a shared x grid to an SVG document string.
 
-    ``series`` maps curve names to y values; the names ``value``, ``bound``
-    and ``ideal`` get the ids ``curve``, ``bound`` and ``ideal``.
+    ``series`` maps a sweep's curves ``value``, ``bound`` and (optional)
+    ``ideal`` to y values; they get the ids ``curve``, ``bound`` and ``ideal``.
     """
     xs = list(xs)
     x_label, y_label, title = (str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -72,7 +72,8 @@ def render_svg(
         y_lo, y_hi = y_lo / 2.0, y_hi * 2.0
     else:
         y_lo = min(0.0, min(all_y))
-        y_hi = min(y_hi * 1.05, sys.float_info.max) if y_hi > 0 else 1.0  # headroom short of inf
+        y_hi = y_hi * 1.05 if y_hi > 0 else 1.0
+    y_hi = min(y_hi, sys.float_info.max)  # headroom short of inf
     xaxis = _Axis(min(xs), max(xs), MARGIN_L, WIDTH - MARGIN_R)
     yaxis = _Axis(y_lo, y_hi, HEIGHT - MARGIN_B, MARGIN_T, log=log_scale)
 
@@ -110,8 +111,7 @@ def render_svg(
         "ideal": ('ideal', 'stroke="#bf7f1f" stroke-width="1.2" stroke-dasharray="2,3"'),
     }
     for name, ys in series.items():
-        elem_id, style = styles.get(name, (name, 'stroke="gray" stroke-width="1"'))
-        parts.append(_polyline(xs, ys, xaxis, yaxis, style, elem_id=elem_id))
+        parts.append(_polyline(xs, ys, xaxis, yaxis, *styles[name]))
 
     parts.append(
         f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) // 2}" y="{HEIGHT - 12}" '

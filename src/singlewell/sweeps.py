@@ -73,9 +73,9 @@ class SweepSpec:
         if self.axis not in AXES:
             raise ValueError(f"unknown axis {self.axis!r}; expected one of {AXES}")
         width = as_float("axis_max", self.axis_max) - as_float("axis_min", self.axis_min)
-        if not np.isfinite(width):  # inf or NaN ends too
+        if not 0.0 < width < np.inf:  # NaN or infinite ends too
             raise ValueError(
-                f"axis range must be finite with a width that fits a float, "
+                f"axis range must be increasing and finite with a width that fits a float, "
                 f"got [{self.axis_min!r}, {self.axis_max!r}]"
             )
         if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)) or self.steps < 2:
@@ -84,10 +84,6 @@ class SweepSpec:
         # np.linspace allocates float(steps) entries, 2^60 from 2^60 - 64 on; int first: float() overflows
         if 8 * self.steps > limit or 8 * float(self.steps) > limit:
             raise ValueError(f"steps = {self.steps} is too large: the grid does not fit in the address space")
-        if not self.axis_min < self.axis_max:
-            raise ValueError(
-                f"axis range must be increasing, got [{self.axis_min!r}, {self.axis_max!r}]"
-            )
         for end in (self.axis_min, self.axis_max):
             with_axis_value(self.params, self.axis, end)  # e.g. g < 0 fails here, not mid-sweep
         # The protocol input is checked whatever the target.

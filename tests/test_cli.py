@@ -93,6 +93,12 @@ class TestConfigRoundTrip:
                               "sweep: {axis: delta_eps, min: 1e-9, max: 1e20}\n")
         assert tables["system"] == {"t": 0.001, "g": 2.5e-7}
         assert tables["sweep"] == {"axis": "delta_eps", "min": 1e-9, "max": 1e20}
+        # YAML 1.2 floats with a leading dot, signed or with an exponent
+        for text, value in (("-.5", -0.5), (".5e3", 500.0), ("+.5", 0.5), ("-.5e-3", -5e-4)):
+            assert parse_config(f"system: {{lambda: {text}}}\n")["system"]["lambda"] == value
+        cfg.write_text("system: {n_particles: 4, lambda: -.5}\n", encoding="utf-8")
+        code, out = run_cli("params", "-c", str(cfg))
+        assert code == EXIT_OK and "lambda = -0.5" in out
 
     def test_swept_axis_must_not_be_fixed(self):
         text = "system:\n  g: 10\nsweep:\n  axis: g\n"
@@ -154,6 +160,10 @@ class TestSingleSourceOfTruth:
             value = _KEY_VALUES[key]
             argv = [command, flag] + ([] if value is True else [str(value)])
             assert _tables(_build_parser().parse_args(argv)) == {**parse_config(""), table: {key: value}}
+        for flag in sorted({"--lambda", "--min"} & flags.keys()):  # a negative number in any spelling
+            table, _, key = flags[flag].partition(".")
+            for raw in ("-2e-3", "-.5e1", "-.5", "-3"):
+                assert _tables(_build_parser().parse_args([command, flag, raw]))[table] == {key: float(raw)}
         # a flag value argparse refuses is refused input, as in YAML: one error line, exit 1
         for argv in ([command, "--g", "abc"], [command, "--bogus"], ["sweep", "--target", "bogus"],
                      ["validate", "--steps", "abc"], ["validate", "--sweep-axis", "n_particles"],
@@ -264,6 +274,8 @@ class TestValidateCommand:
         "protocol: {state_kind: bogus}\n",  # checked whatever the target
         "protocol: {theta: 5.0}\n",
         "protocol: {theta: -0.2}\nsweep: {target: protocol_qfi}\n",
+        "- system\n- sweep\n",  # a list, not a mapping of tables
+        "system: 5\n",
     ])
     def test_refuses_what_sweep_refuses(self, tmp_path, capsys, text):
         cfg = tmp_path / "run.yaml"
@@ -616,6 +628,7 @@ class TestPlotCommand:
         "# log_scale = 0\ng,value,bound\n0,1,2\n",
         "# log_scale = 1.5\ng,value,bound\n0,1,2\n",
         b"\xffg,value,bound\n0,1,2\n",  # not UTF-8
+        "# target = cqfi_interacting\n# n_particles = 4\n",  # metadata and no table
     ])
     def test_malformed_csv_is_refused_in_one_line(self, tmp_path, capsys, text):
         csv_path, svg_path = tmp_path / "s.csv", tmp_path / "s.svg"
@@ -646,12 +659,21 @@ class TestPlotCommand:
         assert _finite_coordinates(svg_path)
 
     def test_headroom_above_the_largest_float_stays_finite(self, tmp_path):
-        # the Heisenberg ceiling (N t)^2 is 1.75e308 here: 5% headroom above it is no float
-        svg_path = tmp_path / "s.svg"
-        code, _ = run_cli("sweep", "--n-particles", "4", "--steps", "3", "--max", "1",
-                          "--t", "3.307e153", "--svg", str(svg_path))
-        assert code == EXIT_OK
-        assert _finite_coordinates(svg_path)
+        # the Heisenberg ceiling (N t)^2 is 1.75e308 here: 5% (linear) or 2x (log) headroom
+        # above it is no float, and on the log scale neither is 10 ** log10 of the largest float
+        csv_path, svg_path, replot = tmp_path / "s.csv", tmp_path / "s.svg", tmp_path / "p.svg"
+        for scale in ((), ("--log-scale",)):
+            code, _ = run_cli("sweep", "--n-particles", "4", "--steps", "3", "--max", "1",
+                              "--t", "3.307e153", *scale, "--csv", str(csv_path), "--svg", str(svg_path))
+            assert code == EXIT_OK
+            assert run_cli("plot", "--csv", str(csv_path), "--svg", str(replot), *scale)[0] == EXIT_OK
+            for path in (svg_path, replot):
+                assert _finite_coordinates(path), (scale, path)
+                root = ET.parse(path).getroot()
+                labels = {el.text for el in root.iter("{http://www.w3.org/2000/svg}text")}
+                assert not labels & {"nan", "inf", "-inf"}, (scale, labels)
+                bound = root.find(".//{http://www.w3.org/2000/svg}polyline[@id='bound']").get("points")
+                assert "390.00" not in bound, (scale, bound)  # not flat on the bottom edge
 
     def test_missing_csv_is_io_error(self):
         code, _ = run_cli("plot", "--csv", "/nonexistent/s.csv", "--svg", "/tmp/x.svg")

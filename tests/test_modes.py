@@ -167,5 +167,5 @@ def test_with_axis_value_maps_every_axis():
     assert with_axis_value(p, "t", 7.0).t == 7.0
     assert with_axis_value(p, "lambda", 7.0).lambda_acc == 7.0
     assert with_axis_value(p, "delta_a", 7.0).delta_a == 7.0
-    with pytest.raises(ValueError):
+    with pytest.raises(KeyError):  # SweepSpec refuses an unknown axis before it gets here
         with_axis_value(p, "n_particles", 7.0)
