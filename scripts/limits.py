@@ -1,4 +1,4 @@
-"""Time and peak memory of one parameter point as N grows.
+"""Time and peak memory of one parameter point, and of a short sweep, as N grows.
 
 For each N and stage, a fresh interpreter builds the point's inputs, then
 runs the stage at least three times, and then until a second has passed
@@ -10,6 +10,9 @@ float64 arrays of 8 (N+1)^2 bytes. The stages:
 - decompose: H assembled and eigendecomposed, `decompose(total_hamiltonian(p))`
 - protocol: one protocol point, `dynamical_generator` and `qfi_pure_state`
 - cqfi: one channel-QFI point, `dynamical_generator(p).cqfi`
+- sweep: a 4-point protocol g-sweep through `run_sweep`, which from
+  `sweeps.THREADS_FROM_N` on runs two points at a time on two threads given
+  two CPUs and one BLAS thread, as here; its time is reported per point
 
 Each child runs with BLAS pinned to one thread and with the allocator
 thresholds that `singlewell` sets for itself (README, "CLI"), so freed
@@ -28,10 +31,11 @@ import subprocess
 import sys
 import time
 
-from singlewell import (SystemParams, decompose, dynamical_generator, prepare_input,
-                        qfi_pure_state, total_hamiltonian)
+from singlewell import (SweepSpec, SystemParams, decompose, dynamical_generator, prepare_input,
+                        qfi_pure_state, run_sweep, total_hamiltonian)
 
-STAGES = ("decompose", "protocol", "cqfi")
+STAGES = ("decompose", "protocol", "cqfi", "sweep")
+SWEEP_STEPS = 4  # two points per thread
 MIN_REPEATS, MIN_SECONDS, MAX_REPEATS = 3, 1.0, 1000
 WARM_UP_N = 64  # past LAPACK's divide-and-conquer crossover (25)
 CHILD_ENV = {
@@ -49,15 +53,18 @@ def _point(stage: str, n: int):
     # near q = 0, where the channel QFI peaks: g (N-1)/(2N) delta_a = delta_eps
     p = SystemParams(n_particles=n, g=80.0, delta_eps=10.0)
     psi, _ = prepare_input(n, "fragmented", 0.5)
+    spec = SweepSpec(target="protocol_qfi", axis="g", axis_min=40.0, axis_max=120.0, steps=SWEEP_STEPS,
+                     params=p)
     return {
         "decompose": lambda: decompose(total_hamiltonian(p)),
-        "protocol": lambda: qfi_pure_state(dynamical_generator(p), psi),
+        "protocol": lambda: qfi_pure_state(dynamical_generator(p, psi)),
         "cqfi": lambda: dynamical_generator(p).cqfi,
+        "sweep": lambda: run_sweep(spec),
     }[stage]
 
 
 def measure(stage: str, n: int) -> dict:
-    """Run one stage at N in this process: its median seconds and its peak RSS growth in bytes."""
+    """Run one stage at N in this process: its median seconds per point and its peak RSS growth in bytes."""
     _point(stage, WARM_UP_N)()  # pages in LAPACK's code, which would otherwise count as growth
     run = _point(stage, n)
     before = _peak_rss_bytes()
@@ -66,7 +73,8 @@ def measure(stage: str, n: int) -> dict:
         start = time.perf_counter()
         run()
         seconds.append(time.perf_counter() - start)
-    return {"seconds": statistics.median(seconds), "rss_growth": _peak_rss_bytes() - before}
+    points = SWEEP_STEPS if stage == "sweep" else 1
+    return {"seconds": statistics.median(seconds) / points, "rss_growth": _peak_rss_bytes() - before}
 
 
 def _in_fresh_process(stage: str, n: int) -> dict:

@@ -23,8 +23,11 @@ cancellation in (e^{i w t} - 1) / (i w).
 similarity G~ -> D G~ D with D = diag(+-1), which changes neither readout.
 
 The generator comes in two steps: `dynamical_generator` takes H to the
-arrays (E, V, V^T Jx V), which do not depend on t, and `generator_at`
-reads them out at one time. A sweep along t therefore decomposes H once. The
+arrays (E, V^T Jx V) and, for a protocol point, the input in the eigenbasis
+of H, V^T psi, none of which depend on t, and `generator_at` reads them out
+at one time. Those products are V's last use: V is dropped before the
+kernel is built, so a point holds no more than `dsbevd`'s three dense
+arrays and the kernel stage's 3.25. A sweep along t decomposes H once. The
 spectrum of G~ is taken only when the channel QFI is read; the QFI of a
 state needs only products with G~.
 """
@@ -65,14 +68,15 @@ def decompose(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class GeneratorResult:
-    """Dynamical generator as the spectrum of H (energies E ascending, vectors
-    V), Jx in its eigenbasis (V^T Jx V) and the real kernel G~."""
+    """Dynamical generator as the energies E of H, ascending, Jx in its
+    eigenbasis (V^T Jx V) and the real kernel G~; for a protocol point, the
+    input psi in the eigenbasis of H, V^T psi, as state."""
 
     energies: np.ndarray
-    vectors: np.ndarray
     jx: np.ndarray
     kernel: np.ndarray
     t: float
+    state: np.ndarray | None = None
 
     @cached_property
     def cqfi(self) -> float:
@@ -82,9 +86,10 @@ class GeneratorResult:
         return spread * spread
 
 
-def generator_at(energies: np.ndarray, vectors: np.ndarray, jx: np.ndarray, t: float) -> GeneratorResult:
-    """The generator after time t from the spectrum (energies, vectors) of H
-    and the symmetric jx = V^T Jx V.
+def generator_at(energies: np.ndarray, jx: np.ndarray, t: float,
+                 state: np.ndarray | None = None) -> GeneratorResult:
+    """The generator after time t from the energies of H, the symmetric
+    jx = V^T Jx V and, for a protocol point, the input's state = V^T psi.
 
     In the eigenbasis of H, int_0^t e^{i(E_k-E_l)s} ds = e^{i(E_k-E_l)t/2} t
     sin(x)/x with x = (E_l-E_k)t/2; the phases are the unitary frame W, which
@@ -109,23 +114,33 @@ def generator_at(energies: np.ndarray, vectors: np.ndarray, jx: np.ndarray, t: f
     np.add(jx, jx.T, out=kernel, where=level)
     np.multiply(kernel, 0.5 * t, out=kernel, where=level)
     kernel.setflags(write=False)
-    return GeneratorResult(energies=energies, vectors=vectors, jx=jx, kernel=kernel, t=t)
+    return GeneratorResult(energies=energies, jx=jx, kernel=kernel, t=t, state=state)
 
 
-def dynamical_generator(p: SystemParams) -> GeneratorResult:
-    """Generator of the acceleration imprint after time p.t.
+def dynamical_generator(p: SystemParams, psi: np.ndarray | None = None) -> GeneratorResult:
+    """Generator of the acceleration imprint after time p.t, carrying the
+    input psi of a protocol point if one is given.
 
     G = int_0^t e^{iHs} Jx e^{-iHs} ds, since dH/dlambda = Jx. Jx is
     tridiagonal, so V^T Jx V = M + M^T with M = V[:-1]^T (ladder/2 * V[1:]):
-    one matrix product, and exactly symmetric.
+    one matrix product, and exactly symmetric. V is last read there and in
+    V^T psi, taken on the (real, imag) pairs of psi; `qfi_pure_state` reads
+    the QFI of psi, whose norm is checked to 1e-12 here.
     """
+    if psi is not None:
+        dim = p.n_particles + 1
+        if dim != len(psi):
+            raise ValueError(f"generator dimension {dim} does not match state dimension {len(psi)}")
+        check_unit_norm(psi)
     energies, v = decompose(total_hamiltonian(p))
     _, ladder = build_spin_operators(p.n_particles)
+    state = None if psi is None else (v.T @ _pairs(psi)).view(complex).ravel()
     half = np.empty(v.shape)  # before the N x (N+1) scaled rows, whose freed slot jx then fills
     np.matmul(v[:-1].T, (0.5 * ladder)[:, np.newaxis] * v[1:], out=half)
+    del v  # not held through the kernel build
     jx = half + half.T
-    del half  # not held through the kernel build
-    return generator_at(energies, v, jx, p.t)
+    del half
+    return generator_at(energies, jx, p.t, state)
 
 
 def _pairs(z: np.ndarray) -> np.ndarray:
@@ -133,20 +148,17 @@ def _pairs(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
 
 
-def qfi_pure_state(gen: GeneratorResult, psi: np.ndarray) -> float:
-    """The QFI of psi, 4 Var_psi(G) = 4 Var_phi(G~) with phi = W^dag psi.
+def qfi_pure_state(gen: GeneratorResult) -> float:
+    """The QFI of the generator's input psi, 4 Var_psi(G) = 4 Var_phi(G~) with
+    phi = W^dag psi = diag(exp(-i E t/2)) gen.state.
 
-    V and G~ are real, so the products act on the (real, imag) pairs of
-    psi and phi. The variance assumes |psi| = 1, which is checked to 1e-12.
+    G~ is real, so its products act on the (real, imag) pairs of phi.
     """
-    dim = gen.energies.shape[0]
-    if dim != len(psi):
-        raise ValueError(f"generator dimension {dim} does not match state dimension {len(psi)}")
-    check_unit_norm(psi)
+    if gen.state is None:
+        raise ValueError("the generator carries no input state: pass psi to dynamical_generator")
     if not max(-float(gen.energies[0]), float(gen.energies[-1])) * (0.5 * gen.t) < np.inf:
         raise NumericsError(f"frame phase E t/2 overflows a float at t = {gen.t!r}")
-    rotated = (gen.vectors.T @ _pairs(psi)).view(complex).ravel()
-    phi = _pairs(np.exp(-0.5j * gen.t * gen.energies) * rotated)
+    phi = _pairs(np.exp(-0.5j * gen.t * gen.energies) * gen.state)
     applied = gen.kernel @ phi
     mean = np.vdot(phi, applied)
     return float(4.0 * max(np.vdot(applied, applied) - mean * mean, 0.0))

@@ -3,6 +3,7 @@ banded divide and conquer `dsbevd` in the OpenBLAS that numpy's wheel bundles
 (numpy.libs/libscipy_openblas64_*.so, 64-bit integers), bound with ctypes on the
 first call, so importing costs nothing. Where numpy has no such library (e.g. a
 conda or MKL build), `_dsbevd()` is None and the band is densified for `np.linalg.eigh`.
+`blas_threads` reads how many threads that OpenBLAS runs each call on.
 """
 
 import ctypes
@@ -13,25 +14,40 @@ import numpy as np
 
 from .errors import NumericsError
 
-__all__ = ["eigh_band"]
+__all__ = ["blas_threads", "eigh_band"]
+
+
+@cache
+def _openblas():
+    """numpy's bundled OpenBLAS as a ctypes library, or None where there is none."""
+    for lib in Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas64_*.so"):
+        try:
+            return ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+    return None
 
 
 @cache
 def _dsbevd():
     """dsbevd of numpy's bundled OpenBLAS as a ctypes function, or None where there is none."""
-    for lib in Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas64_*.so"):
-        try:
-            fn = ctypes.CDLL(str(lib)).scipy_dsbevd_64_
-        except (OSError, AttributeError):
-            continue
-        i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-        # JOBZ, UPLO, N, KD, AB, LDAB, W, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO, then the
-        # hidden lengths of the strings JOBZ and UPLO; an array goes as its data address
-        fn.argtypes = [ctypes.c_char_p, ctypes.c_char_p, i64, i64, ptr, i64, ptr, ptr, i64, ptr, i64,
-                       ptr, i64, i64, ctypes.c_size_t, ctypes.c_size_t]
-        fn.restype = None
-        return fn
-    return None
+    fn = getattr(_openblas(), "scipy_dsbevd_64_", None)
+    if fn is None:
+        return None
+    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    # JOBZ, UPLO, N, KD, AB, LDAB, W, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO, then the
+    # hidden lengths of the strings JOBZ and UPLO; an array goes as its data address
+    fn.argtypes = [ctypes.c_char_p, ctypes.c_char_p, i64, i64, ptr, i64, ptr, ptr, i64, ptr, i64,
+                   ptr, i64, i64, ctypes.c_size_t, ctypes.c_size_t]
+    fn.restype = None
+    return fn
+
+
+def blas_threads() -> int | None:
+    """The threads numpy's bundled OpenBLAS runs a call on (OPENBLAS_NUM_THREADS, or the
+    CPUs), or None where numpy bundles no OpenBLAS."""
+    get = getattr(_openblas(), "scipy_openblas_get_num_threads64_", None)
+    return None if get is None else get()
 
 
 def _int(value: int):

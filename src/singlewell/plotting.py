@@ -29,17 +29,18 @@ class _Axis:
         self.log = log
         if log:
             lo, hi = math.log10(max(lo, _LOG_FLOOR)), math.log10(max(hi, _LOG_FLOOR))
-        self.lo, self.span = lo, (hi - lo) or 1.0  # one value: a unit span from it
+        # in halves, exact in binary, so a span beyond the largest float stays finite
+        self.half_lo, self.half_span = lo / 2, (hi / 2 - lo / 2) or 0.5  # one value: a unit span from it
         self.pixel_lo, self.pixel_hi = pixel_lo, pixel_hi
 
     def pos(self, v: float) -> float:
         if self.log:
             v = math.log10(max(v, _LOG_FLOOR))
-        frac = (v - self.lo) / self.span
+        frac = (v / 2 - self.half_lo) / self.half_span
         return self.pixel_lo + frac * (self.pixel_hi - self.pixel_lo)
 
     def tick_values(self):
-        raw = (self.lo + self.span * (i / 4) for i in range(5))  # not span * i: 4 spans may overflow
+        raw = (2 * (self.half_lo + self.half_span * (i / 4)) for i in range(5))  # not span * i: may overflow
         return [(10.0 ** min(r, _LOG_CEIL) if self.log else r) for r in raw]
 
 

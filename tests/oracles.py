@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.linalg import expm, expm_frechet
 
-from singlewell import SystemParams, build_spin_operators, total_hamiltonian
+from singlewell import SystemParams, build_spin_operators, decompose, dynamical_generator, total_hamiltonian
 
 
 def harmonic_params(**overrides) -> SystemParams:
@@ -91,10 +91,12 @@ def evolve(h: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
     return vectors @ (np.exp(-1j * energies * t) * (vectors.conj().T @ psi))
 
 
-def dense_generator(gen) -> np.ndarray:
-    """The Dicke-basis G = W G~ W^dag, with the frame W = V diag(exp(i E t/2))."""
-    frame = gen.vectors * np.exp(0.5j * gen.t * gen.energies)
-    mat = frame @ gen.kernel @ frame.conj().T
+def dense_generator(p: SystemParams) -> np.ndarray:
+    """The Dicke-basis G = W G~ W^dag at p, with the frame W = V diag(exp(i E t/2));
+    the generator drops V, so V comes from `decompose`, which gives the same V again."""
+    energies, vectors = decompose(total_hamiltonian(p))
+    frame = vectors * np.exp(0.5j * p.t * energies)
+    mat = frame @ dynamical_generator(p).kernel @ frame.conj().T
     return (mat + mat.conj().T) / 2.0
 
 

@@ -658,6 +658,17 @@ class TestPlotCommand:
         assert run_cli("plot", "--csv", str(csv_path), "--svg", str(svg_path))[0] == EXIT_OK
         assert _finite_coordinates(svg_path)
 
+    @pytest.mark.parametrize("rows", ["-1.7e308,1,2\n1.7e308,2,3\n", "0,-1.7e308,2\n1,1.7e308,3\n"],
+                             ids=["x", "y"])
+    def test_values_spanning_more_than_the_largest_float_plot(self, tmp_path, rows):
+        # x (first) or y (second) values whose span max - min is no float
+        csv_path, svg_path = tmp_path / "s.csv", tmp_path / "s.svg"
+        csv_path.write_text(f"g,value,bound\n{rows}", encoding="utf-8")
+        assert run_cli("plot", "--csv", str(csv_path), "--svg", str(svg_path))[0] == EXIT_OK
+        assert _finite_coordinates(svg_path)
+        labels = {el.text for el in ET.parse(svg_path).getroot().iter("{http://www.w3.org/2000/svg}text")}
+        assert "-1.7e+308" in labels and not labels & {"nan", "inf", "-inf"}, labels
+
     def test_headroom_above_the_largest_float_stays_finite(self, tmp_path):
         # the Heisenberg ceiling (N t)^2 is 1.75e308 here: 5% (linear) or 2x (log) headroom
         # above it is no float, and on the log scale neither is 10 ** log10 of the largest float

@@ -1,5 +1,10 @@
 """The two paths of `eigh_band`: LAPACK's dsbevd from numpy's OpenBLAS, and the
-dense `np.linalg.eigh` fallback where numpy bundles no such library."""
+dense `np.linalg.eigh` fallback where numpy bundles no such library; and
+`blas_threads`, read from the same library."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +48,17 @@ def test_the_banded_solver_is_bound_on_a_scipy_openblas_numpy():
     if lapack["name"] != "scipy-openblas" or "USE64BITINT" not in lapack.get("openblas configuration", ""):
         pytest.skip(f"numpy is built on {lapack['name']}, not the 64-bit scipy-openblas")
     assert linalg._dsbevd() is not None
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_blas_threads_reads_the_pinned_thread_count(threads):
+    # the sweep's thread rule reads it: two sweep threads over a two-thread BLAS ran slower than one
+    if linalg._openblas() is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = "from singlewell import linalg; print(linalg.blas_threads())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.split() == [threads], proc.stderr
 
 
 @given(arrays(np.float64, st.tuples(st.just(3), st.integers(1, 40)),

@@ -18,7 +18,7 @@ from oracles import dense_spin, harmonic_params, variance
 def _qfi_and_baseline(p, state_kind="fragmented", theta=0.5):
     """The protocol QFI at one point and the phase-shift baseline of the same input."""
     psi, jx_variance = prepare_input(p.n_particles, state_kind, theta)
-    return qfi_pure_state(dynamical_generator(p), psi), phase_shift_qfi(jx_variance, p.t)
+    return qfi_pure_state(dynamical_generator(p, psi)), phase_shift_qfi(jx_variance, p.t)
 
 
 class TestBeamSplitter:
@@ -103,9 +103,8 @@ class TestRunProtocol:
     def test_dimension_mismatch(self):
         # an input of N = 10 read out under a generator of N = 11
         psi, _ = prepare_input(10, "fragmented", 0.5)
-        gen = dynamical_generator(harmonic_params(n_particles=11))
         with pytest.raises(ValueError, match="dimension"):
-            qfi_pure_state(gen, psi)
+            dynamical_generator(harmonic_params(n_particles=11), psi)
 
 
 class TestPrepareInput:
@@ -133,22 +132,22 @@ class TestProtocolPoint:
     @staticmethod
     def _point(**overrides):
         p = harmonic_params(**overrides)
-        return prepare_input(p.n_particles, "fragmented", 0.5)[0], dynamical_generator(p)
+        return dynamical_generator(p, prepare_input(p.n_particles, "fragmented", 0.5)[0])
 
     def test_protocol_point_leaves_the_spectrum_alone(self):
-        psi, gen = self._point(g=80.0, delta_eps=10.0)
-        qfi_pure_state(gen, psi)
+        gen = self._point(g=80.0, delta_eps=10.0)
+        qfi_pure_state(gen)
         assert "cqfi" not in vars(gen)
 
     def test_eigenvector_input_carries_no_information(self):
         # G~ diagonal, H = 0: the Dicke state |k> is an exact eigenvector, so sigma = 0
         kernel = np.diag([-2.0, -1.0, 0.0, 1.0, 2.0])
-        gen = GeneratorResult(energies=np.zeros(5), vectors=np.eye(5), jx=kernel, kernel=kernel, t=1.0)
-        assert qfi_pure_state(gen, np.eye(5)[1]) == 0.0
+        gen = GeneratorResult(energies=np.zeros(5), jx=kernel, kernel=kernel, t=1.0, state=np.eye(5)[1])
+        assert qfi_pure_state(gen) == 0.0
         assert gen.cqfi == 16.0
 
     def test_zero_time_carries_no_information(self):
         # at t = 0, G~ = 0 and every input is an eigenvector
-        psi, gen = self._point(g=80.0, delta_eps=10.0, t=0.0)
-        assert qfi_pure_state(gen, psi) == 0.0
+        gen = self._point(g=80.0, delta_eps=10.0, t=0.0)
+        assert qfi_pure_state(gen) == 0.0
         assert gen.cqfi == 0.0

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from singlewell import (
+    SystemParams,
     build_spin_operators,
+    dynamical_generator,
     fragmented_ground_state,
-    generator_at,
     prepare_input,
     qfi_pure_state,
     spin_coherent_state,
@@ -180,11 +181,11 @@ class TestExpectationAndVariance:
 
 def test_dicke_state_rejects_unnormalized_amplitudes():
     # the public function that assumes |psi| = 1 refuses a state off it by more than 1e-12
-    gen = generator_at(np.zeros(2), np.eye(2), np.zeros((2, 2)), 1.0)
+    p = SystemParams(n_particles=1)
     for psi in (np.array([1.0, 1.0], dtype=complex), np.array([1.0 + 1e-11, 0.0], dtype=complex)):
         with pytest.raises(ValueError, match="state norm"):
-            qfi_pure_state(gen, psi)
-    qfi_pure_state(gen, np.array([1.0 + 1e-13, 0.0], dtype=complex))
+            dynamical_generator(p, psi)
+    qfi_pure_state(dynamical_generator(p, np.array([1.0 + 1e-13, 0.0], dtype=complex)))
 
 
 def test_states_and_operators_are_immutable():

@@ -1,4 +1,8 @@
 import logging
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -40,6 +44,32 @@ def small_spec(**overrides):
     )
     base.update(overrides)
     return SweepSpec(**base)
+
+
+N_ABOVE_CROSSOVER = 300  # at least sweeps.THREADS_FROM_N, which the thread-rule test checks
+
+
+def _big_spec(target, axis, steps, **overrides):
+    """A sweep at an N above the crossover: on two threads given two CPUs and a one-thread BLAS."""
+    base = dict(target=target, axis=axis, axis_min=0.5, axis_max=40.0, steps=steps,
+                params=harmonic_params(n_particles=N_ABOVE_CROSSOVER, delta_eps=5.0))
+    return small_spec(**{**base, **overrides})
+
+
+def _peak_in_arrays(spec) -> float:
+    """The traced peak of run_sweep(spec) over its start, in dense (N+1)^2 float64 arrays."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak / (8 * (spec.params.n_particles + 1) ** 2)
 
 
 class TestSweepSpec:
@@ -127,10 +157,10 @@ class TestRunSweep:
                 assert qfi <= cqfi * (1 + 1e-9), (kind, g)
 
     def test_point_failure_names_the_tuple(self, monkeypatch):
-        def failing_at_t0(p):
+        def failing_at_t0(p, psi=None):
             if p.t == 0.0:
                 raise NumericsError("eigendecomposition failed")
-            return dynamical_generator(p)
+            return dynamical_generator(p, psi)
 
         monkeypatch.setattr(sweeps, "dynamical_generator", failing_at_t0)
         spec = small_spec(axis="t", axis_min=0.0, axis_max=1.0, steps=3)
@@ -141,26 +171,20 @@ class TestRunSweep:
     @pytest.mark.parametrize("target, axis", [
         ("cqfi_interacting", "g"), ("cqfi_interacting", "t"), ("protocol_qfi", "g"),
     ])
-    def test_a_point_peaks_below_four_and_a_half_dense_arrays(self, target, axis):
+    def test_a_point_peaks_below_three_and_a_half_arrays(self, target, axis, monkeypatch):
         # numpy reports its data buffers to tracemalloc, dsbevd's workspace among
         # them, as numpy owns it: decompose holds V and 2n^2 of workspace, 3 arrays,
-        # and the kernel build V, V^T Jx V, the gaps, the kernel and two boolean
-        # masks, 4.25 arrays; a spare n x n temporary on any axis lifts it past 5
-        n = 300
-        spec = small_spec(target=target, axis=axis, axis_min=0.5, axis_max=40.0, steps=2,
-                          params=harmonic_params(n_particles=n, delta_eps=5.0))
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            run_sweep(spec)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak <= 4.5 * 8 * (n + 1) ** 2, peak / (8 * (n + 1) ** 2)
+        # and the kernel build, V dropped, V^T Jx V, the gaps, the kernel and two
+        # boolean masks, 3.25 arrays (3.35-3.37 measured); V held through it lifts it to 4.25+
+        monkeypatch.setattr(sweeps, "THREADS_FROM_N", N_ABOVE_CROSSOVER + 1)  # one point at a time
+        assert _peak_in_arrays(_big_spec(target, axis, steps=2)) <= 3.5
+
+    @pytest.mark.parametrize("target, axis", [
+        ("cqfi_interacting", "g"), ("cqfi_interacting", "t"), ("protocol_qfi", "g"),
+    ])
+    def test_a_two_thread_sweep_holds_at_most_two_points(self, target, axis, two_cpus):
+        # 6.41-6.51 arrays measured: the two halves' points, each at most a point's 3.5
+        assert _peak_in_arrays(_big_spec(target, axis, steps=4)) <= 2 * 3.5
 
     def test_sweep_matches_pointwise_evaluation(self):
         # the sweep hoists the protocol input and, on the t axis, the
@@ -182,7 +206,7 @@ class TestRunSweep:
                     expected = [dynamical_generator(p).cqfi for p in points]
                 else:
                     psi, jx_variance = prepare_input(base.n_particles, kind, 0.7)
-                    expected = [qfi_pure_state(dynamical_generator(p), psi) for p in points]
+                    expected = [qfi_pure_state(dynamical_generator(p, psi)) for p in points]
                     np.testing.assert_allclose(
                         res.columns["ideal"], [phase_shift_qfi(jx_variance, p.t) for p in points],
                         rtol=1e-12, atol=0)
@@ -225,6 +249,88 @@ class TestRunSweep:
         res = run_sweep(small_spec())
         assert "g" not in res.metadata
         assert res.metadata["delta_eps"] == 5.0
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs and a one-thread BLAS for the sweep's thread rule, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sweeps, "blas_threads", lambda: 1)
+
+
+class TestThreadedSweep:
+    """Sweeps at an N above the crossover, on two threads: each half of the grid
+    on its own thread, each row at its grid index."""
+
+    def test_two_threads_only_from_the_crossover_on_two_cpus(self, two_cpus, monkeypatch):
+        starts = []
+        thread = threading.Thread
+        monkeypatch.setattr(threading, "Thread", lambda **kw: starts.append(kw["args"]) or thread(**kw))
+        run_sweep(_big_spec("protocol_qfi", "g", steps=5))
+        assert starts == [(3, 5)]  # the main thread runs grid[:3], a second grid[3:]
+        starts.clear()
+        run_sweep(_big_spec("cqfi_noninteracting", "g", steps=5))  # the closed form: one thread
+        run_sweep(small_spec(params=harmonic_params(n_particles=sweeps.THREADS_FROM_N - 1), steps=3))
+        for blas in (2, None):  # BLAS on two threads per call, or a BLAS of unknown threads
+            monkeypatch.setattr(sweeps, "blas_threads", lambda: blas)
+            run_sweep(_big_spec("cqfi_interacting", "g", steps=3))
+        monkeypatch.setattr(sweeps, "blas_threads", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        run_sweep(_big_spec("cqfi_interacting", "g", steps=3))
+        assert starts == []
+
+    @pytest.mark.parametrize("axis", ["g", "t"])
+    def test_values_equal_pointwise_calls_bit_for_bit(self, axis, two_cpus):
+        for target, kind in [("cqfi_interacting", "fragmented"), ("protocol_qfi", "fragmented"),
+                             ("protocol_qfi", "coherent")]:
+            spec = _big_spec(target, axis, steps=4, state_kind=kind)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # the threads take turns as often as the interpreter allows
+            try:
+                res = run_sweep(spec)
+            finally:
+                sys.setswitchinterval(interval)
+            points = [with_axis_value(spec.params, axis, v) for v in res.columns[axis].tolist()]
+            if target == "cqfi_interacting":
+                expected = [dynamical_generator(p).cqfi for p in points]
+            else:
+                psi, jx_variance = prepare_input(spec.params.n_particles, kind, spec.theta)
+                expected = [qfi_pure_state(dynamical_generator(p, psi)) for p in points]
+                assert res.columns["ideal"].tolist() == [phase_shift_qfi(jx_variance, p.t) for p in points]
+            assert res.columns["value"].tolist() == expected, (target, kind)
+            assert res.columns["bound"].tolist() == [(p.n_particles * p.t) ** 2 for p in points]
+
+    @pytest.mark.parametrize("failing, named", [({1: 0.05, 4: 0.0}, 1), ({4: 0.0}, 4)])
+    def test_failure_names_the_first_failing_point_in_grid_order(self, failing, named, two_cpus,
+                                                                  monkeypatch):
+        # grid[:3] runs on the caller's thread and grid[3:] on a second; the first half's
+        # failure waits, so the second half fails first in time, not in grid order
+        spec = _big_spec("protocol_qfi", "g", steps=6)
+        grid = spec.grid().tolist()
+
+        def failing_generator(p, psi=None):
+            index = grid.index(p.g)
+            if index in failing:
+                time.sleep(failing[index])
+                raise NumericsError(f"failed at index {index}")
+            return dynamical_generator(p, psi)
+
+        hooked = []  # the hook threading calls for an exception that escapes a thread
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        monkeypatch.setattr(sweeps, "dynamical_generator", failing_generator)
+        with pytest.raises(SweepPointError, match=f"g = {grid[named]!r} ") as info:
+            run_sweep(spec)
+        assert str(info.value.__cause__) == f"failed at index {named}"
+        assert hooked == []
+
+    def test_validity_warning_is_one_line_for_the_whole_grid(self, two_cpus, caplog):
+        spec = _big_spec("cqfi_interacting", "g", steps=5, axis_max=8000.0)
+        gammas = [validity_gamma(replace(spec.params, g=g))[0] for g in spec.grid()]
+        assert [gamma > 1.0 for gamma in gammas] == [False, False, True, True, True]  # in both halves
+        with caplog.at_level(logging.WARNING):
+            run_sweep(spec)
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            f"3 of 5 points outside two-mode validity, gamma_max = {max(gammas):.3g}"]
 
 
 # Each axis drawn from a range around the figures' points; lambda and t include 0.
