@@ -13,12 +13,15 @@ float64 arrays of 8 (N+1)^2 bytes. The stages:
 - sweep: a 4-point protocol g-sweep through `run_sweep`, which from
   `sweeps.THREADS_FROM_N` on runs two points at a time on two threads given
   two CPUs and one BLAS thread, as here; its time is reported per point
+- sweep_cqfi: a channel-QFI g-sweep through `run_sweep`, on two threads at
+  every N given two CPUs and one BLAS thread, two stacks of
+  `sweeps.stack_size(N)` kernels per thread; its time is reported per point
 
 Each child runs with BLAS pinned to one thread and with the allocator
 thresholds that `singlewell` sets for itself (README, "CLI"), so freed
 arrays stay in the heap as they do in a sweep. The output is a Markdown table.
 
-    python scripts/limits.py                 # N = 200, 500, 1000, 2000
+    python scripts/limits.py                 # N = 50, 200, 500, 1000, 2000
     python scripts/limits.py --n 20 40
 """
 
@@ -33,8 +36,9 @@ import time
 
 from singlewell import (SweepSpec, SystemParams, decompose, dynamical_generator, prepare_input,
                         qfi_pure_state, run_sweep, total_hamiltonian)
+from singlewell.sweeps import stack_size
 
-STAGES = ("decompose", "protocol", "cqfi", "sweep")
+STAGES = ("decompose", "protocol", "cqfi", "sweep", "sweep_cqfi")
 SWEEP_STEPS = 4  # two points per thread
 MIN_REPEATS, MIN_SECONDS, MAX_REPEATS = 3, 1.0, 1000
 WARM_UP_N = 64  # past LAPACK's divide-and-conquer crossover (25)
@@ -55,12 +59,20 @@ def _point(stage: str, n: int):
     psi, _ = prepare_input(n, "fragmented", 0.5)
     spec = SweepSpec(target="protocol_qfi", axis="g", axis_min=40.0, axis_max=120.0, steps=SWEEP_STEPS,
                      params=p)
+    channel = SweepSpec(target="cqfi_interacting", axis="g", axis_min=40.0, axis_max=120.0,
+                        steps=_steps("sweep_cqfi", n), params=p)
     return {
         "decompose": lambda: decompose(total_hamiltonian(p)),
         "protocol": lambda: qfi_pure_state(dynamical_generator(p, psi)),
         "cqfi": lambda: dynamical_generator(p).cqfi,
         "sweep": lambda: run_sweep(spec),
+        "sweep_cqfi": lambda: run_sweep(channel),
     }[stage]
+
+
+def _steps(stage: str, n: int) -> int:
+    """The points one run of the stage evaluates."""
+    return {"sweep": SWEEP_STEPS, "sweep_cqfi": SWEEP_STEPS * stack_size(n)}.get(stage, 1)
 
 
 def measure(stage: str, n: int) -> dict:
@@ -73,8 +85,8 @@ def measure(stage: str, n: int) -> dict:
         start = time.perf_counter()
         run()
         seconds.append(time.perf_counter() - start)
-    points = SWEEP_STEPS if stage == "sweep" else 1
-    return {"seconds": statistics.median(seconds) / points, "rss_growth": _peak_rss_bytes() - before}
+    seconds = statistics.median(seconds) / _steps(stage, n)
+    return {"seconds": seconds, "rss_growth": _peak_rss_bytes() - before}
 
 
 def _in_fresh_process(stage: str, n: int) -> dict:
@@ -85,7 +97,7 @@ def _in_fresh_process(stage: str, n: int) -> dict:
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, nargs="+", default=[200, 500, 1000, 2000])
+    parser.add_argument("--n", type=int, nargs="+", default=[50, 200, 500, 1000, 2000])
     parser.add_argument("--stage", choices=STAGES, help="run one stage in this process and print JSON")
     args = parser.parse_args()
     if args.stage:

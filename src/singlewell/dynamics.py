@@ -14,8 +14,9 @@ W = V diag(exp(i E t/2)) and the real symmetric kernel
 
     G~_kl = (V^T Jx V)_kl * t * sin(x_kl) / x_kl,   x_kl = (E_l - E_k) t / 2.
 
-The channel QFI `cqfi` is read from the spectrum of G~, `qfi_pure_state`
-as 4 Var of G~ over W^dag psi. sin(x)/x is even, so it is evaluated once
+The channel QFI `cqfi` is read from the spectrum of G~ by `spread_squared`,
+which a sweep also calls on a stack of kernels, `qfi_pure_state` as 4 Var
+of G~ over W^dag psi. sin(x)/x is even, so it is evaluated once
 per pair of levels, and smooth through E_k = E_l, where it is 1, so exactly
 or nearly degenerate levels need no threshold and lose no precision to the
 cancellation in (e^{i w t} - 1) / (i w).
@@ -27,9 +28,10 @@ arrays (E, V^T Jx V) and, for a protocol point, the input in the eigenbasis
 of H, V^T psi, none of which depend on t, and `generator_at` reads them out
 at one time. Those products are V's last use: V is dropped before the
 kernel is built, so a point holds no more than `dsbevd`'s three dense
-arrays and the kernel stage's 3.25. A sweep along t decomposes H once. The
-spectrum of G~ is taken only when the channel QFI is read; the QFI of a
-state needs only products with G~.
+arrays and the kernel stage's 3.25. Both write G~ into an output array if
+given one, such as a slot of a sweep's stack of kernels. A sweep along t
+decomposes H once. The spectrum of G~ is taken only when the channel QFI
+is read; the QFI of a state needs only products with G~.
 """
 
 from __future__ import annotations
@@ -53,6 +55,15 @@ __all__ = [
     "qfi_pure_state",
     "cqfi_upper_bound",
 ]
+
+
+def spread_squared(kernels: np.ndarray) -> np.ndarray:
+    """The squared spectral spread of each symmetric matrix along the last two axes, so of
+    one kernel G~ or of a stack of them, from one `eigvalsh` call, which runs the same
+    LAPACK call on each matrix of a stack as on that matrix alone."""
+    levels = np.linalg.eigvalsh(kernels)
+    spread = levels[..., -1] - levels[..., 0]
+    return spread * spread
 
 
 def decompose(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,15 +92,14 @@ class GeneratorResult:
     @cached_property
     def cqfi(self) -> float:
         """Channel QFI: the squared spectral spread of G~ (W leaves it alone), on first read."""
-        levels = np.linalg.eigvalsh(self.kernel)
-        spread = float(levels[-1] - levels[0])
-        return spread * spread
+        return float(spread_squared(self.kernel))
 
 
 def generator_at(energies: np.ndarray, jx: np.ndarray, t: float,
-                 state: np.ndarray | None = None) -> GeneratorResult:
+                 state: np.ndarray | None = None, out: np.ndarray | None = None) -> GeneratorResult:
     """The generator after time t from the energies of H, the symmetric
-    jx = V^T Jx V and, for a protocol point, the input's state = V^T psi.
+    jx = V^T Jx V and, for a protocol point, the input's state = V^T psi;
+    G~ is written into out, a C-ordered float64 n x n array, if one is given.
 
     In the eigenbasis of H, int_0^t e^{i(E_k-E_l)s} ds = e^{i(E_k-E_l)t/2} t
     sin(x)/x with x = (E_l-E_k)t/2; the phases are the unitary frame W, which
@@ -100,7 +110,11 @@ def generator_at(energies: np.ndarray, jx: np.ndarray, t: float,
     """
     if not (float(energies[-1]) - float(energies[0])) * (0.5 * t) < np.inf:
         raise NumericsError(f"level phase (E_l - E_k) t/2 overflows a float at t = {t!r}")
-    kernel = np.zeros((energies.shape[0],) * 2)  # before x, so x is freed at the heap's top
+    if out is None:
+        kernel = np.zeros((energies.shape[0],) * 2)  # before x, so x is freed at the heap's top
+    else:
+        kernel = out
+        kernel.fill(0.0)  # every entry is rewritten below, from zero, as from np.zeros
     x = energies - energies[:, np.newaxis]
     x *= 0.5 * t
     above = x > 0
@@ -117,9 +131,11 @@ def generator_at(energies: np.ndarray, jx: np.ndarray, t: float,
     return GeneratorResult(energies=energies, jx=jx, kernel=kernel, t=t, state=state)
 
 
-def dynamical_generator(p: SystemParams, psi: np.ndarray | None = None) -> GeneratorResult:
+def dynamical_generator(p: SystemParams, psi: np.ndarray | None = None,
+                        out: np.ndarray | None = None) -> GeneratorResult:
     """Generator of the acceleration imprint after time p.t, carrying the
-    input psi of a protocol point if one is given.
+    input psi of a protocol point if one is given; G~ goes into out as in
+    `generator_at`.
 
     G = int_0^t e^{iHs} Jx e^{-iHs} ds, since dH/dlambda = Jx. Jx is
     tridiagonal, so V^T Jx V = M + M^T with M = V[:-1]^T (ladder/2 * V[1:]):
@@ -140,7 +156,7 @@ def dynamical_generator(p: SystemParams, psi: np.ndarray | None = None) -> Gener
     del v  # not held through the kernel build
     jx = half + half.T
     del half
-    return generator_at(energies, jx, p.t, state)
+    return generator_at(energies, jx, p.t, state, out)
 
 
 def _pairs(z: np.ndarray) -> np.ndarray:

@@ -6,12 +6,17 @@ grid of a single axis while every other parameter stays fixed. It loops
 in grid order through the kernels `dynamical_generator`, `prepare_input`
 and `qfi_pure_state`, with the work that does not change along the grid
 done once: the protocol input state and, on the t axis, where H stays the
-same, the decomposition of H. From N = THREADS_FROM_N on, given two CPUs
-and a BLAS on one thread per call (OPENBLAS_NUM_THREADS=1), a target that
-decomposes H runs the two halves of its grid in two such loops on two
-threads, two points in flight at once. Each loop writes its rows at their
-grid indices, and a failure names the first failing point in grid order,
-as one loop would; every point does the same arithmetic on either path.
+same, the decomposition of H. A channel-QFI loop writes the kernels G~ of
+consecutive points into one stack of up to STACK_BYTES and reads their
+spectra with one `eigvalsh` call, long enough to leave the interpreter to
+another thread. Given two CPUs and a BLAS on one thread per call
+(OPENBLAS_NUM_THREADS=1), a channel-QFI sweep at every N, and a protocol
+sweep from N = THREADS_FROM_N on, runs the two halves of its grid in two
+such loops on two threads. Each loop writes its rows at their grid
+indices, and a failure names the first failing point in grid order, as one
+loop would: a stack whose `eigvalsh` raises is read again one kernel at a
+time. Every point does the same arithmetic on either path, since
+`eigvalsh` runs the same LAPACK call on each matrix of a stack.
 A spec is checked whole when it is built, its protocol inputs included
 whatever the target, so a bad spec fails before any point runs. Identical
 specs produce byte-identical CSVs. A result is the CSV's table: its named
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analytic import cqfi_noninteracting, phase_shift_qfi
-from .dynamics import cqfi_upper_bound, dynamical_generator, generator_at, qfi_pure_state
+from .dynamics import cqfi_upper_bound, dynamical_generator, generator_at, qfi_pure_state, spread_squared
 from .errors import NumericsError
 from .linalg import blas_threads
 from .modes import AXIS_FIELDS, FIELD_KEYS, SystemParams, as_float, validity_gamma, with_axis_value
@@ -51,14 +56,21 @@ log = logging.getLogger(__name__)
 TARGETS = ("cqfi_noninteracting", "cqfi_interacting", "protocol_qfi")
 AXES = tuple(AXIS_FIELDS)
 _COLUMNS = ("value", "bound", "ideal")  # after the axis; ideal only in protocol sweeps
-# From this N on, a sweep of a target that decomposes H runs the two halves of its grid on two
-# threads (dsbevd through ctypes, matmul and eigvalsh release the GIL), given two CPUs and a BLAS
-# on one thread per call. 101-point g-sweeps on a 2-core Xeon VM, one BLAS thread, one sweep
-# thread -> two, medians of 5, ms: protocol 37.7 -> 40.3 at N = 50, 108.9 -> 110.6 at 100,
-# 142.0 -> 147.9 at 120, 202.8 -> 118.6 at 150, 361.7 -> 210.6 at 200; cQFI 52.6 -> 53.4 at 50,
-# 172.9 -> 128.2 at 100, 427.4 -> 229.4 at 150, 678.5 -> 364.9 at 200. Over a two-thread
-# OpenBLAS, two sweep threads ran 0.62x (protocol) and 0.76x (cQFI) as fast as one at N = 200.
+# Given two CPUs and a BLAS on one thread per call, a sweep runs the two halves of its grid on
+# two threads (dsbevd through ctypes, matmul and eigvalsh release the GIL): a protocol sweep from
+# this N on, a channel-QFI sweep at every N. 101-point g-sweeps on a 2-core Xeon VM, one BLAS
+# thread, one sweep thread -> two, medians of 5, ms: protocol 37.7 -> 40.3 at N = 50, 108.9 ->
+# 110.6 at 100, 142.0 -> 147.9 at 120, 202.8 -> 118.6 at 150, 361.7 -> 210.6 at 200. A channel
+# point's eigvalsh, ~0.1 ms at N = 50, is too short to leave the interpreter to the other thread;
+# a stack of kernels read in one call is not. Fig. 2's N = 50 workload in process, against one
+# thread reading one kernel per call: two threads, one kernel per call, 1.01-1.05x; stacks of
+# 16 on one thread 1.06x, on two 1.50-1.58x; stacks of 4, 8 and 32 on two, 1.18, 1.27 and 1.50x.
+# Over a two-thread OpenBLAS, two sweep threads ran 0.62x (protocol) and 0.76x (cQFI) as fast as
+# one at N = 200.
 THREADS_FROM_N = 150
+# The bytes of one channel-QFI loop's stack of kernels: 16 at N = 50, 4 at N = 100, 1 from
+# N = 145 on, where the stack is the point's own kernel.
+STACK_BYTES = 340_000
 
 
 class SweepPointError(Exception):
@@ -137,21 +149,51 @@ class SweepResult:
                 raise ValueError("sweep columns must share one length")
 
 
+def stack_size(n_particles: int) -> int:
+    """How many (N+1) x (N+1) kernels a channel-QFI loop stacks for one `eigvalsh` call:
+    as many as STACK_BYTES holds, and at least one."""
+    return max(1, STACK_BYTES // (8 * (n_particles + 1) ** 2))
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the target over the grid; any point failure aborts the sweep,
     naming the first failing point in grid order."""
     grid = spec.grid()
     values = grid.tolist()
+    n = spec.params.n_particles + 1
     protocol = spec.target == "protocol_qfi"
+    channel = spec.target == "cqfi_interacting"
     psi = None
     if protocol:
         psi, jx_variance = prepare_input(spec.params.n_particles, spec.state_kind, spec.theta)
     rows, gammas = [None] * spec.steps, [0.0] * spec.steps  # gamma stays 0 where g does not enter
     failures = []  # (grid index, exception) of each loop's failing point; read while the other appends
+    size = stack_size(spec.params.n_particles) if channel else 1
+
+    def read(kernels: np.ndarray, pending: list) -> None:
+        """The channel QFI of each stacked kernel into the row of its point, (grid index, bound)
+        in pending, which empties; a failing kernel's point fails and pending stays."""
+        try:
+            cqfis = spread_squared(kernels).tolist()
+        except Exception:  # read the kernels again one at a time, to find the failing point
+            cqfis = []
+            for kernel, (i, _) in zip(kernels, pending):
+                try:
+                    cqfis.append(float(spread_squared(kernel)))
+                except Exception as exc:
+                    failures.append((i, exc))
+                    return
+        for cqfi, (i, bound) in zip(cqfis, pending):
+            rows[i] = (cqfi, bound)
+        pending.clear()
 
     def run(start: int, stop: int) -> None:
-        """The points of grid[start:stop] in order, each row at its index; stops at a failure."""
+        """The points of grid[start:stop] in order, each row at its index; stops at a failure.
+        A channel-QFI point writes its kernel into the next slot of the stack, which is read
+        once full and at the end; with room for one kernel, the stack is the point's own."""
         gen = None
+        stack = np.empty((min(size, stop - start), n, n)) if size > 1 else None
+        pending = []  # (grid index, bound) of each point whose kernel waits in the stack
         for i in range(start, stop):
             if failures and any(j < i for j, _ in failures):  # the sweep failed at an earlier point
                 return
@@ -161,23 +203,30 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 if spec.target == "cqfi_noninteracting":
                     rows[i] = (cqfi_noninteracting(p.n_particles, p.lambda_acc, p.delta_eps, p.t), bound)
                     continue  # g does not enter it, so neither does two-mode validity
+                out = None if stack is None else stack[len(pending)]
                 if spec.axis == "t" and gen is not None:  # H does not depend on t
                     energies, jx, state = gen.energies, gen.jx, gen.state
                     gen = None  # release the last point's kernel before building the next
-                    gen = generator_at(energies, jx, p.t, state)
+                    gen = generator_at(energies, jx, p.t, state, out)
                 else:
                     gen = None  # release the last point's arrays before building the next H
-                    gen = dynamical_generator(p, psi)
+                    gen = dynamical_generator(p, psi, out)
+                gammas[i] = validity_gamma(p)[0]
                 if protocol:
                     rows[i] = (qfi_pure_state(gen), bound, phase_shift_qfi(jx_variance, p.t))
-                else:
-                    rows[i] = (gen.cqfi, bound)
-                gammas[i] = validity_gamma(p)[0]
+                    continue
+                pending.append((i, bound))
+                if len(pending) == size or i == stop - 1:
+                    read(gen.kernel[np.newaxis] if stack is None else stack[:len(pending)], pending)
+                    if pending:  # left unread: a kernel failed
+                        return
             except Exception as exc:  # raised on the caller's thread: none escapes a worker
+                if pending:  # an earlier point of the stack fails first if its kernel does
+                    read(stack[:len(pending)], pending)
                 failures.append((i, exc))
                 return
 
-    threaded = (spec.target != "cqfi_noninteracting" and spec.params.n_particles >= THREADS_FROM_N
+    threaded = ((channel or (protocol and spec.params.n_particles >= THREADS_FROM_N))
                 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
                 and blas_threads() == 1)
     split = (spec.steps + 1) // 2 if threaded else spec.steps

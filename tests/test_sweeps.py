@@ -1,5 +1,6 @@
 import logging
 import os
+import re
 import sys
 import threading
 import time
@@ -157,10 +158,10 @@ class TestRunSweep:
                 assert qfi <= cqfi * (1 + 1e-9), (kind, g)
 
     def test_point_failure_names_the_tuple(self, monkeypatch):
-        def failing_at_t0(p, psi=None):
+        def failing_at_t0(p, psi=None, out=None):
             if p.t == 0.0:
                 raise NumericsError("eigendecomposition failed")
-            return dynamical_generator(p, psi)
+            return dynamical_generator(p, psi, out)
 
         monkeypatch.setattr(sweeps, "dynamical_generator", failing_at_t0)
         spec = small_spec(axis="t", axis_min=0.0, axis_max=1.0, steps=3)
@@ -185,6 +186,14 @@ class TestRunSweep:
     def test_a_two_thread_sweep_holds_at_most_two_points(self, target, axis, two_cpus):
         # 6.41-6.51 arrays measured: the two halves' points, each at most a point's 3.5
         assert _peak_in_arrays(_big_spec(target, axis, steps=4)) <= 2 * 3.5
+
+    def test_a_two_thread_n_50_cqfi_sweep_holds_two_stacks_and_two_points(self, two_cpus):
+        # each half's stack of 16 kernels and its point; at N = 50 a point traces 5.5-6.8
+        # arrays, the sweep's lists and eigvalsh's copy of a kernel included (one thread, one
+        # kernel at a time), so 2 * (16 + 6); 41.0-41.2 arrays measured
+        spec = small_spec(steps=37, axis_max=200.0, params=harmonic_params(n_particles=50, delta_eps=10.0))
+        run_sweep(spec)  # N = 50's first sweep fills the caches the process keeps
+        assert _peak_in_arrays(spec) <= 2 * (sweeps.stack_size(50) + 6)
 
     def test_sweep_matches_pointwise_evaluation(self):
         # the sweep hoists the protocol input and, on the t axis, the
@@ -251,6 +260,18 @@ class TestRunSweep:
         assert res.metadata["delta_eps"] == 5.0
 
 
+def _refuse_kernel(monkeypatch, bad):
+    """Make eigvalsh raise on any input that holds the kernel bad, alone or in a stack."""
+    eigvalsh = np.linalg.eigvalsh
+
+    def refusing(a):
+        if any(np.array_equal(kernel, bad) for kernel in a.reshape(-1, *bad.shape)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refusing)
+
+
 @pytest.fixture
 def two_cpus(monkeypatch):
     """Two CPUs and a one-thread BLAS for the sweep's thread rule, whatever this machine has."""
@@ -259,25 +280,86 @@ def two_cpus(monkeypatch):
 
 
 class TestThreadedSweep:
-    """Sweeps at an N above the crossover, on two threads: each half of the grid
-    on its own thread, each row at its grid index."""
+    """Sweeps on two threads: each half of the grid on its own thread, each row at
+    its grid index; at N = 50 each channel-QFI half reads its kernels in stacks."""
 
-    def test_two_threads_only_from_the_crossover_on_two_cpus(self, two_cpus, monkeypatch):
+    def test_two_threads_for_cqfi_at_every_n_and_protocol_from_the_crossover(self, two_cpus, monkeypatch):
         starts = []
         thread = threading.Thread
         monkeypatch.setattr(threading, "Thread", lambda **kw: starts.append(kw["args"]) or thread(**kw))
-        run_sweep(_big_spec("protocol_qfi", "g", steps=5))
-        assert starts == [(3, 5)]  # the main thread runs grid[:3], a second grid[3:]
+        for n in (12, 50):
+            run_sweep(small_spec(params=harmonic_params(n_particles=n), steps=5))
+        run_sweep(small_spec(target="protocol_qfi", params=harmonic_params(n_particles=sweeps.THREADS_FROM_N),
+                             steps=5))
+        assert starts == [(3, 5)] * 3  # the main thread runs grid[:3], a second grid[3:]
         starts.clear()
+        run_sweep(small_spec(target="protocol_qfi",
+                             params=harmonic_params(n_particles=sweeps.THREADS_FROM_N - 1), steps=3))
         run_sweep(_big_spec("cqfi_noninteracting", "g", steps=5))  # the closed form: one thread
-        run_sweep(small_spec(params=harmonic_params(n_particles=sweeps.THREADS_FROM_N - 1), steps=3))
         for blas in (2, None):  # BLAS on two threads per call, or a BLAS of unknown threads
             monkeypatch.setattr(sweeps, "blas_threads", lambda: blas)
-            run_sweep(_big_spec("cqfi_interacting", "g", steps=3))
+            run_sweep(small_spec(steps=3))
         monkeypatch.setattr(sweeps, "blas_threads", lambda: 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        run_sweep(_big_spec("cqfi_interacting", "g", steps=3))
+        run_sweep(small_spec(steps=3))
         assert starts == []
+
+    def test_a_stack_holds_16_4_and_1_kernels_at_n_50_100_and_200(self):
+        assert [sweeps.stack_size(n) for n in (50, 100, 200)] == [16, 4, 1]
+
+    @pytest.mark.parametrize("axis, axis_max", [("g", 200.0), ("delta_eps", 20.0), ("t", 10.0)])
+    def test_stacked_cqfi_equals_pointwise_calls_bit_for_bit(self, axis, axis_max, two_cpus, monkeypatch):
+        # 37 points: grid[:19] and grid[19:] each end in a partial stack of 16
+        spec = small_spec(axis=axis, axis_min=0.0, axis_max=axis_max, steps=37,
+                          params=harmonic_params(n_particles=50, g=20.0, delta_eps=10.0))
+        stacks = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.shape[0]) or eigvalsh(a))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads take turns as often as the interpreter allows
+        try:
+            res = run_sweep(spec)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(stacks) == [2, 3, 16, 16]
+        points = [with_axis_value(spec.params, axis, v) for v in res.columns[axis].tolist()]
+        assert res.columns["value"].tolist() == [dynamical_generator(p).cqfi for p in points]
+
+    @pytest.mark.parametrize("refused, named", [(None, 17), (16, 16)])
+    def test_phase_overflow_inside_a_stack_names_the_first_failing_point(self, refused, named, two_cpus,
+                                                                         monkeypatch):
+        # along t, every point from index 17 on overflows: grid[17] sits in the first half's
+        # second stack, behind grid[16], and the second half fails from its first point on;
+        # if eigvalsh refuses grid[16]'s kernel too, that unread point fails first
+        params = harmonic_params(n_particles=50, delta_eps=1e200)
+        energies = dynamical_generator(params).energies
+        spread = float(energies[-1]) - float(energies[0])
+        t_max = float(np.finfo(float).max) / (0.5 * spread) * (36 / 16.5)
+        spec = small_spec(axis="t", axis_min=0.0, axis_max=t_max, steps=37, params=params)
+        grid = spec.grid().tolist()
+        assert [not spread * (0.5 * t) < np.inf for t in grid].index(True) == 17
+        if refused is not None:
+            point = with_axis_value(params, "t", grid[refused])
+            _refuse_kernel(monkeypatch, dynamical_generator(point).kernel)
+        with pytest.raises(SweepPointError, match=re.escape(f"t = {grid[named]!r} ")) as info:
+            run_sweep(spec)
+        if refused is None:
+            assert "phase (E_l - E_k) t/2 overflows" in str(info.value.__cause__)
+        else:
+            assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("failing", [25, 4])
+    def test_a_kernel_whose_spectrum_fails_is_named_from_its_stack(self, failing, two_cpus, monkeypatch):
+        # eigvalsh refuses one kernel, alone or in a stack: grid[25] sits in the second half's
+        # first stack, grid[4] in the first half's
+        spec = small_spec(axis="g", axis_min=0.0, axis_max=200.0, steps=37,
+                          params=harmonic_params(n_particles=50, delta_eps=10.0))
+        grid = spec.grid().tolist()
+        point = with_axis_value(spec.params, "g", grid[failing])
+        _refuse_kernel(monkeypatch, dynamical_generator(point).kernel)
+        with pytest.raises(SweepPointError, match=f"g = {grid[failing]!r} ") as info:
+            run_sweep(spec)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     @pytest.mark.parametrize("axis", ["g", "t"])
     def test_values_equal_pointwise_calls_bit_for_bit(self, axis, two_cpus):
@@ -308,12 +390,12 @@ class TestThreadedSweep:
         spec = _big_spec("protocol_qfi", "g", steps=6)
         grid = spec.grid().tolist()
 
-        def failing_generator(p, psi=None):
+        def failing_generator(p, psi=None, out=None):
             index = grid.index(p.g)
             if index in failing:
                 time.sleep(failing[index])
                 raise NumericsError(f"failed at index {index}")
-            return dynamical_generator(p, psi)
+            return dynamical_generator(p, psi, out)
 
         hooked = []  # the hook threading calls for an exception that escapes a thread
         monkeypatch.setattr(threading, "excepthook", hooked.append)
