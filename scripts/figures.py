@@ -18,7 +18,8 @@ fig3_ground_states: ground-state protocol QFI vs coupling, fragmented and
   families fit one axis.
 
 Each figure is a function that returns its (file stem, SweepSpec) list;
-`FIGURES` lists them. main writes <outdir>/<figure>/<stem>.csv and .svg.
+`FIGURES` lists them. main runs all curves in one `run_sweeps` call, one pass
+per distinct grid, and writes <outdir>/<figure>/<stem>.csv and .svg.
 
     python scripts/figures.py                 # into results/
     python scripts/figures.py --outdir figs
@@ -27,7 +28,7 @@ Each figure is a function that returns its (file stem, SweepSpec) list;
 import argparse
 from pathlib import Path
 
-from singlewell import SweepSpec, SystemParams, emit_csv, emit_plot, run_sweep
+from singlewell import SweepSpec, SystemParams, emit_csv, emit_plot, run_sweeps
 
 
 def fig1_noninteracting() -> list[tuple[str, SweepSpec]]:
@@ -89,14 +90,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", default="results")
     args = parser.parse_args()
-    for figure in FIGURES:
-        outdir = Path(args.outdir) / figure.__name__
+    curves = [(Path(args.outdir) / figure.__name__, stem, spec) for figure in FIGURES for stem, spec in figure()]
+    for (outdir, stem, _), result in zip(curves, run_sweeps([spec for _, _, spec in curves])):
         outdir.mkdir(parents=True, exist_ok=True)
-        for stem, spec in figure():
-            result = run_sweep(spec)
-            emit_csv(result, str(outdir / f"{stem}.csv"))
-            emit_plot(result, str(outdir / f"{stem}.svg"))
-            print(f"wrote {outdir / stem}.csv/.svg  (max QFI {result.columns['value'].max():.1f})")
+        emit_csv(result, str(outdir / f"{stem}.csv"))
+        emit_plot(result, str(outdir / f"{stem}.svg"))
+        print(f"wrote {outdir / stem}.csv/.svg  (max QFI {result.columns['value'].max():.1f})")
 
 
 if __name__ == "__main__":

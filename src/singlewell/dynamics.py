@@ -24,14 +24,14 @@ cancellation in (e^{i w t} - 1) / (i w).
 similarity G~ -> D G~ D with D = diag(+-1), which changes neither readout.
 
 The generator comes in two steps: `dynamical_generator` takes H to the
-arrays (E, V^T Jx V) and, for a protocol point, the input in the eigenbasis
-of H, V^T psi, none of which depend on t, and `generator_at` reads them out
-at one time. Those products are V's last use: V is dropped before the
-kernel is built, so a point holds no more than `dsbevd`'s three dense
-arrays and the kernel stage's 3.25. Both write G~ into an output array if
-given one, such as a slot of a sweep's stack of kernels. A sweep along t
-decomposes H once. The spectrum of G~ is taken only when the channel QFI
-is read; the QFI of a state needs only products with G~.
+arrays (E, V^T Jx V) and, for a protocol point, each input in the
+eigenbasis of H, V^T psi, none of which depend on t, and `generator_at`
+reads them out at one time, into an output array if given one, such as a
+slot of a sweep's stack of kernels. Those products are V's last use: V is
+dropped before the kernel is built, so a point holds no more than
+`dsbevd`'s three dense arrays and the kernel stage's 3.25. The spectrum of
+G~ is taken only when the channel QFI is read; the QFI of a state needs
+only products with G~.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def decompose(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class GeneratorResult:
     """Dynamical generator as the energies E of H, ascending, Jx in its
-    eigenbasis (V^T Jx V) and the real kernel G~; for a protocol point, the
-    input psi in the eigenbasis of H, V^T psi, as state."""
+    eigenbasis (V^T Jx V) and the real kernel G~; for a protocol point, each
+    input psi in the eigenbasis of H, V^T psi, as state (or its rows)."""
 
     energies: np.ndarray
     jx: np.ndarray
@@ -134,23 +134,24 @@ def generator_at(energies: np.ndarray, jx: np.ndarray, t: float,
 def dynamical_generator(p: SystemParams, psi: np.ndarray | None = None,
                         out: np.ndarray | None = None) -> GeneratorResult:
     """Generator of the acceleration imprint after time p.t, carrying the
-    input psi of a protocol point if one is given; G~ goes into out as in
-    `generator_at`.
+    input psi of a protocol point if one is given, or a stack of inputs, one
+    per row; G~ goes into out as in `generator_at`.
 
     G = int_0^t e^{iHs} Jx e^{-iHs} ds, since dH/dlambda = Jx. Jx is
     tridiagonal, so V^T Jx V = M + M^T with M = V[:-1]^T (ladder/2 * V[1:]):
     one matrix product, and exactly symmetric. V is last read there and in
-    V^T psi, taken on the (real, imag) pairs of psi; `qfi_pure_state` reads
-    the QFI of psi, whose norm is checked to 1e-12 here.
+    V^T psi, one product per input on the (real, imag) pairs of psi;
+    `qfi_pure_state` reads the QFI of psi, whose norm is checked to 1e-12 here.
     """
-    if psi is not None:
-        dim = p.n_particles + 1
-        if dim != len(psi):
-            raise ValueError(f"generator dimension {dim} does not match state dimension {len(psi)}")
-        check_unit_norm(psi)
+    inputs = () if psi is None else np.atleast_2d(psi)
+    for row in inputs:
+        if len(row) != p.n_particles + 1:
+            raise ValueError(f"generator dimension {p.n_particles + 1} does not match state dimension {len(row)}")
+        check_unit_norm(row)
     energies, v = decompose(total_hamiltonian(p))
     _, ladder = build_spin_operators(p.n_particles)
-    state = None if psi is None else (v.T @ _pairs(psi)).view(complex).ravel()
+    state = None if psi is None else np.array(
+        [(v.T @ _pairs(row)).view(complex).ravel() for row in inputs]).reshape(np.shape(psi))
     half = np.empty(v.shape)  # before the N x (N+1) scaled rows, whose freed slot jx then fills
     np.matmul(v[:-1].T, (0.5 * ladder)[:, np.newaxis] * v[1:], out=half)
     del v  # not held through the kernel build
@@ -164,17 +165,19 @@ def _pairs(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
 
 
-def qfi_pure_state(gen: GeneratorResult) -> float:
-    """The QFI of the generator's input psi, 4 Var_psi(G) = 4 Var_phi(G~) with
-    phi = W^dag psi = diag(exp(-i E t/2)) gen.state.
+def qfi_pure_state(gen: GeneratorResult, state: np.ndarray | None = None) -> float:
+    """The QFI of an input psi, 4 Var_psi(G) = 4 Var_phi(G~) with phi = W^dag psi =
+    diag(exp(-i E t/2)) V^T psi, where V^T psi is state: gen.state, or one of its
+    rows for a generator that carries a stack of inputs.
 
     G~ is real, so its products act on the (real, imag) pairs of phi.
     """
-    if gen.state is None:
+    state = gen.state if state is None else state
+    if state is None:
         raise ValueError("the generator carries no input state: pass psi to dynamical_generator")
     if not max(-float(gen.energies[0]), float(gen.energies[-1])) * (0.5 * gen.t) < np.inf:
         raise NumericsError(f"frame phase E t/2 overflows a float at t = {gen.t!r}")
-    phi = _pairs(np.exp(-0.5j * gen.t * gen.energies) * gen.state)
+    phi = _pairs(np.exp(-0.5j * gen.t * gen.energies) * state)
     applied = gen.kernel @ phi
     mean = np.vdot(phi, applied)
     return float(4.0 * max(np.vdot(applied, applied) - mean * mean, 0.0))

@@ -8,10 +8,8 @@ closing splitter-and-measurement step does not change the QFI and is
 omitted.
 
 The input side depends only on N, theta and the state kind, so a sweep
-builds the split state psi and its Var(Jx) once with `prepare_input` and
-reads its QFI under the generator of each parameter point with
-`dynamics.qfi_pure_state`: a protocol point costs one eigendecomposition,
-that of H.
+prepares it once; its QFI under each point's generator is
+`dynamics.qfi_pure_state`, and a point costs one eigendecomposition, of H.
 """
 
 from __future__ import annotations

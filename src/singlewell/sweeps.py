@@ -2,26 +2,14 @@
 
 A sweep evaluates one target (analytic noninteracting channel QFI,
 interacting channel QFI, or the ground-state protocol QFI) on a uniform
-grid of a single axis while every other parameter stays fixed. It loops
-in grid order through the kernels `dynamical_generator`, `prepare_input`
-and `qfi_pure_state`, with the work that does not change along the grid
-done once: the protocol input state and, on the t axis, where H stays the
-same, the decomposition of H. A channel-QFI loop writes the kernels G~ of
-consecutive points into one stack of up to STACK_BYTES and reads their
-spectra with one `eigvalsh` call, long enough to leave the interpreter to
-another thread. Given two CPUs and a BLAS on one thread per call
-(OPENBLAS_NUM_THREADS=1), a channel-QFI sweep at every N, and a protocol
-sweep from N = THREADS_FROM_N on, runs the two halves of its grid in two
-such loops on two threads. Each loop writes its rows at their grid
-indices, and a failure names the first failing point in grid order, as one
-loop would: a stack whose `eigvalsh` raises is read again one kernel at a
-time. Every point does the same arithmetic on either path, since
-`eigvalsh` runs the same LAPACK call on each matrix of a stack.
-A spec is checked whole when it is built, its protocol inputs included
-whatever the target, so a bad spec fails before any point runs. Identical
-specs produce byte-identical CSVs. A result is the CSV's table: its named
-columns, the axis first, and the metadata that echoes the target and the
-fixed parameters.
+grid of a single axis while every other parameter stays fixed; `SweepSpec`
+checks it whole when it is built, so a bad spec fails before any point
+runs. Sweeps on one grid share one pass over it (`run_sweeps`): a stream of
+the points in grid order with their generators, and the readouts each
+target takes off it. A point does the same arithmetic whether it runs
+alone, in a stack of kernels or on a second thread, so identical specs give
+byte-identical CSVs, and a failure names the first failing point in grid
+order. A result is the CSV's table (`SweepResult`).
 """
 
 from __future__ import annotations
@@ -41,32 +29,23 @@ from .modes import AXIS_FIELDS, FIELD_KEYS, SystemParams, as_float, validity_gam
 from .plotting import render_svg
 from .protocols import STATE_KINDS, prepare_input
 
-__all__ = [
-    "SweepSpec",
-    "SweepResult",
-    "SweepPointError",
-    "run_sweep",
-    "emit_csv",
-    "emit_plot",
-    "load_csv",
-]
+__all__ = ["SweepSpec", "SweepResult", "SweepPointError", "run_sweep", "run_sweeps", "emit_csv", "emit_plot",
+           "load_csv"]
 
 log = logging.getLogger(__name__)
 
 TARGETS = ("cqfi_noninteracting", "cqfi_interacting", "protocol_qfi")
 AXES = tuple(AXIS_FIELDS)
 _COLUMNS = ("value", "bound", "ideal")  # after the axis; ideal only in protocol sweeps
-# Given two CPUs and a BLAS on one thread per call, a sweep runs the two halves of its grid on
-# two threads (dsbevd through ctypes, matmul and eigvalsh release the GIL): a protocol sweep from
-# this N on, a channel-QFI sweep at every N. 101-point g-sweeps on a 2-core Xeon VM, one BLAS
-# thread, one sweep thread -> two, medians of 5, ms: protocol 37.7 -> 40.3 at N = 50, 108.9 ->
-# 110.6 at 100, 142.0 -> 147.9 at 120, 202.8 -> 118.6 at 150, 361.7 -> 210.6 at 200. A channel
-# point's eigvalsh, ~0.1 ms at N = 50, is too short to leave the interpreter to the other thread;
-# a stack of kernels read in one call is not. Fig. 2's N = 50 workload in process, against one
-# thread reading one kernel per call: two threads, one kernel per call, 1.01-1.05x; stacks of
-# 16 on one thread 1.06x, on two 1.50-1.58x; stacks of 4, 8 and 32 on two, 1.18, 1.27 and 1.50x.
-# Over a two-thread OpenBLAS, two sweep threads ran 0.62x (protocol) and 0.76x (cQFI) as fast as
-# one at N = 200.
+# Given two CPUs and a BLAS on one thread per call, a pass runs the two halves of its grid on two
+# threads (dsbevd through ctypes, matmul and eigvalsh release the GIL) if it has a protocol readout
+# from this N on, or a channel-QFI readout at any N. 101-point g-sweeps on a 2-core Xeon VM, one
+# BLAS thread, one sweep thread -> two, medians of 5, ms: protocol 142.0 -> 147.9 at N = 120, 202.8
+# -> 118.6 at 150, 361.7 -> 210.6 at 200. A channel point's eigvalsh, ~0.1 ms at N = 50, is too
+# short to leave the interpreter to the other thread, but a stack of kernels read in one call is
+# not: fig. 2's N = 50 workload ran 1.50-1.58x with stacks of 16 on two threads, 1.18-1.50x with 4,
+# 8 or 32, and 1.06x with 16 on one. Over a two-thread OpenBLAS, two sweep threads ran 0.62x
+# (protocol) and 0.76x (cQFI) as fast as one at N = 200.
 THREADS_FROM_N = 150
 # The bytes of one channel-QFI loop's stack of kernels: 16 at N = 50, 4 at N = 100, 1 from
 # N = 145 on, where the stack is the point's own kernel.
@@ -123,7 +102,7 @@ class SweepSpec:
             raise ValueError(f"log_scale must be a bool, got {self.log_scale!r}")
 
     def grid(self) -> np.ndarray:
-        return np.linspace(self.axis_min, self.axis_max, self.steps)
+        return np.linspace(float(self.axis_min), float(self.axis_max), self.steps)
 
 
 @dataclass(frozen=True)
@@ -158,109 +137,129 @@ def stack_size(n_particles: int) -> int:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the target over the grid; any point failure aborts the sweep,
     naming the first failing point in grid order."""
-    grid = spec.grid()
-    values = grid.tolist()
-    n = spec.params.n_particles + 1
-    protocol = spec.target == "protocol_qfi"
-    channel = spec.target == "cqfi_interacting"
-    psi = None
-    if protocol:
-        psi, jx_variance = prepare_input(spec.params.n_particles, spec.state_kind, spec.theta)
-    rows, gammas = [None] * spec.steps, [0.0] * spec.steps  # gamma stays 0 where g does not enter
-    failures = []  # (grid index, exception) of each loop's failing point; read while the other appends
-    size = stack_size(spec.params.n_particles) if channel else 1
+    return run_sweeps([spec])[0]
 
-    def read(kernels: np.ndarray, pending: list) -> None:
-        """The channel QFI of each stacked kernel into the row of its point, (grid index, bound)
-        in pending, which empties; a failing kernel's point fails and pending stays."""
-        try:
-            cqfis = spread_squared(kernels).tolist()
-        except Exception:  # read the kernels again one at a time, to find the failing point
-            cqfis = []
-            for kernel, (i, _) in zip(kernels, pending):
-                try:
-                    cqfis.append(float(spread_squared(kernel)))
-                except Exception as exc:
-                    failures.append((i, exc))
-                    return
-        for cqfi, (i, bound) in zip(cqfis, pending):
-            rows[i] = (cqfi, bound)
-        pending.clear()
 
-    def run(start: int, stop: int) -> None:
-        """The points of grid[start:stop] in order, each row at its index; stops at a failure.
-        A channel-QFI point writes its kernel into the next slot of the stack, which is read
-        once full and at the end; with room for one kernel, the stack is the point's own."""
-        gen = None
-        stack = np.empty((min(size, stop - start), n, n)) if size > 1 else None
-        pending = []  # (grid index, bound) of each point whose kernel waits in the stack
-        for i in range(start, stop):
-            if failures and any(j < i for j, _ in failures):  # the sweep failed at an earlier point
-                return
+def run_sweeps(specs: list[SweepSpec]) -> list[SweepResult]:
+    """The result of each spec, in order, as `run_sweep` gives it, from one pass per distinct grid
+    (params, axis, ends and steps), which every spec on it reads; equal specs share one result."""
+    passes: dict[tuple, list[SweepSpec]] = {}
+    for spec in dict.fromkeys(specs):
+        passes.setdefault((spec.params, spec.axis, spec.axis_min, spec.axis_max, spec.steps), []).append(spec)
+    results = {spec: result for group in passes.values() for spec, result in zip(group, _run_pass(group))}
+    return [results[spec] for spec in specs]
+
+
+def _points(spec: SweepSpec, values: list, start: int, stop: int, build, stack: np.ndarray | None):
+    """Each point of grid[start:stop] in grid order with its generator, build(p, out), or None
+    without a build; each kernel goes into the next slot of stack if there is one."""
+    for i in range(start, stop):
+        p = with_axis_value(spec.params, spec.axis, values[i])
+        # no name here holds the generator: once the caller drops it, the next is built without its arrays
+        yield p, None if build is None else build(p, None if stack is None else stack[(i - start) % len(stack)])
+
+
+def _read_stack(kernels: np.ndarray, first: int, column: list, failures: list) -> None:
+    """The channel QFI of each stacked kernel into column from grid index first on, from one
+    `eigvalsh` call, or one per kernel if that raises, so the first failing kernel names its point."""
+    try:
+        column[first:first + len(kernels)] = spread_squared(kernels).tolist()
+    except Exception:
+        for i, kernel in enumerate(kernels, first):
             try:
-                p = with_axis_value(spec.params, spec.axis, values[i])
-                bound = cqfi_upper_bound(p.n_particles, p.t)
-                if spec.target == "cqfi_noninteracting":
-                    rows[i] = (cqfi_noninteracting(p.n_particles, p.lambda_acc, p.delta_eps, p.t), bound)
-                    continue  # g does not enter it, so neither does two-mode validity
-                out = None if stack is None else stack[len(pending)]
-                if spec.axis == "t" and gen is not None:  # H does not depend on t
-                    energies, jx, state = gen.energies, gen.jx, gen.state
-                    gen = None  # release the last point's kernel before building the next
-                    gen = generator_at(energies, jx, p.t, state, out)
-                else:
-                    gen = None  # release the last point's arrays before building the next H
-                    gen = dynamical_generator(p, psi, out)
-                gammas[i] = validity_gamma(p)[0]
-                if protocol:
-                    rows[i] = (qfi_pure_state(gen), bound, phase_shift_qfi(jx_variance, p.t))
-                    continue
-                pending.append((i, bound))
-                if len(pending) == size or i == stop - 1:
-                    read(gen.kernel[np.newaxis] if stack is None else stack[:len(pending)], pending)
-                    if pending:  # left unread: a kernel failed
-                        return
-            except Exception as exc:  # raised on the caller's thread: none escapes a worker
-                if pending:  # an earlier point of the stack fails first if its kernel does
-                    read(stack[:len(pending)], pending)
+                column[i] = float(spread_squared(kernel))
+            except Exception as exc:
                 failures.append((i, exc))
                 return
 
-    threaded = ((channel or (protocol and spec.params.n_particles >= THREADS_FROM_N))
-                and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-                and blas_threads() == 1)
-    split = (spec.steps + 1) // 2 if threaded else spec.steps
-    if threaded:
-        second = threading.Thread(target=run, args=(split, spec.steps), daemon=True)
-        second.start()
-    run(0, split)
-    if threaded:
-        second.join()
+
+def _run_pass(specs: list[SweepSpec]) -> list[SweepResult]:
+    """The results of distinct specs on one grid, from one pass over it. The readouts of a point are
+    the closed form, the QFI of each prepared input and the channel QFI, whose kernels wait in a stack."""
+    spec = specs[0]
+    steps, n = spec.steps, spec.params.n_particles + 1
+    values = spec.grid().tolist()
+    inputs = {(s.state_kind, s.theta): prepare_input(n - 1, s.state_kind, s.theta)
+              for s in specs if s.target == "protocol_qfi"}
+    rows = {key: [None] * steps for key in [s.target for s in specs if s.target != "protocol_qfi"] + [*inputs]}
+    gammas = [0.0] * steps
+    failures = []  # (grid index, exception) of each loop's failing point; read while the other appends
+    channel, closed = rows.get("cqfi_interacting"), rows.get("cqfi_noninteracting")
+    size = stack_size(n - 1) if channel else 1
+
+    def run(start: int, stop: int) -> None:
+        """The readouts of grid[start:stop] in order, each at its grid index, until a point fails.
+        The stack is read once full and at the end; with room for one kernel, it is the point's own."""
+        stack = np.empty((min(size, stop - start), n, n)) if size > 1 else None
+        i = start
+        try:
+            for p, gen in _points(spec, values, start, stop, build, stack):
+                if any(j < i for j, _ in failures):  # the sweep failed at an earlier point
+                    return
+                if closed is not None:
+                    closed[i] = cqfi_noninteracting(p.n_particles, p.lambda_acc, p.delta_eps, p.t)
+                gammas[i] = validity_gamma(p)[0]
+                for k, key in enumerate(inputs):
+                    rows[key][i] = qfi_pure_state(gen, gen.state[k])
+                waiting = (i - start) % size + 1  # kernels in the stack, this point's the last
+                if channel is not None and (waiting == size or i == stop - 1):  # a failure stops the next point
+                    _read_stack(gen.kernel[np.newaxis] if stack is None else stack[:waiting], i + 1 - waiting,
+                                channel, failures)
+                gen = None
+                i += 1
+        except Exception as exc:  # raised on the caller's thread: none escapes a worker
+            waiting = (i - start) % size  # an earlier point of the stack fails first if its kernel does
+            if waiting:
+                _read_stack(stack[:waiting], i - waiting, channel, failures)
+            failures.append((i, exc))
+
+    build = None
+    try:
+        if channel is not None or inputs:
+            psi = np.stack([prepared for prepared, _ in inputs.values()]) if inputs else None
+            build = lambda p, out: dynamical_generator(p, psi, out)  # noqa: E731
+            if spec.axis == "t":  # H does not change along t: decompose it once, before any thread starts
+                first = dynamical_generator(with_axis_value(spec.params, "t", values[0]), psi)
+                energies, jx, state = first.energies, first.jx, first.state
+                del first  # its kernel is built again at grid[0]'s point, into that point's slot
+                build = lambda p, out: generator_at(energies, jx, p.t, state, out)  # noqa: E731
+    except Exception as exc:
+        failures.append((0, exc))
+    else:
+        threaded = ((channel is not None or (inputs and n - 1 >= THREADS_FROM_N))
+                    and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+                    and blas_threads() == 1)
+        split = (steps + 1) // 2 if threaded else steps
+        if threaded:
+            second = threading.Thread(target=run, args=(split, steps), daemon=True)
+            second.start()
+        run(0, split)
+        if threaded:
+            second.join()
     if failures:
-        first, exc = min(failures, key=lambda failure: failure[0])
+        index, exc = min(failures, key=lambda failure: failure[0])
         raise SweepPointError(
-            f"sweep point failed at {spec.axis} = {values[first]!r} "
-            f"(target = {spec.target}, fixed = {spec.params})"
+            f"sweep point failed at {spec.axis} = {values[index]!r} "
+            f"(target = {', '.join(dict.fromkeys(s.target for s in specs))}, fixed = {spec.params})"
         ) from exc
 
     outside = sum(gamma > 1.0 for gamma in gammas)
-    if outside:
-        log.warning(
-            "%d of %d points outside two-mode validity, gamma_max = %.3g",
-            outside, len(gammas), max(gammas),
-        )
-
-    p = spec.params
-    metadata = {"target": spec.target, "axis": spec.axis, "steps": spec.steps}
-    metadata.update({FIELD_KEYS.get(f.name, f.name): getattr(p, f.name) for f in fields(p)})
-    metadata["log_scale"] = spec.log_scale
-    # The swept axis is not a fixed parameter; keep it out of the echo.
-    metadata.pop(spec.axis, None)
-    if protocol:
-        metadata["theta"] = spec.theta
-        metadata["state_kind"] = spec.state_kind
-    columns = dict(zip((spec.axis, *_COLUMNS), (grid, *np.array(rows).T)))
-    return SweepResult(columns=columns, metadata=metadata)
+    if outside and build is not None:  # where g enters: one line for the whole grid
+        log.warning("%d of %d points outside two-mode validity, gamma_max = %.3g", outside, steps, max(gammas))
+    ts = values if spec.axis == "t" else [spec.params.t] * steps  # the bound and baseline read t alone
+    bounds = [cqfi_upper_bound(n - 1, t) for t in ts]
+    results = []
+    for s in specs:
+        protocol = s.target == "protocol_qfi"
+        metadata = {"target": s.target, "axis": s.axis, "steps": s.steps,
+                    **{FIELD_KEYS.get(f.name, f.name): getattr(s.params, f.name)  # the swept axis is not fixed
+                       for f in fields(s.params) if f.name != AXIS_FIELDS[s.axis]},
+                    "log_scale": s.log_scale, **({"theta": s.theta, "state_kind": s.state_kind} if protocol else {})}
+        key = (s.state_kind, s.theta) if protocol else s.target
+        ideal = [[phase_shift_qfi(inputs[key][1], t) for t in ts]] if protocol else []
+        columns = dict(zip((s.axis, *_COLUMNS), map(np.array, (s.grid(), rows[key], bounds, *ideal))))
+        results.append(SweepResult(columns=columns, metadata=metadata))
+    return results
 
 
 def _fmt_value(v) -> str:

@@ -438,6 +438,7 @@ class TestRandomConfigs:
     # np.linspace sizes the grid as float(steps), which is 2^60 from 2^60 - 64 on
     @example(doc={}, n=4, steps=2 ** 60 - 64)
     @example(doc={}, n=4, steps=2 ** 60 - 1)
+    @example(doc={"sweep": {"max": 2 ** 64}}, n=1, steps=2)  # an int numpy holds as an object
     @settings(deadline=None, max_examples=100)
     def test_validate_fails_exactly_when_sweep_does(self, doc, n, steps):
         # sweeps are held to N <= 12 and <= 5 steps so no example builds large matrices
@@ -488,6 +489,16 @@ class TestSweepCommand:
         assert code == EXIT_OK
         rows = [ln for ln in out_csv.read_text().splitlines() if not ln.startswith("#")]
         assert len(rows) == 1 + 5
+
+    def test_an_integer_axis_end_past_2_to_the_64_runs_as_its_float(self, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("sweep: {max: 18446744073709551616}\n", encoding="utf-8")
+        small = ("--steps", "2", "--n-particles", "1")
+        assert run_cli("validate", "-c", str(cfg), *small)[0] == EXIT_OK
+        assert run_cli("sweep", "-c", str(cfg), *small, "--csv", str(tmp_path / "int.csv"))[0] == EXIT_OK
+        assert run_cli("sweep", *small, "--max", "1.8446744073709552e19",
+                       "--csv", str(tmp_path / "float.csv"))[0] == EXIT_OK
+        assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
 
     def test_missing_config_file_is_io_error(self):
         code, _ = run_cli("sweep", "-c", "/nonexistent/run.yaml")

@@ -1,11 +1,14 @@
 """Smoke test of the figure and limits scripts: each runs to completion and writes its output."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from singlewell import dynamics
 
 ROOT = Path(__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
@@ -35,6 +38,18 @@ def test_figure_script_writes_one_csv_and_svg_per_curve(figures_run, figure, cou
     lines = [line for line in proc.stdout.splitlines() if line.startswith(f"wrote {outdir / figure}/")]
     assert len(lines) == count
     assert len(proc.stdout.splitlines()) == sum(CURVES.values())
+
+
+def test_figure_run_decomposes_each_h_once(tmp_path, monkeypatch, capsys):
+    # one pass per grid: fig2's five g-grids of 101 points, which fig3's curves read too, its
+    # delta_eps grid of 201 and one decomposition per t-grid; fig1 is the closed form
+    calls = []
+    eigh_band = dynamics.eigh_band
+    monkeypatch.setattr(dynamics, "eigh_band", lambda band: calls.append(band.shape) or eigh_band(band))
+    monkeypatch.setattr(sys, "argv", ["figures.py", "--outdir", str(tmp_path)])
+    runpy.run_path(str(ROOT / "scripts" / "figures.py"), run_name="__main__")
+    assert len(capsys.readouterr().out.splitlines()) == sum(CURVES.values())
+    assert len(calls) == 5 * 101 + 201 + 3 == 709
 
 
 def test_limits_script_prints_one_row_per_n_and_stage():

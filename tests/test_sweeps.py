@@ -24,10 +24,11 @@ from singlewell import (
     prepare_input,
     qfi_pure_state,
     run_sweep,
+    run_sweeps,
     validity_gamma,
 )
 from singlewell.modes import AXIS_FIELDS, FIELD_KEYS, with_axis_value
-from singlewell import sweeps
+from singlewell import dynamics, sweeps
 from singlewell.protocols import STATE_KINDS
 from singlewell.sweeps import AXES, TARGETS, SweepPointError
 from singlewell.errors import NumericsError
@@ -89,6 +90,11 @@ class TestSweepSpec:
         for lo, hi in ((np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0), (-1.7e308, 1.7e308)):
             with pytest.raises(ValueError, match="finite"):
                 small_spec(axis_min=lo, axis_max=hi)
+
+    def test_an_integer_end_past_2_to_the_64_gives_the_float_grid(self):
+        # numpy holds an int of 2^64 or more as an object, which linspace cannot subtract
+        assert np.array_equal(SweepSpec(axis_max=2 ** 64, steps=2).grid(),
+                              SweepSpec(axis_max=float(2 ** 64), steps=2).grid())
 
     def test_grid_ends_outside_the_model_fail_at_the_spec(self):
         for axis, message in (("g", "g >= 0"), ("t", "evolution time")):
@@ -413,6 +419,105 @@ class TestThreadedSweep:
             run_sweep(spec)
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
             f"3 of 5 points outside two-mode validity, gamma_max = {max(gammas):.3g}"]
+
+
+def _one_grid(axis, axis_max, **params):
+    """The channel QFI and both inputs' QFI on one 37-point N = 50 grid: a stacked pass, and a
+    threaded one under the thread rule."""
+    params = harmonic_params(**{"n_particles": 50, "g": 20.0, "delta_eps": 10.0, **params})
+    return [SweepSpec(target=target, axis=axis, axis_min=0.0, axis_max=axis_max, steps=37, params=params,
+                      state_kind=kind) for target, kind in [("cqfi_interacting", "fragmented"),
+                                                            ("protocol_qfi", "fragmented"),
+                                                            ("protocol_qfi", "coherent")]]
+
+
+def _count_decompositions(monkeypatch) -> list:
+    """The shapes of the bands that dynamics.eigh_band decomposes from now on."""
+    calls = []
+    eigh_band = dynamics.eigh_band
+    monkeypatch.setattr(dynamics, "eigh_band", lambda band: calls.append(band.shape) or eigh_band(band))
+    return calls
+
+
+class TestRunSweeps:
+    """Specs on one grid read one pass, and each gets the result its own run_sweep gives."""
+
+    @pytest.mark.parametrize("threads", [True, False], ids=["two_threads", "one_thread"])
+    @pytest.mark.parametrize("axis, axis_max", [("g", 200.0), ("t", 10.0)])
+    def test_grouped_columns_equal_separate_sweeps_bit_for_bit(self, axis, axis_max, threads, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(sweeps, "blas_threads", lambda: 1 if threads else 2)  # 2: the rule says one
+        specs = _one_grid(axis, axis_max)
+        starts, thread = [], threading.Thread
+        monkeypatch.setattr(threading, "Thread", lambda **kw: starts.append(kw["args"]) or thread(**kw))
+        calls = _count_decompositions(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads take turns as often as the interpreter allows
+        try:
+            grouped = run_sweeps(specs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert starts == ([(19, 37)] if threads else [])  # one pass, the second half on a second thread
+        assert len(calls) == (37 if axis == "g" else 1)  # along t, H is decomposed once per pass
+        for spec, result in zip(specs, grouped):
+            alone = run_sweep(spec)
+            assert result.metadata == alone.metadata
+            assert list(result.columns) == list(alone.columns)
+            for name, column in alone.columns.items():
+                assert np.array_equal(result.columns[name], column), (spec.target, spec.state_kind, name)
+
+    def test_results_follow_the_specs_across_grids(self):
+        specs = [small_spec(), small_spec(target="cqfi_noninteracting", axis="delta_eps", axis_max=20.0),
+                 small_spec(target="protocol_qfi", state_kind="coherent"), small_spec()]
+        results = run_sweeps(specs)
+        assert results[0] is results[3]  # equal specs share one result
+        for spec, result in zip(specs, results):
+            alone = run_sweep(spec)
+            assert result.metadata == alone.metadata
+            assert all(np.array_equal(result.columns[name], column) for name, column in alone.columns.items())
+
+    @pytest.mark.parametrize("threads", [True, False], ids=["two_threads", "one_thread"])
+    def test_a_generator_failure_is_named_as_in_each_single_sweep(self, threads, monkeypatch):
+        # along t, every point from index 17 on overflows its level phase (E_l - E_k) t/2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(sweeps, "blas_threads", lambda: 1 if threads else 2)
+        params = harmonic_params(n_particles=50, delta_eps=1e200)
+        energies = dynamical_generator(params).energies
+        t_max = float(np.finfo(float).max) / (0.5 * (float(energies[-1]) - float(energies[0]))) * (36 / 16.5)
+        specs = _one_grid("t", t_max, g=0.0, delta_eps=1e200)
+        grid = specs[0].grid().tolist()
+        for spec in specs:  # a one-spec call's message, word for word
+            with pytest.raises(SweepPointError) as alone:
+                run_sweep(spec)
+            assert str(alone.value) == (f"sweep point failed at t = {grid[17]!r} "
+                                        f"(target = {spec.target}, fixed = {spec.params})")
+        with pytest.raises(SweepPointError, match=re.escape(f"t = {grid[17]!r} ")) as grouped:
+            run_sweeps(specs)
+        assert "phase (E_l - E_k) t/2 overflows" in str(grouped.value.__cause__)
+
+    @pytest.mark.parametrize("failing", [25, 4])
+    def test_a_failing_channel_readout_is_named_as_in_its_single_sweep(self, failing, two_cpus, monkeypatch):
+        # eigvalsh refuses one kernel, grid[25] in the second half's stack, grid[4] in the first's;
+        # the protocol readouts of that point do not fail, and alone those sweeps pass
+        specs = _one_grid("g", 200.0)
+        grid = specs[0].grid().tolist()
+        _refuse_kernel(monkeypatch, dynamical_generator(with_axis_value(specs[0].params, "g", grid[failing])).kernel)
+        with pytest.raises(SweepPointError, match=re.escape(f"g = {grid[failing]!r} (target = cqfi_interacting, ")):
+            run_sweep(specs[0])
+        for spec in specs[1:]:
+            run_sweep(spec)
+        with pytest.raises(SweepPointError, match=re.escape(f"g = {grid[failing]!r} ")) as grouped:
+            run_sweeps(specs)
+        assert isinstance(grouped.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("spec", [_one_grid("t", 10.0)[0], _big_spec("protocol_qfi", "t", steps=4)],
+                             ids=["cqfi_interacting", "protocol_qfi"])
+    def test_a_threaded_t_sweep_decomposes_h_once(self, spec, two_cpus, monkeypatch):
+        starts, thread = [], threading.Thread
+        monkeypatch.setattr(threading, "Thread", lambda **kw: starts.append(kw["args"]) or thread(**kw))
+        calls = _count_decompositions(monkeypatch)
+        run_sweep(spec)
+        assert len(starts) == 1 and len(calls) == 1
 
 
 # Each axis drawn from a range around the figures' points; lambda and t include 0.
