@@ -14,8 +14,10 @@ float64 arrays of 8 (N+1)^2 bytes. The stages:
   `sweeps.THREADS_FROM_N` on runs two points at a time on two threads given
   two CPUs and one BLAS thread, as here; its time is reported per point
 - sweep_cqfi: a channel-QFI g-sweep through `run_sweep`, on two threads at
-  every N given two CPUs and one BLAS thread, two stacks of
-  `sweeps.stack_size(N)` kernels per thread; its time is reported per point
+  every N given two CPUs and one BLAS thread, two chunks of
+  `sweeps.stack_size(N)` points per thread; its time is reported per point
+- sweep_cqfi_t: the same along t, where the pass decomposes H once and a
+  chunk's kernels share one V^T Jx V; its time is reported per point
 
 Each child runs with BLAS pinned to one thread and with the allocator
 thresholds that `singlewell` sets for itself (README, "CLI"), so freed
@@ -38,7 +40,7 @@ from singlewell import (SweepSpec, SystemParams, decompose, dynamical_generator,
                         qfi_pure_state, run_sweep, total_hamiltonian)
 from singlewell.sweeps import stack_size
 
-STAGES = ("decompose", "protocol", "cqfi", "sweep", "sweep_cqfi")
+STAGES = ("decompose", "protocol", "cqfi", "sweep", "sweep_cqfi", "sweep_cqfi_t")
 SWEEP_STEPS = 4  # two points per thread
 MIN_REPEATS, MIN_SECONDS, MAX_REPEATS = 3, 1.0, 1000
 WARM_UP_N = 64  # past LAPACK's divide-and-conquer crossover (25)
@@ -61,18 +63,22 @@ def _point(stage: str, n: int):
                      params=p)
     channel = SweepSpec(target="cqfi_interacting", axis="g", axis_min=40.0, axis_max=120.0,
                         steps=_steps("sweep_cqfi", n), params=p)
+    along_t = SweepSpec(target="cqfi_interacting", axis="t", axis_min=0.5, axis_max=1.5,
+                        steps=_steps("sweep_cqfi_t", n), params=p)
     return {
         "decompose": lambda: decompose(total_hamiltonian(p)),
         "protocol": lambda: qfi_pure_state(dynamical_generator(p, psi)),
         "cqfi": lambda: dynamical_generator(p).cqfi,
         "sweep": lambda: run_sweep(spec),
         "sweep_cqfi": lambda: run_sweep(channel),
+        "sweep_cqfi_t": lambda: run_sweep(along_t),
     }[stage]
 
 
 def _steps(stage: str, n: int) -> int:
     """The points one run of the stage evaluates."""
-    return {"sweep": SWEEP_STEPS, "sweep_cqfi": SWEEP_STEPS * stack_size(n)}.get(stage, 1)
+    return {"sweep": SWEEP_STEPS, "sweep_cqfi": SWEEP_STEPS * stack_size(n),
+            "sweep_cqfi_t": SWEEP_STEPS * stack_size(n)}.get(stage, 1)
 
 
 def measure(stage: str, n: int) -> dict:

@@ -26,12 +26,12 @@ similarity G~ -> D G~ D with D = diag(+-1), which changes neither readout.
 The generator comes in two steps: `dynamical_generator` takes H to the
 arrays (E, V^T Jx V) and, for a protocol point, each input in the
 eigenbasis of H, V^T psi, none of which depend on t, and `generator_at`
-reads them out at one time, into an output array if given one, such as a
-slot of a sweep's stack of kernels. Those products are V's last use: V is
-dropped before the kernel is built, so a point holds no more than
-`dsbevd`'s three dense arrays and the kernel stage's 3.25. The spectrum of
-G~ is taken only when the channel QFI is read; the QFI of a state needs
-only products with G~.
+reads them out at one time. Both also take a stack of points, such as a
+sweep's chunk of a grid, with the arithmetic of each point's own call;
+there the kernel is built in the memory of V^T Jx V. V is dropped once
+those products are formed, so a point holds no more than `dsbevd`'s three
+dense arrays. The spectrum of G~ is taken only when the channel QFI is
+read; the QFI of a state needs only products with G~.
 """
 
 from __future__ import annotations
@@ -81,61 +81,76 @@ def decompose(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class GeneratorResult:
     """Dynamical generator as the energies E of H, ascending, Jx in its
     eigenbasis (V^T Jx V) and the real kernel G~; for a protocol point, each
-    input psi in the eigenbasis of H, V^T psi, as state (or its rows)."""
+    input psi in the eigenbasis of H, V^T psi, as state (or its rows). A stack
+    of generators holds each along a first axis; one built in its jx's memory
+    holds no jx."""
 
     energies: np.ndarray
-    jx: np.ndarray
+    jx: np.ndarray | None
     kernel: np.ndarray
-    t: float
+    t: float | np.ndarray
     state: np.ndarray | None = None
 
     @cached_property
     def cqfi(self) -> float:
-        """Channel QFI: the squared spectral spread of G~ (W leaves it alone), on first read."""
+        """Channel QFI of one generator: the squared spectral spread of G~ (W leaves it alone), on first read."""
         return float(spread_squared(self.kernel))
 
 
-def generator_at(energies: np.ndarray, jx: np.ndarray, t: float,
-                 state: np.ndarray | None = None, out: np.ndarray | None = None) -> GeneratorResult:
+def generator_at(energies: np.ndarray, jx: np.ndarray, t, state: np.ndarray | None = None,
+                 overwrite_jx: bool = False) -> GeneratorResult:
     """The generator after time t from the energies of H, the symmetric
-    jx = V^T Jx V and, for a protocol point, the input's state = V^T psi;
-    G~ is written into out, a C-ordered float64 n x n array, if one is given.
+    jx = V^T Jx V and, for a protocol point, the input's state = V^T psi; or a
+    stack of c generators, from energies (c, n), t (c,), jx (c, n, n) or one
+    (n, n) for all, and states (c, ...), each slot bit for bit its own call's.
+    With overwrite_jx, G~ is built in jx's memory (as scipy's overwrite_a) and
+    the result holds no jx.
 
     In the eigenbasis of H, int_0^t e^{i(E_k-E_l)s} ds = e^{i(E_k-E_l)t/2} t
     sin(x)/x with x = (E_l-E_k)t/2; the phases are the unitary frame W, which
     leaves the spectrum alone. sin(x)/x, even and 1 at x = 0, is taken once per
-    level pair, where x > 0, and mirrored, so the kernel is exactly symmetric.
-    The mirror goes through the gap buffer x, spent by then: copying kernel.T
-    into kernel directly would make numpy allocate a hidden n x n temporary.
+    level pair, where x > 0, times t and the pair's jx, and mirrored, so the
+    kernel is exactly symmetric. The pair's jx, read from the mirrored slot,
+    and the mirror go through the gap buffer x, spent by then: copying kernel.T
+    into kernel directly would make numpy allocate a hidden temporary.
     """
-    if not (float(energies[-1]) - float(energies[0])) * (0.5 * t) < np.inf:
-        raise NumericsError(f"level phase (E_l - E_k) t/2 overflows a float at t = {t!r}")
-    if out is None:
-        kernel = np.zeros((energies.shape[0],) * 2)  # before x, so x is freed at the heap's top
+    t_col = np.asarray(t)[..., np.newaxis, np.newaxis]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        reach = (energies[..., -1] - energies[..., 0]) * (0.5 * np.asarray(t))
+    overflows = ~(reach < np.inf)
+    if overflows.any():
+        first = float(np.broadcast_to(t, reach.shape)[overflows][0])
+        raise NumericsError(f"level phase (E_l - E_k) t/2 overflows a float at t = {first!r}")
+    shape = reach.shape + jx.shape[-2:]
+    if overwrite_jx:
+        kernel = jx
     else:
-        kernel = out
-        kernel.fill(0.0)  # every entry is rewritten below, from zero, as from np.zeros
-    x = energies - energies[:, np.newaxis]
-    x *= 0.5 * t
+        kernel = np.empty(shape)  # before x, so x is freed at the heap's top
+        np.copyto(kernel, jx)
+    x = np.empty(shape)
+    np.subtract(energies[..., np.newaxis, :], energies[..., :, np.newaxis], out=x)
+    x *= 0.5 * t_col
     above = x > 0
+    level = x == 0  # the diagonal and exactly degenerate pairs: t (jx_kl + jx_lk)/2
     np.sin(x, out=kernel, where=above)
     np.divide(kernel, x, out=kernel, where=above)
-    kernel *= t
-    kernel *= jx
-    level = x == 0  # the diagonal and exactly degenerate pairs: t (jx_kl + jx_lk)/2
-    np.copyto(x, kernel.T)
-    np.copyto(kernel, x, where=above.T)
-    np.add(jx, jx.T, out=kernel, where=level)
-    np.multiply(kernel, 0.5 * t, out=kernel, where=level)
+    np.multiply(kernel, t_col, out=kernel, where=above)
+    np.copyto(x, kernel.swapaxes(-1, -2))  # jx_lk where above and level: those slots are untouched
+    np.multiply(kernel, x, out=kernel, where=above)
+    np.add(kernel, x, out=kernel, where=level)
+    np.multiply(kernel, 0.5 * t_col, out=kernel, where=level)
+    np.copyto(x, kernel.swapaxes(-1, -2))
+    np.copyto(kernel, x, where=above.swapaxes(-1, -2))
     kernel.setflags(write=False)
-    return GeneratorResult(energies=energies, jx=jx, kernel=kernel, t=t, state=state)
+    return GeneratorResult(energies=energies, jx=None if overwrite_jx else jx, kernel=kernel, t=t, state=state)
 
 
-def dynamical_generator(p: SystemParams, psi: np.ndarray | None = None,
-                        out: np.ndarray | None = None) -> GeneratorResult:
+def dynamical_generator(p: SystemParams, psi: np.ndarray | None = None, axis: str | None = None,
+                        values: np.ndarray | None = None) -> GeneratorResult:
     """Generator of the acceleration imprint after time p.t, carrying the
     input psi of a protocol point if one is given, or a stack of inputs, one
-    per row; G~ goes into out as in `generator_at`.
+    per row; given a sweepable axis and c values, the stack of the generators
+    of p with that axis at each value, each slot bit for bit its point's.
 
     G = int_0^t e^{iHs} Jx e^{-iHs} ds, since dH/dlambda = Jx. Jx is
     tridiagonal, so V^T Jx V = M + M^T with M = V[:-1]^T (ladder/2 * V[1:]):
@@ -148,16 +163,27 @@ def dynamical_generator(p: SystemParams, psi: np.ndarray | None = None,
         if len(row) != p.n_particles + 1:
             raise ValueError(f"generator dimension {p.n_particles + 1} does not match state dimension {len(row)}")
         check_unit_norm(row)
-    energies, v = decompose(total_hamiltonian(p))
+    bands = total_hamiltonian(p, axis, values).reshape(-1, 3, p.n_particles + 1)
     _, ladder = build_spin_operators(p.n_particles)
-    state = None if psi is None else np.array(
-        [(v.T @ _pairs(row)).view(complex).ravel() for row in inputs]).reshape(np.shape(psi))
-    half = np.empty(v.shape)  # before the N x (N+1) scaled rows, whose freed slot jx then fills
-    np.matmul(v[:-1].T, (0.5 * ladder)[:, np.newaxis] * v[1:], out=half)
-    del v  # not held through the kernel build
-    jx = half + half.T
-    del half
-    return generator_at(energies, jx, p.t, state, out)
+    scale = (0.5 * ladder)[:, np.newaxis]
+    energies, jx = np.empty(bands.shape[::2]), None
+    state = None if psi is None else np.empty((len(bands), *np.shape(psi)), dtype=complex)
+    for i, band in enumerate(bands):
+        energies[i], v = decompose(band)
+        if state is not None:
+            state[i] = np.array([(v.T @ _pairs(row)).view(complex).ravel() for row in inputs]).reshape(np.shape(psi))
+        half = np.empty(v.shape)  # before the N x (N+1) scaled rows, whose freed slot jx then fills
+        np.matmul(v[:-1].T, scale * v[1:], out=half)
+        del v  # not held through the kernel build
+        if jx is None:  # once V is dropped: a one-point stack never holds V and its jx
+            jx = np.empty((len(bands), *half.shape))
+        np.add(half, half.T, out=jx[i])
+        del half
+    energies.setflags(write=False)
+    if axis is None:
+        return generator_at(energies[0], jx[0], p.t, None if state is None else state[0])
+    t = np.asarray(values, dtype=float) if axis == "t" else np.full(len(bands), p.t)
+    return generator_at(energies, jx, t, state, overwrite_jx=True)
 
 
 def _pairs(z: np.ndarray) -> np.ndarray:

@@ -14,16 +14,18 @@ parameter passed `SystemParams`, but an entry can still overflow a float
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from .errors import NumericsError
-from .modes import SystemParams, renormalized_q
+from .modes import AXIS_FIELDS, SystemParams, axis_gammas, renormalized_q
 from .spin_core import build_spin_operators
 
 __all__ = ["total_hamiltonian"]
 
 
-def total_hamiltonian(p: SystemParams) -> np.ndarray:
+def total_hamiltonian(p: SystemParams, axis: str | None = None, values: np.ndarray | None = None) -> np.ndarray:
     """Phase-accumulation Hamiltonian: the interacting single-trap system
     plus the linear potential lambda_acc Jx (lambda_acc = 2 * force * dipole
     element),
@@ -38,15 +40,24 @@ def total_hamiltonian(p: SystemParams) -> np.ndarray:
     lambda_acc Jx alone fills the first sub-diagonal, so at lambda_acc = 0
     elements between Dicke states whose k differ by an odd number vanish
     identically, and the derivative with respect to lambda_acc is exactly Jx.
+
+    Given a sweepable axis and an array of c values, the bands of p with that
+    axis at each value, as one (c, 3, N+1) array: the swept field enters as a
+    column, so each element is the same arithmetic on the same floats as in
+    total_hamiltonian(with_axis_value(p, axis, value)). The values are refused
+    first as `SystemParams` refuses them (`modes.axis_gammas`).
     """
     n = p.n_particles
     m, ladder = build_spin_operators(n)
+    if axis is not None:
+        axis_gammas(p, axis, values)
+        p = SimpleNamespace(**{**vars(p), AXIS_FIELDS[axis]: np.asarray(values)[:, np.newaxis]})
     j, scale = m[0], p.eta * p.g / n  # m runs from j down to -j
-    band = np.zeros((3, n + 1))
+    band = np.zeros((*np.shape(values), 3, n + 1))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        band[0] = 0.5 * (1.0 + p.xi) * (j * (j + 1.0) - m * m) * scale + renormalized_q(p) * m
-        band[1, :-1] = p.lambda_acc * (0.5 * ladder)
-        band[2, :-2] = 0.25 * (1.0 - p.xi) * ladder[:-1] * ladder[1:] * scale
+        band[..., 0, :] = 0.5 * (1.0 + p.xi) * (j * (j + 1.0) - m * m) * scale + renormalized_q(p) * m
+        band[..., 1, :-1] = p.lambda_acc * (0.5 * ladder)
+        band[..., 2, :-2] = 0.25 * (1.0 - p.xi) * ladder[:-1] * ladder[1:] * scale
     if not np.isfinite(band).all():
         raise NumericsError("matrix has non-finite entries")
     return band

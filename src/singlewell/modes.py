@@ -5,7 +5,8 @@ harmonic trap (units hbar = m = omega = 1). All interaction couplings are
 reduced by the 1D contact strength and normalized so the mode-0
 self-interaction integral equals one. `SystemParams` refuses a bad point
 with a `ValueError` as it is built; `renormalized_q(p)` and
-`validity_gamma(p)` read a point that has passed those checks.
+`validity_gamma(p)` read a point that has passed those checks, and
+`axis_gammas` makes one field's checks on many values at once.
 """
 
 from __future__ import annotations
@@ -141,3 +142,19 @@ FIELD_KEYS = {name: key for key, name in KEY_FIELDS.items()}
 def with_axis_value(p: SystemParams, axis: str, value: float) -> SystemParams:
     """Return a copy of p with one sweepable axis, checked by `SweepSpec`, replaced."""
     return replace(p, **{AXIS_FIELDS[axis]: float(value)})
+
+
+def axis_gammas(p: SystemParams, axis: str, values: np.ndarray) -> np.ndarray:
+    """The validity gamma of p with one sweepable axis at each of values, once the values pass, all at
+    once, the checks `SystemParams` makes on that field: finite, g and t nonnegative, and a finite
+    g_1d^(4/3) and (N t)^2. The first value refused raises as `with_axis_value` raises for it."""
+    name, n, values = AXIS_FIELDS[axis], p.n_particles, np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # each overflow or NaN is refused below
+        power = ((values if name == "g" else p.g) / n) ** (4.0 / 3.0)
+        root = n * (values if name == "t" else p.t)
+        valid = np.isfinite(values) & np.isfinite(power) & (root * root < np.inf)
+        if name in ("g", "t"):
+            valid &= values >= 0.0
+    if not valid.all():
+        with_axis_value(p, axis, values[~valid][0])
+    return np.broadcast_to(1.5 * power * n ** (-2.0 / 3.0), values.shape)

@@ -4,12 +4,13 @@ A sweep evaluates one target (analytic noninteracting channel QFI,
 interacting channel QFI, or the ground-state protocol QFI) on a uniform
 grid of a single axis while every other parameter stays fixed; `SweepSpec`
 checks it whole when it is built, so a bad spec fails before any point
-runs. Sweeps on one grid share one pass over it (`run_sweeps`): a stream of
-the points in grid order with their generators, and the readouts each
-target takes off it. A point does the same arithmetic whether it runs
-alone, in a stack of kernels or on a second thread, so identical specs give
-byte-identical CSVs, and a failure names the first failing point in grid
-order. A result is the CSV's table (`SweepResult`).
+runs. Sweeps on one grid share one pass over it (`run_sweeps`). A pass
+reads the grid in chunks of `stack_size(N)` points: one array of their
+bands, one stack of their generators and one `eigvalsh` call for their
+channel QFI, each point by the arithmetic of its own call, so identical
+specs give byte-identical CSVs; a chunk that fails is read again point by
+point, so a failure names the first failing point in grid order. A result
+is the CSV's table (`SweepResult`).
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analytic import cqfi_noninteracting, phase_shift_qfi
-from .dynamics import cqfi_upper_bound, dynamical_generator, generator_at, qfi_pure_state, spread_squared
+from .dynamics import (GeneratorResult, cqfi_upper_bound, dynamical_generator, generator_at, qfi_pure_state,
+                       spread_squared)
 from .errors import NumericsError
 from .linalg import blas_threads
-from .modes import AXIS_FIELDS, FIELD_KEYS, SystemParams, as_float, validity_gamma, with_axis_value
+from .modes import AXIS_FIELDS, FIELD_KEYS, SystemParams, as_float, axis_gammas, with_axis_value
 from .plotting import render_svg
 from .protocols import STATE_KINDS, prepare_input
 
@@ -42,13 +44,12 @@ _COLUMNS = ("value", "bound", "ideal")  # after the axis; ideal only in protocol
 # from this N on, or a channel-QFI readout at any N. 101-point g-sweeps on a 2-core Xeon VM, one
 # BLAS thread, one sweep thread -> two, medians of 5, ms: protocol 142.0 -> 147.9 at N = 120, 202.8
 # -> 118.6 at 150, 361.7 -> 210.6 at 200. A channel point's eigvalsh, ~0.1 ms at N = 50, is too
-# short to leave the interpreter to the other thread, but a stack of kernels read in one call is
-# not: fig. 2's N = 50 workload ran 1.50-1.58x with stacks of 16 on two threads, 1.18-1.50x with 4,
-# 8 or 32, and 1.06x with 16 on one. Over a two-thread OpenBLAS, two sweep threads ran 0.62x
-# (protocol) and 0.76x (cQFI) as fast as one at N = 200.
+# short to leave the interpreter to the other thread, but a chunk's stack read in one call is not:
+# fig. 2's N = 50 workload ran 1.50-1.58x with stacks of 16 on two threads, 1.18-1.50x with 4, 8 or
+# 32, and 1.06x with 16 on one. Over a two-thread OpenBLAS, two sweep threads ran 0.62x (protocol)
+# and 0.76x (cQFI) as fast as one at N = 200.
 THREADS_FROM_N = 150
-# The bytes of one channel-QFI loop's stack of kernels: 16 at N = 50, 4 at N = 100, 1 from
-# N = 145 on, where the stack is the point's own kernel.
+# The bytes of one chunk's stack of kernels: 16 points at N = 50, 4 at N = 100, 1 from N = 145 on.
 STACK_BYTES = 340_000
 
 
@@ -129,8 +130,8 @@ class SweepResult:
 
 
 def stack_size(n_particles: int) -> int:
-    """How many (N+1) x (N+1) kernels a channel-QFI loop stacks for one `eigvalsh` call:
-    as many as STACK_BYTES holds, and at least one."""
+    """How many points a pass reads as one chunk: as many (N+1) x (N+1) kernels as STACK_BYTES
+    holds, and at least one."""
     return max(1, STACK_BYTES // (8 * (n_particles + 1) ** 2))
 
 
@@ -150,79 +151,70 @@ def run_sweeps(specs: list[SweepSpec]) -> list[SweepResult]:
     return [results[spec] for spec in specs]
 
 
-def _points(spec: SweepSpec, values: list, start: int, stop: int, build, stack: np.ndarray | None):
-    """Each point of grid[start:stop] in grid order with its generator, build(p, out), or None
-    without a build; each kernel goes into the next slot of stack if there is one."""
-    for i in range(start, stop):
-        p = with_axis_value(spec.params, spec.axis, values[i])
-        # no name here holds the generator: once the caller drops it, the next is built without its arrays
-        yield p, None if build is None else build(p, None if stack is None else stack[(i - start) % len(stack)])
-
-
-def _read_stack(kernels: np.ndarray, first: int, column: list, failures: list) -> None:
-    """The channel QFI of each stacked kernel into column from grid index first on, from one
-    `eigvalsh` call, or one per kernel if that raises, so the first failing kernel names its point."""
-    try:
-        column[first:first + len(kernels)] = spread_squared(kernels).tolist()
-    except Exception:
-        for i, kernel in enumerate(kernels, first):
-            try:
-                column[i] = float(spread_squared(kernel))
-            except Exception as exc:
-                failures.append((i, exc))
-                return
-
-
 def _run_pass(specs: list[SweepSpec]) -> list[SweepResult]:
-    """The results of distinct specs on one grid, from one pass over it. The readouts of a point are
-    the closed form, the QFI of each prepared input and the channel QFI, whose kernels wait in a stack."""
+    """The results of distinct specs on one grid, from one pass over it in chunks of `stack_size(N)`
+    points. The readouts of a chunk are the closed form, the QFI of each prepared input and the channel
+    QFI, all read off one stack of generators."""
     spec = specs[0]
     steps, n = spec.steps, spec.params.n_particles + 1
-    values = spec.grid().tolist()
+    grid = spec.grid()
+    values = grid.tolist()
     inputs = {(s.state_kind, s.theta): prepare_input(n - 1, s.state_kind, s.theta)
               for s in specs if s.target == "protocol_qfi"}
     rows = {key: [None] * steps for key in [s.target for s in specs if s.target != "protocol_qfi"] + [*inputs]}
     gammas = [0.0] * steps
     failures = []  # (grid index, exception) of each loop's failing point; read while the other appends
     channel, closed = rows.get("cqfi_interacting"), rows.get("cqfi_noninteracting")
-    size = stack_size(n - 1) if channel else 1
+    size = stack_size(n - 1)
+
+    def read(first: int, stop: int) -> None:
+        """The readouts of grid[first:stop], each at its grid index."""
+        chunk = grid[first:stop]
+        gammas[first:stop] = axis_gammas(spec.params, spec.axis, chunk).tolist()
+        if closed is not None:
+            for i, value in enumerate(chunk.tolist(), first):
+                p = {**vars(spec.params), AXIS_FIELDS[spec.axis]: value}
+                closed[i] = cqfi_noninteracting(n - 1, p["lambda_acc"], p["delta_eps"], p["t"])
+        if build is None:
+            return
+        gen = build(chunk)
+        if channel is not None:
+            channel[first:stop] = spread_squared(gen.kernel).tolist()
+        if inputs:
+            for i, energies, kernel, t, states in zip(range(first, stop), gen.energies, gen.kernel, gen.t.tolist(),
+                                                      gen.state):
+                point = GeneratorResult(energies=energies, jx=None, kernel=kernel, t=t)
+                for key, state in zip(inputs, states):
+                    rows[key][i] = qfi_pure_state(point, state)
 
     def run(start: int, stop: int) -> None:
-        """The readouts of grid[start:stop] in order, each at its grid index, until a point fails.
-        The stack is read once full and at the end; with room for one kernel, it is the point's own."""
-        stack = np.empty((min(size, stop - start), n, n)) if size > 1 else None
-        i = start
-        try:
-            for p, gen in _points(spec, values, start, stop, build, stack):
-                if any(j < i for j, _ in failures):  # the sweep failed at an earlier point
-                    return
-                if closed is not None:
-                    closed[i] = cqfi_noninteracting(p.n_particles, p.lambda_acc, p.delta_eps, p.t)
-                gammas[i] = validity_gamma(p)[0]
-                for k, key in enumerate(inputs):
-                    rows[key][i] = qfi_pure_state(gen, gen.state[k])
-                waiting = (i - start) % size + 1  # kernels in the stack, this point's the last
-                if channel is not None and (waiting == size or i == stop - 1):  # a failure stops the next point
-                    _read_stack(gen.kernel[np.newaxis] if stack is None else stack[:waiting], i + 1 - waiting,
-                                channel, failures)
-                gen = None
-                i += 1
-        except Exception as exc:  # raised on the caller's thread: none escapes a worker
-            waiting = (i - start) % size  # an earlier point of the stack fails first if its kernel does
-            if waiting:
-                _read_stack(stack[:waiting], i - waiting, channel, failures)
-            failures.append((i, exc))
+        """The readouts of grid[start:stop] in chunks, until a point fails. A chunk that fails is read
+        again point by point, so the first failing point is the one named."""
+        for first in range(start, stop, size):
+            if any(j < first for j, _ in failures):  # the sweep failed at an earlier point
+                return
+            try:
+                read(first, min(first + size, stop))
+            except Exception:  # raised on the caller's thread: none escapes a worker
+                for i in range(first, min(first + size, stop)):
+                    try:
+                        read(i, i + 1)
+                    except Exception as exc:
+                        failures.append((i, exc))
+                        return
 
-    build = None
+    build = None  # a chunk of the grid -> the stack of its generators
     try:
         if channel is not None or inputs:
             psi = np.stack([prepared for prepared, _ in inputs.values()]) if inputs else None
-            build = lambda p, out: dynamical_generator(p, psi, out)  # noqa: E731
+            build = lambda chunk: dynamical_generator(spec.params, psi, spec.axis, chunk)  # noqa: E731
             if spec.axis == "t":  # H does not change along t: decompose it once, before any thread starts
                 first = dynamical_generator(with_axis_value(spec.params, "t", values[0]), psi)
                 energies, jx, state = first.energies, first.jx, first.state
-                del first  # its kernel is built again at grid[0]'s point, into that point's slot
-                build = lambda p, out: generator_at(energies, jx, p.t, state, out)  # noqa: E731
+                del first  # its kernel is built again in grid[0]'s chunk
+                build = lambda chunk: generator_at(  # noqa: E731
+                    np.broadcast_to(energies, (len(chunk), n)), jx, chunk,
+                    None if state is None else np.broadcast_to(state, (len(chunk), *state.shape)))
     except Exception as exc:
         failures.append((0, exc))
     else:

@@ -729,9 +729,17 @@ class TestExitCodeClassification:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: sweep point failed at g = 0.0") and "non-finite" in err
 
+    def test_an_overflowing_band_is_named_word_for_word(self, capsys):
+        # the chunk's band check fails first; the point that fails alone is the one named
+        assert run_cli("sweep", "--n-particles", "4", "--steps", "3", "--delta-eps", "1.7e308")[0] == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "error: sweep point failed at g = 0.0 (target = cqfi_interacting, fixed = SystemParams(n_particles=4, "
+            "g=0.0, delta_eps=1.7e+308, delta_a=0.25, eta=0.625, xi=-0.6, lambda_acc=1.0, t=1.0)): "
+            "matrix has non-finite entries\n")
+
     def test_any_failure_inside_a_point_exits_three(self, monkeypatch, capsys):
         # a point's failure arrives wrapped in SweepPointError, whatever its own type
-        def broken(p):
+        def broken(*args):
             raise KeyError("x")
 
         monkeypatch.setattr("singlewell.sweeps.dynamical_generator", broken)

@@ -17,6 +17,7 @@ from singlewell import (
     total_hamiltonian,
 )
 from singlewell.errors import NumericsError
+from singlewell.modes import with_axis_value
 from oracles import (
     dense_generator, dense_hamiltonian, dense_of_band, dense_spin, evolve, exact_generator,
     finite_difference_generator, harmonic_params, lower_band, random_valid_params, variance,
@@ -252,6 +253,68 @@ class TestBandedKernel:
         cqfi = gen.cqfi
         assert gen.cqfi == cqfi
         assert len(calls) == 1
+
+
+class TestStackedGenerator:
+    """A stack of generators equals its slots' single calls bit for bit."""
+
+    @staticmethod
+    def assert_equals_single_calls(energies, jx, t, state=None):
+        singles = [generator_at(e, j, ti, None if state is None else s) for e, j, ti, s in zip(
+            energies, np.broadcast_to(jx, (len(t), *jx.shape[-2:])), t.tolist(),
+            [None] * len(t) if state is None else state)]
+        for overwrite in (False, True) if jx.ndim == 3 else (False,):  # a shared jx is not the kernel's
+            stack = generator_at(energies, jx.copy() if overwrite else jx, t, state, overwrite_jx=overwrite)
+            assert np.array_equal(stack.kernel, [gen.kernel for gen in singles]), overwrite
+            assert np.array_equal(stack.t, t) and (stack.jx is None) == overwrite
+            if state is not None:
+                assert stack.state is state
+
+    def test_points_of_an_axis(self):
+        gens = [dynamical_generator(harmonic_params(n_particles=50, g=g, delta_eps=10.0)) for g in (0.0, 26.0, 80.0)]
+        energies, jx = np.array([g.energies for g in gens]), np.array([g.jx for g in gens])
+        self.assert_equals_single_calls(energies, jx, np.array([1.0, 0.3, 7.5]))
+
+    def test_zero_time_makes_every_pair_a_level_pair(self):
+        gens = [dynamical_generator(harmonic_params(n_particles=12, g=g, delta_eps=5.0)) for g in (0.0, 40.0)]
+        energies, jx = np.array([g.energies for g in gens]), np.array([g.jx for g in gens])
+        self.assert_equals_single_calls(energies, jx, np.zeros(2))
+        self.assert_equals_single_calls(energies, jx, np.array([0.0, 1.0]))
+
+    def test_exactly_degenerate_levels(self):
+        rng = np.random.default_rng(11)
+        energies = np.array([[2.0, -1.0, 0.5, 2.0, -1.0, 3.0, 0.5], np.zeros(7), np.arange(7.0)])
+        a = rng.normal(size=(3, 7, 7))
+        self.assert_equals_single_calls(energies, a + a.swapaxes(1, 2), np.array([0.8, -1.3, 0.0]))
+
+    def test_one_jx_shared_along_t(self):
+        # the t axis: one H, so one (E, jx, V^T psi) for every slot
+        psi, _ = prepare_input(20, "fragmented", 0.5)
+        gen = dynamical_generator(harmonic_params(n_particles=20, g=80.0, delta_eps=10.0), psi)
+        t = np.linspace(0.0, 10.0, 7)
+        energies = np.broadcast_to(gen.energies, (7, 21))
+        self.assert_equals_single_calls(energies, gen.jx, t, np.broadcast_to(gen.state, (7, 21)))
+
+    def test_overflow_names_the_first_slot_that_overflows(self):
+        jx = np.array([[0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(NumericsError, match=r"overflows a float at t = 1e\+300$"):
+            generator_at(np.array([[-1e10, 1e10]] * 3), jx, np.array([1.0, 1e300, 1e301]))
+
+    @pytest.mark.parametrize("axis, lo, hi", [
+        ("g", 0.0, 200.0), ("delta_eps", -20.0, 20.0), ("delta_a", 0.0, 1.0), ("lambda", -2.0, 2.0),
+        ("t", 0.0, 10.0),
+    ])
+    def test_dynamical_generator_along_an_axis(self, axis, lo, hi):
+        # the bands, eigenbases and kernels of a chunk of a grid against each point's own chain
+        p = harmonic_params(n_particles=30, g=80.0, delta_eps=10.0)
+        psi = np.stack([prepare_input(30, kind, 0.5)[0] for kind in ("fragmented", "coherent")])
+        values = np.linspace(lo, hi, 5)
+        stack = dynamical_generator(p, psi, axis, values)
+        assert stack.jx is None and stack.kernel.shape == (5, 31, 31)
+        for i, value in enumerate(values.tolist()):
+            gen = dynamical_generator(with_axis_value(p, axis, value), psi)
+            for name in ("energies", "kernel", "state", "t"):
+                assert np.array_equal(getattr(stack, name)[i], getattr(gen, name)), (name, value)
 
 
 class TestExactDerivativeOracle:

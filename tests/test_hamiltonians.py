@@ -11,6 +11,7 @@ from singlewell import (
     total_hamiltonian,
 )
 from singlewell.errors import NumericsError
+from singlewell.modes import with_axis_value
 from oracles import dense_hamiltonian, dense_spin, harmonic_params, random_valid_params
 
 
@@ -114,6 +115,25 @@ class TestTotal:
         # a RuntimeWarning would fail the test too (filterwarnings = error)
         with pytest.raises(NumericsError, match="non-finite"):
             total_hamiltonian(harmonic_params(**overrides))
+
+    @pytest.mark.parametrize("axis, lo, hi", [
+        ("g", 0.0, 200.0), ("delta_eps", -20.0, 20.0), ("delta_a", 0.0, 1.0), ("lambda", -2.0, 2.0),
+        ("t", 0.0, 10.0),
+    ])
+    def test_bands_along_an_axis_equal_each_points_band_bit_for_bit(self, axis, lo, hi):
+        # the swept field enters as a column: the same arithmetic on the same floats, element for element
+        p = harmonic_params(n_particles=50, g=80.0, delta_eps=10.0)
+        values = np.linspace(lo, hi, 37)
+        bands = total_hamiltonian(p, axis, values)
+        assert bands.shape == (37, 3, 51)
+        assert np.array_equal(bands, [total_hamiltonian(with_axis_value(p, axis, v)) for v in values.tolist()])
+
+    def test_bands_along_an_axis_fail_as_their_first_failing_point(self):
+        p = harmonic_params(n_particles=4)
+        with pytest.raises(ValueError, match="g >= 0, got -1.0"):
+            total_hamiltonian(p, "g", np.array([1.0, -1.0, -2.0]))
+        with pytest.raises(NumericsError, match="non-finite"):  # no RuntimeWarning either
+            total_hamiltonian(p, "delta_eps", np.array([1.0, 1.7e308]))
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(deadline=None, max_examples=30)

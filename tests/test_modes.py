@@ -8,7 +8,7 @@ from singlewell import (
     renormalized_q,
     validity_gamma,
 )
-from singlewell.modes import FIELD_KEYS, HARMONIC_KAPPA, with_axis_value
+from singlewell.modes import FIELD_KEYS, HARMONIC_KAPPA, axis_gammas, with_axis_value
 from oracles import harmonic_shape
 
 
@@ -169,3 +169,37 @@ def test_with_axis_value_maps_every_axis():
     assert with_axis_value(p, "delta_a", 7.0).delta_a == 7.0
     with pytest.raises(KeyError):  # SweepSpec refuses an unknown axis before it gets here
         with_axis_value(p, "n_particles", 7.0)
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("g", [0.0, 1.0, -1e-300, -2.0]), ("g", [7e230, 7e232, np.inf]), ("t", [1.0, 1e200, -1.0]),
+    ("t", [0.0, -0.0, -1e-300]), ("delta_eps", [1.0, np.nan, np.inf]), ("lambda", [0.0, -np.inf]),
+    ("delta_a", [0.5, np.inf]),
+])
+def test_axis_gammas_refuses_the_first_value_systemparams_refuses(axis, values):
+    # the chunk's values are checked at once, and the refusal is the one with_axis_value gives
+    p = SystemParams(n_particles=7)
+    first = next(v for v in values if not _accepted(p, axis, v))
+    with pytest.raises(ValueError) as expected:
+        with_axis_value(p, axis, first)
+    with pytest.raises(ValueError) as refused:
+        axis_gammas(p, axis, np.array(values))
+    assert str(refused.value) == str(expected.value)
+
+
+def _accepted(p, axis, value) -> bool:
+    try:
+        with_axis_value(p, axis, value)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("axis", ["g", "delta_eps", "t", "lambda", "delta_a"])
+def test_axis_gammas_reads_each_points_gamma(axis):
+    p = SystemParams(n_particles=50, g=80.0)
+    values = np.linspace(0.0, 200.0, 9)
+    gammas = axis_gammas(p, axis, values)
+    assert gammas.shape == values.shape
+    expected = [validity_gamma(with_axis_value(p, axis, v))[0] for v in values.tolist()]
+    np.testing.assert_allclose(gammas, expected, rtol=4 * np.finfo(float).eps, atol=0)

@@ -164,10 +164,10 @@ class TestRunSweep:
                 assert qfi <= cqfi * (1 + 1e-9), (kind, g)
 
     def test_point_failure_names_the_tuple(self, monkeypatch):
-        def failing_at_t0(p, psi=None, out=None):
+        def failing_at_t0(p, psi=None):  # along t, the pass decomposes H once, at grid[0]
             if p.t == 0.0:
                 raise NumericsError("eigendecomposition failed")
-            return dynamical_generator(p, psi, out)
+            return dynamical_generator(p, psi)
 
         monkeypatch.setattr(sweeps, "dynamical_generator", failing_at_t0)
         spec = small_spec(axis="t", axis_min=0.0, axis_max=1.0, steps=3)
@@ -194,12 +194,16 @@ class TestRunSweep:
         assert _peak_in_arrays(_big_spec(target, axis, steps=4)) <= 2 * 3.5
 
     def test_a_two_thread_n_50_cqfi_sweep_holds_two_stacks_and_two_points(self, two_cpus):
-        # each half's stack of 16 kernels and its point; at N = 50 a point traces 5.5-6.8
-        # arrays, the sweep's lists and eigvalsh's copy of a kernel included (one thread, one
-        # kernel at a time), so 2 * (16 + 6); 41.0-41.2 arrays measured
+        # each half's chunk of 16 points at its kernel build: 16 slots, each its point's jx and then
+        # its kernel, the gap scratch x of 16 and two boolean masks of 16, 2.25 x 16 arrays; beside
+        # them numpy's ufunc buffer for the broadcast t, getbufsize() float64s, the chunk's bands and
+        # energies, 4 (N+1) floats a point, and less than an array of the pass's lists and the chunk's
+        # vectors: 2 x 41.4 in all; 45.5-80.2 arrays measured over 40 runs (81.3 with g up to 50)
         spec = small_spec(steps=37, axis_max=200.0, params=harmonic_params(n_particles=50, delta_eps=10.0))
         run_sweep(spec)  # N = 50's first sweep fills the caches the process keeps
-        assert _peak_in_arrays(spec) <= 2 * (sweeps.stack_size(50) + 6)
+        size, array = sweeps.stack_size(50), 8 * 51 ** 2
+        chunk = 2.25 * size + (8 * np.getbufsize() + size * 4 * 51 * 8) / array + 1
+        assert _peak_in_arrays(spec) <= 2 * chunk
 
     def test_sweep_matches_pointwise_evaluation(self):
         # the sweep hoists the protocol input and, on the t axis, the
@@ -396,12 +400,12 @@ class TestThreadedSweep:
         spec = _big_spec("protocol_qfi", "g", steps=6)
         grid = spec.grid().tolist()
 
-        def failing_generator(p, psi=None, out=None):
-            index = grid.index(p.g)
+        def failing_generator(p, psi=None, axis=None, values=None):
+            index = grid.index(values[0])  # from N = 145 on, a chunk is one point
             if index in failing:
                 time.sleep(failing[index])
                 raise NumericsError(f"failed at index {index}")
-            return dynamical_generator(p, psi, out)
+            return dynamical_generator(p, psi, axis, values)
 
         hooked = []  # the hook threading calls for an exception that escapes a thread
         monkeypatch.setattr(threading, "excepthook", hooked.append)
@@ -465,6 +469,30 @@ class TestRunSweeps:
             assert list(result.columns) == list(alone.columns)
             for name, column in alone.columns.items():
                 assert np.array_equal(result.columns[name], column), (spec.target, spec.state_kind, name)
+
+    @pytest.mark.parametrize("threads", [True, False], ids=["two_threads", "one_thread"])
+    @pytest.mark.parametrize("axis, axis_max", [("g", 200.0), ("delta_eps", 20.0), ("t", 10.0), ("lambda", 2.0),
+                                                ("delta_a", 1.0)])
+    def test_a_chunked_pass_equals_the_per_point_chain_bit_for_bit(self, axis, axis_max, threads, monkeypatch):
+        # 37 points: each half, grid[:19] and grid[19:], ends in a partial chunk of 16
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(sweeps, "blas_threads", lambda: 1 if threads else 2)  # 2: the rule says one
+        starts, thread = [], threading.Thread
+        monkeypatch.setattr(threading, "Thread", lambda **kw: starts.append(kw["args"]) or thread(**kw))
+        specs = _one_grid(axis, axis_max)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads take turns as often as the interpreter allows
+        try:
+            results = run_sweeps(specs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert starts == ([(19, 37)] if threads else [])
+        points = [with_axis_value(specs[0].params, axis, v) for v in specs[0].grid().tolist()]
+        assert np.array_equal(results[0].columns["value"], [dynamical_generator(p).cqfi for p in points])
+        for spec, result in zip(specs[1:], results[1:]):
+            psi, _ = prepare_input(50, spec.state_kind, spec.theta)
+            expected = [qfi_pure_state(dynamical_generator(p, psi)) for p in points]
+            assert np.array_equal(result.columns["value"], expected), spec.state_kind
 
     def test_results_follow_the_specs_across_grids(self):
         specs = [small_spec(), small_spec(target="cqfi_noninteracting", axis="delta_eps", axis_max=20.0),
