@@ -10,12 +10,12 @@ float64 arrays of 8 (N+1)^2 bytes. The stages:
 - decompose: H assembled and eigendecomposed, `decompose(total_hamiltonian(p))`
 - protocol: one protocol point, `dynamical_generator` and `qfi_pure_state`
 - cqfi: one channel-QFI point, `dynamical_generator(p).cqfi`
-- sweep: a 4-point protocol g-sweep through `run_sweep`, which from
-  `sweeps.THREADS_FROM_N` on runs two points at a time on two threads given
-  two CPUs and one BLAS thread, as here; its time is reported per point
-- sweep_cqfi: a channel-QFI g-sweep through `run_sweep`, on two threads at
-  every N given two CPUs and one BLAS thread, two chunks of
-  `sweeps.stack_size(N)` points per thread; its time is reported per point
+- sweep: a 4-point protocol g-sweep through `run_sweep`, which runs two
+  points at a time on two threads given two CPUs and one BLAS thread, as
+  here, at every N; its time is reported per point
+- sweep_cqfi: a channel-QFI g-sweep through `run_sweep`, on two threads
+  likewise, two chunks of `sweeps.stack_size(N)` points per thread; its
+  time is reported per point
 - sweep_cqfi_t: the same along t, where the pass decomposes H once and a
   chunk's kernels share one V^T Jx V; its time is reported per point
 

@@ -39,16 +39,6 @@ log = logging.getLogger(__name__)
 TARGETS = ("cqfi_noninteracting", "cqfi_interacting", "protocol_qfi")
 AXES = tuple(AXIS_FIELDS)
 _COLUMNS = ("value", "bound", "ideal")  # after the axis; ideal only in protocol sweeps
-# Given two CPUs and a BLAS on one thread per call, a pass runs the two halves of its grid on two
-# threads (dsbevd through ctypes, matmul and eigvalsh release the GIL) if it has a protocol readout
-# from this N on, or a channel-QFI readout at any N. 101-point g-sweeps on a 2-core Xeon VM, one
-# BLAS thread, one sweep thread -> two, medians of 5, ms: protocol 142.0 -> 147.9 at N = 120, 202.8
-# -> 118.6 at 150, 361.7 -> 210.6 at 200. A channel point's eigvalsh, ~0.1 ms at N = 50, is too
-# short to leave the interpreter to the other thread, but a chunk's stack read in one call is not:
-# fig. 2's N = 50 workload ran 1.50-1.58x with stacks of 16 on two threads, 1.18-1.50x with 4, 8 or
-# 32, and 1.06x with 16 on one. Over a two-thread OpenBLAS, two sweep threads ran 0.62x (protocol)
-# and 0.76x (cQFI) as fast as one at N = 200.
-THREADS_FROM_N = 150
 # The bytes of one chunk's stack of kernels: 16 points at N = 50, 4 at N = 100, 1 from N = 145 on.
 STACK_BYTES = 340_000
 
@@ -218,8 +208,10 @@ def _run_pass(specs: list[SweepSpec]) -> list[SweepResult]:
     except Exception as exc:
         failures.append((0, exc))
     else:
-        threaded = ((channel is not None or (inputs and n - 1 >= THREADS_FROM_N))
-                    and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+        # dsbevd, matmul and eigvalsh release the GIL. 101-point sweeps, one thread -> two, one BLAS thread:
+        # 1.4-2.0x along g and 0.96-1.7x along t from N = 50 on, 0.77-1.06x (~1 ms) at N = 12 (CHANGES.md);
+        # over a two-thread BLAS, 0.62x (protocol) and 0.76x (cQFI) at N = 200.
+        threaded = (build is not None and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
                     and blas_threads() == 1)
         split = (steps + 1) // 2 if threaded else steps
         if threaded:

@@ -37,12 +37,19 @@ class TestCqfiNoninteracting:
         *((lam, de, 1.0) for lam in (0.0, 1e-160) for de in (1e-160, 1e-300, 5e-324)),
         (1e-161, 0.0, 2e-137),
         (1e-161, 1e-161, 2e-137),
+        (5e-324, 5e-324, 1.0),
+        (1.1125369292e-313, 2.2250738585e-313, 1.0),
     ])
     def test_tiny_splitting_or_time_reaches_heisenberg(self, lambda_acc, delta_eps, t):
         # s = lambda^2 + delta_eps^2 is subnormal or 0, so 2 delta_eps / s would overflow;
-        # at t = 2e-137, t^2 lambda^2 underflows to 0 unless lambda^2 / s is taken first
+        # at t = 2e-137, t^2 lambda^2 underflows to 0 unless lambda^2 / s is taken first;
+        # a subnormal hypot(lambda, delta_eps) rounds lambda / r and delta_eps / r (to 1 and 1 at 5e-324)
         expected = (50 * t) ** 2
         assert cqfi_noninteracting(50, lambda_acc, delta_eps, t) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_huge_splitting_does_not_overflow(self):
+        # hypot(1.7e308, 1.7e308) overflows: t^2 (l/r)^2 = t^2 / 2 and sinc^2(x) ~ 0 at x ~ 1.2e308
+        assert cqfi_noninteracting(1, 1.7e308, 1.7e308, 1.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_splitting_suppresses_near_zero(self):
         assert cqfi_noninteracting(50, 1.0, 0.01, 1.0) > cqfi_noninteracting(50, 1.0, 0.1, 1.0)

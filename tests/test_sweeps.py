@@ -48,13 +48,13 @@ def small_spec(**overrides):
     return SweepSpec(**base)
 
 
-N_ABOVE_CROSSOVER = 300  # at least sweeps.THREADS_FROM_N, which the thread-rule test checks
+N_ONE_POINT_CHUNKS = 300  # past N = 145, where a chunk is one point: the memory tests count one point's arrays
 
 
 def _big_spec(target, axis, steps, **overrides):
-    """A sweep at an N above the crossover: on two threads given two CPUs and a one-thread BLAS."""
+    """A sweep at N = 300, in chunks of one point: on two threads given two CPUs and a one-thread BLAS."""
     base = dict(target=target, axis=axis, axis_min=0.5, axis_max=40.0, steps=steps,
-                params=harmonic_params(n_particles=N_ABOVE_CROSSOVER, delta_eps=5.0))
+                params=harmonic_params(n_particles=N_ONE_POINT_CHUNKS, delta_eps=5.0))
     return small_spec(**{**base, **overrides})
 
 
@@ -183,7 +183,7 @@ class TestRunSweep:
         # them, as numpy owns it: decompose holds V and 2n^2 of workspace, 3 arrays,
         # and the kernel build, V dropped, V^T Jx V, the gaps, the kernel and two
         # boolean masks, 3.25 arrays (3.35-3.37 measured); V held through it lifts it to 4.25+
-        monkeypatch.setattr(sweeps, "THREADS_FROM_N", N_ABOVE_CROSSOVER + 1)  # one point at a time
+        monkeypatch.setattr(sweeps, "blas_threads", lambda: 2)  # the rule says one thread: one point at a time
         assert _peak_in_arrays(_big_spec(target, axis, steps=2)) <= 3.5
 
     @pytest.mark.parametrize("target, axis", [
@@ -193,16 +193,21 @@ class TestRunSweep:
         # 6.41-6.51 arrays measured: the two halves' points, each at most a point's 3.5
         assert _peak_in_arrays(_big_spec(target, axis, steps=4)) <= 2 * 3.5
 
-    def test_a_two_thread_n_50_cqfi_sweep_holds_two_stacks_and_two_points(self, two_cpus):
+    @pytest.mark.parametrize("target", ["cqfi_interacting", "protocol_qfi"])
+    def test_a_two_thread_n_50_sweep_holds_two_stacks_and_two_points(self, target, two_cpus):
         # each half's chunk of 16 points at its kernel build: 16 slots, each its point's jx and then
         # its kernel, the gap scratch x of 16 and two boolean masks of 16, 2.25 x 16 arrays; beside
         # them numpy's ufunc buffer for the broadcast t, getbufsize() float64s, the chunk's bands and
         # energies, 4 (N+1) floats a point, and less than an array of the pass's lists and the chunk's
-        # vectors: 2 x 41.4 in all; 45.5-80.2 arrays measured over 40 runs (81.3 with g up to 50)
-        spec = small_spec(steps=37, axis_max=200.0, params=harmonic_params(n_particles=50, delta_eps=10.0))
+        # vectors: 2 x 41.4 in all; 45.5-80.2 arrays measured over 40 runs (81.3 with g up to 50).
+        # A protocol chunk also holds its input in the eigenbasis, V^T psi, N+1 complex a point: 2 x 42.0;
+        # 46.9-82.6 measured over 100 runs
+        spec = small_spec(target=target, steps=37, axis_max=200.0,
+                          params=harmonic_params(n_particles=50, delta_eps=10.0))
         run_sweep(spec)  # N = 50's first sweep fills the caches the process keeps
         size, array = sweeps.stack_size(50), 8 * 51 ** 2
-        chunk = 2.25 * size + (8 * np.getbufsize() + size * 4 * 51 * 8) / array + 1
+        states = size * 51 * 16 if target == "protocol_qfi" else 0
+        chunk = 2.25 * size + (8 * np.getbufsize() + size * 4 * 51 * 8 + states) / array + 1
         assert _peak_in_arrays(spec) <= 2 * chunk
 
     def test_sweep_matches_pointwise_evaluation(self):
@@ -291,27 +296,26 @@ def two_cpus(monkeypatch):
 
 class TestThreadedSweep:
     """Sweeps on two threads: each half of the grid on its own thread, each row at
-    its grid index; at N = 50 each channel-QFI half reads its kernels in stacks."""
+    its grid index; at N = 50 each half reads its points in chunks of 16."""
 
-    def test_two_threads_for_cqfi_at_every_n_and_protocol_from_the_crossover(self, two_cpus, monkeypatch):
+    def test_two_threads_for_every_pass_that_builds_generators_at_every_n(self, two_cpus, monkeypatch):
         starts = []
         thread = threading.Thread
         monkeypatch.setattr(threading, "Thread", lambda **kw: starts.append(kw["args"]) or thread(**kw))
-        for n in (12, 50):
-            run_sweep(small_spec(params=harmonic_params(n_particles=n), steps=5))
-        run_sweep(small_spec(target="protocol_qfi", params=harmonic_params(n_particles=sweeps.THREADS_FROM_N),
-                             steps=5))
-        assert starts == [(3, 5)] * 3  # the main thread runs grid[:3], a second grid[3:]
+        for target in ("cqfi_interacting", "protocol_qfi"):
+            for n in (12, 50, 149):
+                run_sweep(small_spec(target=target, params=harmonic_params(n_particles=n), steps=5))
+        assert starts == [(3, 5)] * 6  # the main thread runs grid[:3], a second grid[3:]
         starts.clear()
-        run_sweep(small_spec(target="protocol_qfi",
-                             params=harmonic_params(n_particles=sweeps.THREADS_FROM_N - 1), steps=3))
         run_sweep(_big_spec("cqfi_noninteracting", "g", steps=5))  # the closed form: one thread
-        for blas in (2, None):  # BLAS on two threads per call, or a BLAS of unknown threads
-            monkeypatch.setattr(sweeps, "blas_threads", lambda: blas)
-            run_sweep(small_spec(steps=3))
-        monkeypatch.setattr(sweeps, "blas_threads", lambda: 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        run_sweep(small_spec(steps=3))
+        for target in ("cqfi_interacting", "protocol_qfi"):
+            for blas in (2, None):  # BLAS on two threads per call, or a BLAS of unknown threads
+                monkeypatch.setattr(sweeps, "blas_threads", lambda: blas)
+                run_sweep(small_spec(target=target, steps=3))
+            monkeypatch.setattr(sweeps, "blas_threads", lambda: 1)
+            with monkeypatch.context() as one_cpu:
+                one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+                run_sweep(small_spec(target=target, steps=3))
         assert starts == []
 
     def test_a_stack_holds_16_4_and_1_kernels_at_n_50_100_and_200(self):
@@ -599,6 +603,9 @@ class TestExactOracleOverRandomSweeps:
     @example(spec=SweepSpec(
         target="protocol_qfi", axis="t", axis_min=0.0, axis_max=3.0, steps=3,
         params=SystemParams(n_particles=24, g=80.0, delta_eps=10.0)))
+    @example(spec=SweepSpec(  # hypot(lambda, delta_eps) subnormal at the middle point
+        target="cqfi_noninteracting", axis="lambda", axis_min=0.0, axis_max=2.2250738585e-313, steps=3,
+        params=SystemParams(n_particles=1, delta_eps=2.2250738585e-313, delta_a=0.0), theta=0.0))
     @settings(deadline=None, max_examples=150)
     def test_value_column_matches_the_exact_derivative(self, spec):
         res = run_sweep(spec)
