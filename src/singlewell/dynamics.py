@@ -117,7 +117,7 @@ def generator_at(energies: np.ndarray, jx: np.ndarray, t, state: np.ndarray | No
     t_col = np.asarray(t)[..., np.newaxis, np.newaxis]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         reach = (energies[..., -1] - energies[..., 0]) * (0.5 * np.asarray(t))
-    overflows = ~(reach < np.inf)
+    overflows = ~(abs(reach) < np.inf)  # a negative t too
     if overflows.any():
         first = float(np.broadcast_to(t, reach.shape)[overflows][0])
         raise NumericsError(f"level phase (E_l - E_k) t/2 overflows a float at t = {first!r}")
@@ -201,7 +201,7 @@ def qfi_pure_state(gen: GeneratorResult, state: np.ndarray | None = None) -> flo
     state = gen.state if state is None else state
     if state is None:
         raise ValueError("the generator carries no input state: pass psi to dynamical_generator")
-    if not max(-float(gen.energies[0]), float(gen.energies[-1])) * (0.5 * gen.t) < np.inf:
+    if not max(-float(gen.energies[0]), float(gen.energies[-1])) * (0.5 * abs(gen.t)) < np.inf:
         raise NumericsError(f"frame phase E t/2 overflows a float at t = {gen.t!r}")
     phi = _pairs(np.exp(-0.5j * gen.t * gen.energies) * state)
     applied = gen.kernel @ phi

@@ -5,12 +5,14 @@ interacting channel QFI, or the ground-state protocol QFI) on a uniform
 grid of a single axis while every other parameter stays fixed; `SweepSpec`
 checks it whole when it is built, so a bad spec fails before any point
 runs. Sweeps on one grid share one pass over it (`run_sweeps`). A pass
-reads the grid in chunks of `stack_size(N)` points: one array of their
-bands, one stack of their generators and one `eigvalsh` call for their
-channel QFI, each point by the arithmetic of its own call, so identical
-specs give byte-identical CSVs; a chunk that fails is read again point by
-point, so a failure names the first failing point in grid order. A result
-is the CSV's table (`SweepResult`).
+reads the closed form off the grid and builds generators in chunks of
+`stack_size(N)` points: one array of their bands, one stack of their
+generators and one `eigvalsh` call for their channel QFI, each point by
+the arithmetic of its own call, so identical specs give byte-identical
+CSVs; a chunk that fails is read again point by point, so a failure names
+the first failing point in grid order. Given two CPUs and a one-thread
+BLAS, a pass of more than one chunk runs its two halves on two threads. A
+result is the CSV's table (`SweepResult`).
 """
 
 from __future__ import annotations
@@ -142,32 +144,39 @@ def run_sweeps(specs: list[SweepSpec]) -> list[SweepResult]:
 
 
 def _run_pass(specs: list[SweepSpec]) -> list[SweepResult]:
-    """The results of distinct specs on one grid, from one pass over it in chunks of `stack_size(N)`
-    points. The readouts of a chunk are the closed form, the QFI of each prepared input and the channel
-    QFI, all read off one stack of generators."""
+    """The results of distinct specs on one grid, from one pass over it. The closed form is read off the
+    grid; the QFI of each prepared input and the channel QFI are read off one stack of generators per
+    chunk of `stack_size(N)` points."""
     spec = specs[0]
     steps, n = spec.steps, spec.params.n_particles + 1
     grid = spec.grid()
     values = grid.tolist()
     inputs = {(s.state_kind, s.theta): prepare_input(n - 1, s.state_kind, s.theta)
               for s in specs if s.target == "protocol_qfi"}
-    rows = {key: [None] * steps for key in [s.target for s in specs if s.target != "protocol_qfi"] + [*inputs]}
-    gammas = [0.0] * steps
+    rows = {key: [None] * steps for key in [s.target for s in specs if s.target == "cqfi_interacting"] + [*inputs]}
+    if any(s.target == "cqfi_noninteracting" for s in specs):
+        rows["cqfi_noninteracting"] = [cqfi_noninteracting(n - 1, p["lambda_acc"], p["delta_eps"], p["t"])
+                                       for p in ({**vars(spec.params), AXIS_FIELDS[spec.axis]: v} for v in values)]
     failures = []  # (grid index, exception) of each loop's failing point; read while the other appends
-    channel, closed = rows.get("cqfi_interacting"), rows.get("cqfi_noninteracting")
-    size = stack_size(n - 1)
+    channel, size = rows.get("cqfi_interacting"), stack_size(n - 1)
+    build = None  # a chunk of the grid -> the stack of its generators
+    try:
+        if channel is not None or inputs:
+            psi = np.stack([prepared for prepared, _ in inputs.values()]) if inputs else None
+            build = lambda chunk: dynamical_generator(spec.params, psi, spec.axis, chunk)  # noqa: E731
+            if spec.axis == "t":  # H does not change along t: decompose it once, before any thread starts
+                first = dynamical_generator(with_axis_value(spec.params, "t", values[0]), psi)
+                energies, jx, state = first.energies, first.jx, first.state
+                del first  # its kernel is built again in grid[0]'s chunk
+                build = lambda chunk: generator_at(  # noqa: E731
+                    np.broadcast_to(energies, (len(chunk), n)), jx, chunk,
+                    None if state is None else np.broadcast_to(state, (len(chunk), *state.shape)))
+    except Exception as exc:
+        failures.append((0, exc))
 
     def read(first: int, stop: int) -> None:
         """The readouts of grid[first:stop], each at its grid index."""
-        chunk = grid[first:stop]
-        gammas[first:stop] = axis_gammas(spec.params, spec.axis, chunk).tolist()
-        if closed is not None:
-            for i, value in enumerate(chunk.tolist(), first):
-                p = {**vars(spec.params), AXIS_FIELDS[spec.axis]: value}
-                closed[i] = cqfi_noninteracting(n - 1, p["lambda_acc"], p["delta_eps"], p["t"])
-        if build is None:
-            return
-        gen = build(chunk)
+        gen = build(grid[first:stop])
         if channel is not None:
             channel[first:stop] = spread_squared(gen.kernel).tolist()
         if inputs:
@@ -193,25 +202,12 @@ def _run_pass(specs: list[SweepSpec]) -> list[SweepResult]:
                         failures.append((i, exc))
                         return
 
-    build = None  # a chunk of the grid -> the stack of its generators
-    try:
-        if channel is not None or inputs:
-            psi = np.stack([prepared for prepared, _ in inputs.values()]) if inputs else None
-            build = lambda chunk: dynamical_generator(spec.params, psi, spec.axis, chunk)  # noqa: E731
-            if spec.axis == "t":  # H does not change along t: decompose it once, before any thread starts
-                first = dynamical_generator(with_axis_value(spec.params, "t", values[0]), psi)
-                energies, jx, state = first.energies, first.jx, first.state
-                del first  # its kernel is built again in grid[0]'s chunk
-                build = lambda chunk: generator_at(  # noqa: E731
-                    np.broadcast_to(energies, (len(chunk), n)), jx, chunk,
-                    None if state is None else np.broadcast_to(state, (len(chunk), *state.shape)))
-    except Exception as exc:
-        failures.append((0, exc))
-    else:
-        # dsbevd, matmul and eigvalsh release the GIL. 101-point sweeps, one thread -> two, one BLAS thread:
-        # 1.4-2.0x along g and 0.96-1.7x along t from N = 50 on, 0.77-1.06x (~1 ms) at N = 12 (CHANGES.md);
+    if build is not None and not failures:
+        # dsbevd, matmul and eigvalsh release the GIL. One thread -> two, one BLAS thread, g-sweeps (CHANGES.md):
+        # 1.15-1.63x for two or three chunks at N = 50 and 100, 0.81-0.98x for one chunk of 101 points at
+        # N = 12; yet 0.78-1.06x for two chunks at N = 12, 1.03-1.50x for one chunk of 4-16 points at N = 50;
         # over a two-thread BLAS, 0.62x (protocol) and 0.76x (cQFI) at N = 200.
-        threaded = (build is not None and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+        threaded = (steps > size and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
                     and blas_threads() == 1)
         split = (steps + 1) // 2 if threaded else steps
         if threaded:
@@ -227,9 +223,10 @@ def _run_pass(specs: list[SweepSpec]) -> list[SweepResult]:
             f"(target = {', '.join(dict.fromkeys(s.target for s in specs))}, fixed = {spec.params})"
         ) from exc
 
-    outside = sum(gamma > 1.0 for gamma in gammas)
-    if outside and build is not None:  # where g enters: one line for the whole grid
-        log.warning("%d of %d points outside two-mode validity, gamma_max = %.3g", outside, steps, max(gammas))
+    if build is not None:  # where g enters: one line for the whole grid
+        gammas = axis_gammas(spec.params, spec.axis, grid)
+        if outside := int((gammas > 1.0).sum()):
+            log.warning("%d of %d points outside two-mode validity, gamma_max = %.3g", outside, steps, gammas.max())
     ts = values if spec.axis == "t" else [spec.params.t] * steps  # the bound and baseline read t alone
     bounds = [cqfi_upper_bound(n - 1, t) for t in ts]
     results = []

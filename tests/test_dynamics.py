@@ -383,12 +383,14 @@ class TestQfiPureState:
     def test_overflowing_phases_refused_without_a_warning(self):
         # filterwarnings = error turns a raw RuntimeWarning into a failure here
         jx, state = np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([1.0, 0.0], dtype=complex)  # V = 1
-        with pytest.raises(NumericsError, match=r"\(E_l - E_k\) t/2 overflows"):
-            generator_at(np.array([-1e300, 1e300]), jx, 1e9, state)
+        for t in (1e9, -1e9):  # a negative t overflows to -inf
+            with pytest.raises(NumericsError, match=r"\(E_l - E_k\) t/2 overflows"):
+                generator_at(np.array([-1e300, 1e300]), jx, t, state)
         # one level pair, far from zero: the gaps fit a float, the frame's E t/2 does not
-        gen = generator_at(np.array([1e300, 1e300]), jx, 1e10, state)
-        with pytest.raises(NumericsError, match="frame phase E t/2 overflows"):
-            qfi_pure_state(gen)
+        for t in (1e10, -1e10):
+            gen = generator_at(np.array([1e300, 1e300]), jx, t, state)
+            with pytest.raises(NumericsError, match="frame phase E t/2 overflows"):
+                qfi_pure_state(gen)
         assert qfi_pure_state(generator_at(np.array([1e300, 1e300]), jx, 2.0, state)) == 4.0
 
 

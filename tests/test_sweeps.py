@@ -298,24 +298,38 @@ class TestThreadedSweep:
     """Sweeps on two threads: each half of the grid on its own thread, each row at
     its grid index; at N = 50 each half reads its points in chunks of 16."""
 
-    def test_two_threads_for_every_pass_that_builds_generators_at_every_n(self, two_cpus, monkeypatch):
+    def test_two_threads_for_every_pass_that_builds_generators_at_every_n_past_one_chunk(self, two_cpus, monkeypatch):
         starts = []
         thread = threading.Thread
         monkeypatch.setattr(threading, "Thread", lambda **kw: starts.append(kw["args"]) or thread(**kw))
         for target in ("cqfi_interacting", "protocol_qfi"):
-            for n in (12, 50, 149):
-                run_sweep(small_spec(target=target, params=harmonic_params(n_particles=n), steps=5))
-        assert starts == [(3, 5)] * 6  # the main thread runs grid[:3], a second grid[3:]
+            for n, steps in ((50, 17), (149, 5)):  # chunks of 16 and of 1 point
+                run_sweep(small_spec(target=target, params=harmonic_params(n_particles=n), steps=steps))
+        assert starts == [(9, 17), (3, 5)] * 2  # the main thread runs the first half, a second the rest
         starts.clear()
         run_sweep(_big_spec("cqfi_noninteracting", "g", steps=5))  # the closed form: one thread
         for target in ("cqfi_interacting", "protocol_qfi"):
+            for n, steps in ((12, 5), (12, 101), (50, 4), (50, 16)):  # one chunk (251 points at N = 12): one thread
+                run_sweep(small_spec(target=target, params=harmonic_params(n_particles=n), steps=steps))
             for blas in (2, None):  # BLAS on two threads per call, or a BLAS of unknown threads
                 monkeypatch.setattr(sweeps, "blas_threads", lambda: blas)
-                run_sweep(small_spec(target=target, steps=3))
+                run_sweep(_big_spec(target, "g", steps=3))
             monkeypatch.setattr(sweeps, "blas_threads", lambda: 1)
             with monkeypatch.context() as one_cpu:
                 one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
-                run_sweep(small_spec(target=target, steps=3))
+                run_sweep(_big_spec(target, "g", steps=3))
+        assert starts == []
+
+    def test_a_closed_form_pass_builds_no_generator_and_starts_no_thread(self, two_cpus, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the closed form builds no generator")
+
+        starts = []
+        monkeypatch.setattr(threading, "Thread", lambda **kw: starts.append(kw["args"]))
+        monkeypatch.setattr(sweeps, "dynamical_generator", refused)
+        for axis in AXES:
+            res = run_sweep(_big_spec("cqfi_noninteracting", axis, steps=37, axis_min=0.0, axis_max=1.0))
+            assert np.all(res.columns["value"] <= res.columns["bound"] * (1 + 1e-12)), axis
         assert starts == []
 
     def test_a_stack_holds_16_4_and_1_kernels_at_n_50_100_and_200(self):
@@ -497,6 +511,19 @@ class TestRunSweeps:
             psi, _ = prepare_input(50, spec.state_kind, spec.theta)
             expected = [qfi_pure_state(dynamical_generator(p, psi)) for p in points]
             assert np.array_equal(result.columns["value"], expected), spec.state_kind
+
+    @pytest.mark.parametrize("axis, axis_max", [("g", 200.0), ("delta_eps", 20.0), ("t", 10.0)])
+    def test_the_closed_form_and_the_channel_qfi_on_one_grid_equal_their_single_sweeps(self, axis, axis_max,
+                                                                                      two_cpus):
+        params = harmonic_params(n_particles=50, g=20.0, delta_eps=10.0)
+        specs = [SweepSpec(target=target, axis=axis, axis_min=0.0, axis_max=axis_max, steps=37, params=params)
+                 for target in ("cqfi_noninteracting", "cqfi_interacting")]
+        for spec, result in zip(specs, run_sweeps(specs)):
+            alone = run_sweep(spec)
+            assert result.metadata == alone.metadata
+            assert list(result.columns) == list(alone.columns)
+            for name, column in alone.columns.items():
+                assert np.array_equal(result.columns[name], column), (spec.target, name)
 
     def test_results_follow_the_specs_across_grids(self):
         specs = [small_spec(), small_spec(target="cqfi_noninteracting", axis="delta_eps", axis_max=20.0),
