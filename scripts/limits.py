@@ -10,11 +10,12 @@ float64 arrays of 8 (N+1)^2 bytes. The stages:
 - decompose: H assembled and eigendecomposed, `decompose(total_hamiltonian(p))`
 - protocol: one protocol point, `dynamical_generator` and `qfi_pure_state`
 - cqfi: one channel-QFI point, `dynamical_generator(p).cqfi`
-- sweep: a protocol g-sweep through `run_sweep` of two chunks of
-  `sweeps.stack_size(N)` points per thread: a pass of more than one chunk
-  runs on two threads given two CPUs and one BLAS thread, as here; its
+- sweep: a 4-point protocol g-sweep through `run_sweep`, which runs two
+  points at a time on two threads given two CPUs and one BLAS thread, as
+  here, at every N; its time is reported per point
+- sweep_cqfi: a channel-QFI g-sweep through `run_sweep`, on two threads
+  likewise, two chunks of `sweeps.stack_size(N)` points per thread; its
   time is reported per point
-- sweep_cqfi: the same for the channel QFI; its time is reported per point
 - sweep_cqfi_t: the same along t, where the pass decomposes H once and a
   chunk's kernels share one V^T Jx V; its time is reported per point
 
@@ -40,7 +41,7 @@ from singlewell import (SweepSpec, SystemParams, decompose, dynamical_generator,
 from singlewell.sweeps import stack_size
 
 STAGES = ("decompose", "protocol", "cqfi", "sweep", "sweep_cqfi", "sweep_cqfi_t")
-SWEEP_STEPS = 4  # chunks: two per thread
+SWEEP_STEPS = 4  # two points per thread
 MIN_REPEATS, MIN_SECONDS, MAX_REPEATS = 3, 1.0, 1000
 WARM_UP_N = 64  # past LAPACK's divide-and-conquer crossover (25)
 CHILD_ENV = {
@@ -58,7 +59,7 @@ def _point(stage: str, n: int):
     # near q = 0, where the channel QFI peaks: g (N-1)/(2N) delta_a = delta_eps
     p = SystemParams(n_particles=n, g=80.0, delta_eps=10.0)
     psi, _ = prepare_input(n, "fragmented", 0.5)
-    spec = SweepSpec(target="protocol_qfi", axis="g", axis_min=40.0, axis_max=120.0, steps=_steps("sweep", n),
+    spec = SweepSpec(target="protocol_qfi", axis="g", axis_min=40.0, axis_max=120.0, steps=SWEEP_STEPS,
                      params=p)
     channel = SweepSpec(target="cqfi_interacting", axis="g", axis_min=40.0, axis_max=120.0,
                         steps=_steps("sweep_cqfi", n), params=p)
@@ -76,7 +77,8 @@ def _point(stage: str, n: int):
 
 def _steps(stage: str, n: int) -> int:
     """The points one run of the stage evaluates."""
-    return SWEEP_STEPS * stack_size(n) if stage.startswith("sweep") else 1
+    return {"sweep": SWEEP_STEPS, "sweep_cqfi": SWEEP_STEPS * stack_size(n),
+            "sweep_cqfi_t": SWEEP_STEPS * stack_size(n)}.get(stage, 1)
 
 
 def measure(stage: str, n: int) -> dict:

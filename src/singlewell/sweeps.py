@@ -11,7 +11,7 @@ generators and one `eigvalsh` call for their channel QFI, each point by
 the arithmetic of its own call, so identical specs give byte-identical
 CSVs; a chunk that fails is read again point by point, so a failure names
 the first failing point in grid order. Given two CPUs and a one-thread
-BLAS, a pass of more than one chunk runs its two halves on two threads. A
+BLAS, a pass that builds generators runs its two halves on two threads. A
 result is the CSV's table (`SweepResult`).
 """
 
@@ -203,12 +203,10 @@ def _run_pass(specs: list[SweepSpec]) -> list[SweepResult]:
                         return
 
     if build is not None and not failures:
-        # dsbevd, matmul and eigvalsh release the GIL. One thread -> two, one BLAS thread, g-sweeps (CHANGES.md):
-        # 1.15-1.63x for two or three chunks at N = 50 and 100, 0.81-0.98x for one chunk of 101 points at
-        # N = 12; yet 0.78-1.06x for two chunks at N = 12, 1.03-1.50x for one chunk of 4-16 points at N = 50;
+        # dsbevd, matmul and eigvalsh release the GIL. 101-point sweeps, one thread -> two, one BLAS thread:
+        # 1.4-2.0x along g and 0.96-1.7x along t from N = 50 on, 0.77-1.06x (~1 ms) at N = 12 (CHANGES.md);
         # over a two-thread BLAS, 0.62x (protocol) and 0.76x (cQFI) at N = 200.
-        threaded = (steps > size and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-                    and blas_threads() == 1)
+        threaded = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2 and blas_threads() == 1
         split = (steps + 1) // 2 if threaded else steps
         if threaded:
             second = threading.Thread(target=run, args=(split, steps), daemon=True)

@@ -298,26 +298,24 @@ class TestThreadedSweep:
     """Sweeps on two threads: each half of the grid on its own thread, each row at
     its grid index; at N = 50 each half reads its points in chunks of 16."""
 
-    def test_two_threads_for_every_pass_that_builds_generators_at_every_n_past_one_chunk(self, two_cpus, monkeypatch):
+    def test_two_threads_for_every_pass_that_builds_generators_at_every_n(self, two_cpus, monkeypatch):
         starts = []
         thread = threading.Thread
         monkeypatch.setattr(threading, "Thread", lambda **kw: starts.append(kw["args"]) or thread(**kw))
         for target in ("cqfi_interacting", "protocol_qfi"):
-            for n, steps in ((50, 17), (149, 5)):  # chunks of 16 and of 1 point
-                run_sweep(small_spec(target=target, params=harmonic_params(n_particles=n), steps=steps))
-        assert starts == [(9, 17), (3, 5)] * 2  # the main thread runs the first half, a second the rest
+            for n in (12, 50, 149):
+                run_sweep(small_spec(target=target, params=harmonic_params(n_particles=n), steps=5))
+        assert starts == [(3, 5)] * 6  # the main thread runs grid[:3], a second grid[3:]
         starts.clear()
         run_sweep(_big_spec("cqfi_noninteracting", "g", steps=5))  # the closed form: one thread
         for target in ("cqfi_interacting", "protocol_qfi"):
-            for n, steps in ((12, 5), (12, 101), (50, 4), (50, 16)):  # one chunk (251 points at N = 12): one thread
-                run_sweep(small_spec(target=target, params=harmonic_params(n_particles=n), steps=steps))
             for blas in (2, None):  # BLAS on two threads per call, or a BLAS of unknown threads
                 monkeypatch.setattr(sweeps, "blas_threads", lambda: blas)
-                run_sweep(_big_spec(target, "g", steps=3))
+                run_sweep(small_spec(target=target, steps=3))
             monkeypatch.setattr(sweeps, "blas_threads", lambda: 1)
             with monkeypatch.context() as one_cpu:
                 one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
-                run_sweep(_big_spec(target, "g", steps=3))
+                run_sweep(small_spec(target=target, steps=3))
         assert starts == []
 
     def test_a_closed_form_pass_builds_no_generator_and_starts_no_thread(self, two_cpus, monkeypatch):
