@@ -8,6 +8,9 @@ over its level before the first run, in MB and in dense (N+1)x(N+1)
 float64 arrays of 8 (N+1)^2 bytes. The stages:
 
 - decompose: H assembled and eigendecomposed, `decompose(total_hamiltonian(p))`
+- kernel: the kernel build alone, one `generator_at` call on a prepared
+  `eigenbasis(p)`, with the copy of V^T Jx V it builds the kernel in
+- spread: the spectrum of one prepared kernel alone, `dynamics.spread_squared`
 - protocol: one protocol point, `dynamical_generator` and `qfi_pure_state`
 - cqfi: one channel-QFI point, `dynamical_generator(p).cqfi`
 - sweep: a 4-point protocol g-sweep through `run_sweep`, which runs two
@@ -36,11 +39,12 @@ import subprocess
 import sys
 import time
 
-from singlewell import (SweepSpec, SystemParams, decompose, dynamical_generator, prepare_input,
-                        qfi_pure_state, run_sweep, total_hamiltonian)
+from singlewell import (SweepSpec, SystemParams, decompose, dynamical_generator, eigenbasis, generator_at,
+                        prepare_input, qfi_pure_state, run_sweep, total_hamiltonian)
+from singlewell.dynamics import spread_squared
 from singlewell.sweeps import stack_size
 
-STAGES = ("decompose", "protocol", "cqfi", "sweep", "sweep_cqfi", "sweep_cqfi_t")
+STAGES = ("decompose", "kernel", "spread", "protocol", "cqfi", "sweep", "sweep_cqfi", "sweep_cqfi_t")
 SWEEP_STEPS = 4  # two points per thread
 MIN_REPEATS, MIN_SECONDS, MAX_REPEATS = 3, 1.0, 1000
 WARM_UP_N = 64  # past LAPACK's divide-and-conquer crossover (25)
@@ -58,6 +62,12 @@ def _point(stage: str, n: int):
     """The stage at N as a call with no arguments, its inputs built."""
     # near q = 0, where the channel QFI peaks: g (N-1)/(2N) delta_a = delta_eps
     p = SystemParams(n_particles=n, g=80.0, delta_eps=10.0)
+    if stage == "kernel":  # only this stage holds a prepared eigenbasis
+        (energies,), (jx,), _ = eigenbasis(p)
+        return lambda: generator_at(energies, jx.copy(), p.t)
+    if stage == "spread":
+        kernel = dynamical_generator(p).kernel
+        return lambda: spread_squared(kernel)
     psi, _ = prepare_input(n, "fragmented", 0.5)
     spec = SweepSpec(target="protocol_qfi", axis="g", axis_min=40.0, axis_max=120.0, steps=SWEEP_STEPS,
                      params=p)

@@ -23,15 +23,15 @@ cancellation in (e^{i w t} - 1) / (i w).
 `decompose` fixes no sign of the columns of V: flipping them is the
 similarity G~ -> D G~ D with D = diag(+-1), which changes neither readout.
 
-The generator comes in two steps: `dynamical_generator` takes H to the
-arrays (E, V^T Jx V) and, for a protocol point, each input in the
-eigenbasis of H, V^T psi, none of which depend on t, and `generator_at`
-reads them out at one time. Both also take a stack of points, such as a
-sweep's chunk of a grid, with the arithmetic of each point's own call;
-there the kernel is built in the memory of V^T Jx V. V is dropped once
-those products are formed, so a point holds no more than `dsbevd`'s three
-dense arrays. The spectrum of G~ is taken only when the channel QFI is
-read; the QFI of a state needs only products with G~.
+The generator comes in two steps: `eigenbasis` takes H to the arrays
+(E, V^T Jx V) and, for a protocol point, each input in the eigenbasis of
+H, V^T psi, none of which depend on t, and `generator_at` reads them out
+at one time, building G~ in the memory of V^T Jx V; `dynamical_generator`
+is the two in turn. Each also takes a stack of points, such as a sweep's
+chunk of a grid, with the arithmetic of each point's own call. V is
+dropped once those products are formed, so a point holds no more than
+`dsbevd`'s three dense arrays. The spectrum of G~ is taken only when the
+channel QFI is read; the QFI of a state needs only products with G~.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
     "GeneratorResult",
     "decompose",
     "dynamical_generator",
+    "eigenbasis",
     "generator_at",
     "qfi_pure_state",
     "cqfi_upper_bound",
@@ -79,14 +80,12 @@ def decompose(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class GeneratorResult:
-    """Dynamical generator as the energies E of H, ascending, Jx in its
-    eigenbasis (V^T Jx V) and the real kernel G~; for a protocol point, each
-    input psi in the eigenbasis of H, V^T psi, as state (or its rows). A stack
-    of generators holds each along a first axis; one built in its jx's memory
-    holds no jx."""
+    """Dynamical generator as the energies E of H, ascending, and the real
+    kernel G~; for a protocol point, each input psi in the eigenbasis of H,
+    V^T psi, as state (or its rows). A stack of generators holds each along a
+    first axis."""
 
     energies: np.ndarray
-    jx: np.ndarray | None
     kernel: np.ndarray
     t: float | np.ndarray
     state: np.ndarray | None = None
@@ -97,14 +96,13 @@ class GeneratorResult:
         return float(spread_squared(self.kernel))
 
 
-def generator_at(energies: np.ndarray, jx: np.ndarray, t, state: np.ndarray | None = None,
-                 overwrite_jx: bool = False) -> GeneratorResult:
+def generator_at(energies: np.ndarray, jx: np.ndarray, t, state: np.ndarray | None = None) -> GeneratorResult:
     """The generator after time t from the energies of H, the symmetric
     jx = V^T Jx V and, for a protocol point, the input's state = V^T psi; or a
-    stack of c generators, from energies (c, n), t (c,), jx (c, n, n) or one
-    (n, n) for all, and states (c, ...), each slot bit for bit its own call's.
-    With overwrite_jx, G~ is built in jx's memory (as scipy's overwrite_a) and
-    the result holds no jx.
+    stack of c generators, from energies (c, n), t (c,), jx (c, n, n) and
+    states (c, ...), each slot bit for bit its own call's. jx must be
+    writeable and shaped like the stack: G~ is built in its memory, so jx
+    becomes the read-only kernel, as `eigenbasis` hands it over.
 
     In the eigenbasis of H, int_0^t e^{i(E_k-E_l)s} ds = e^{i(E_k-E_l)t/2} t
     sin(x)/x with x = (E_l-E_k)t/2; the phases are the unitary frame W, which
@@ -121,13 +119,8 @@ def generator_at(energies: np.ndarray, jx: np.ndarray, t, state: np.ndarray | No
     if overflows.any():
         first = float(np.broadcast_to(t, reach.shape)[overflows][0])
         raise NumericsError(f"level phase (E_l - E_k) t/2 overflows a float at t = {first!r}")
-    shape = reach.shape + jx.shape[-2:]
-    if overwrite_jx:
-        kernel = jx
-    else:
-        kernel = np.empty(shape)  # before x, so x is freed at the heap's top
-        np.copyto(kernel, jx)
-    x = np.empty(shape)
+    kernel = jx
+    x = np.empty(kernel.shape)
     np.subtract(energies[..., np.newaxis, :], energies[..., :, np.newaxis], out=x)
     x *= 0.5 * t_col
     above = x > 0
@@ -142,21 +135,18 @@ def generator_at(energies: np.ndarray, jx: np.ndarray, t, state: np.ndarray | No
     np.copyto(x, kernel.swapaxes(-1, -2))
     np.copyto(kernel, x, where=above.swapaxes(-1, -2))
     kernel.setflags(write=False)
-    return GeneratorResult(energies=energies, jx=None if overwrite_jx else jx, kernel=kernel, t=t, state=state)
+    return GeneratorResult(energies=energies, kernel=kernel, t=t, state=state)
 
 
-def dynamical_generator(p: SystemParams, psi: np.ndarray | None = None, axis: str | None = None,
-                        values: np.ndarray | None = None) -> GeneratorResult:
-    """Generator of the acceleration imprint after time p.t, carrying the
-    input psi of a protocol point if one is given, or a stack of inputs, one
-    per row; given a sweepable axis and c values, the stack of the generators
-    of p with that axis at each value, each slot bit for bit its point's.
+def eigenbasis(p: SystemParams, psi: np.ndarray | None = None, axis: str | None = None,
+               values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The arrays of p's generator that do not depend on t, each a stack of one point or, given a sweepable
+    axis and c values, of p with that axis at each value: the read-only energies E of H, ascending,
+    V^T Jx V, in which `generator_at` builds the kernel, and, given an input psi or one per row, V^T psi.
 
-    G = int_0^t e^{iHs} Jx e^{-iHs} ds, since dH/dlambda = Jx. Jx is
-    tridiagonal, so V^T Jx V = M + M^T with M = V[:-1]^T (ladder/2 * V[1:]):
-    one matrix product, and exactly symmetric. V is last read there and in
-    V^T psi, one product per input on the (real, imag) pairs of psi;
-    `qfi_pure_state` reads the QFI of psi, whose norm is checked to 1e-12 here.
+    Jx is tridiagonal, so V^T Jx V = M + M^T with M = V[:-1]^T (ladder/2 * V[1:]): one matrix product,
+    and exactly symmetric. V is last read there and in V^T psi, one product per input on the (real, imag)
+    pairs of psi, whose norm is checked to 1e-12 here.
     """
     inputs = () if psi is None else np.atleast_2d(psi)
     for row in inputs:
@@ -180,10 +170,20 @@ def dynamical_generator(p: SystemParams, psi: np.ndarray | None = None, axis: st
         np.add(half, half.T, out=jx[i])
         del half
     energies.setflags(write=False)
+    return energies, jx, state
+
+
+def dynamical_generator(p: SystemParams, psi: np.ndarray | None = None, axis: str | None = None,
+                        values: np.ndarray | None = None) -> GeneratorResult:
+    """Generator of the acceleration imprint after time p.t, G = int_0^t e^{iHs} Jx e^{-iHs} ds since
+    dH/dlambda = Jx, as `generator_at` of `eigenbasis`, carrying the input psi of a protocol point, or a
+    stack of inputs, one per row; given a sweepable axis and c values, the stack of the generators of p
+    with that axis at each value, each slot bit for bit its point's. `qfi_pure_state` reads the QFI of psi."""
+    energies, jx, state = eigenbasis(p, psi, axis, values)
     if axis is None:
         return generator_at(energies[0], jx[0], p.t, None if state is None else state[0])
-    t = np.asarray(values, dtype=float) if axis == "t" else np.full(len(bands), p.t)
-    return generator_at(energies, jx, t, state, overwrite_jx=True)
+    t = np.asarray(values, dtype=float) if axis == "t" else np.full(len(energies), p.t)
+    return generator_at(energies, jx, t, state)
 
 
 def _pairs(z: np.ndarray) -> np.ndarray:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analytic import cqfi_noninteracting, phase_shift_qfi
-from .dynamics import (GeneratorResult, cqfi_upper_bound, dynamical_generator, generator_at, qfi_pure_state,
-                       spread_squared)
+from .dynamics import (GeneratorResult, cqfi_upper_bound, dynamical_generator, eigenbasis, generator_at,
+                       qfi_pure_state, spread_squared)
 from .errors import NumericsError
 from .linalg import blas_threads
 from .modes import AXIS_FIELDS, FIELD_KEYS, SystemParams, as_float, axis_gammas, with_axis_value
@@ -165,12 +165,10 @@ def _run_pass(specs: list[SweepSpec]) -> list[SweepResult]:
             psi = np.stack([prepared for prepared, _ in inputs.values()]) if inputs else None
             build = lambda chunk: dynamical_generator(spec.params, psi, spec.axis, chunk)  # noqa: E731
             if spec.axis == "t":  # H does not change along t: decompose it once, before any thread starts
-                first = dynamical_generator(with_axis_value(spec.params, "t", values[0]), psi)
-                energies, jx, state = first.energies, first.jx, first.state
-                del first  # its kernel is built again in grid[0]'s chunk
+                energies, jx, state = eigenbasis(spec.params, psi)
                 build = lambda chunk: generator_at(  # noqa: E731
-                    np.broadcast_to(energies, (len(chunk), n)), jx, chunk,
-                    None if state is None else np.broadcast_to(state, (len(chunk), *state.shape)))
+                    np.broadcast_to(energies, (len(chunk), n)), np.repeat(jx, len(chunk), axis=0), chunk,
+                    None if state is None else np.broadcast_to(state, (len(chunk), *state.shape[1:])))
     except Exception as exc:
         failures.append((0, exc))
 
@@ -182,7 +180,7 @@ def _run_pass(specs: list[SweepSpec]) -> list[SweepResult]:
         if inputs:
             for i, energies, kernel, t, states in zip(range(first, stop), gen.energies, gen.kernel, gen.t.tolist(),
                                                       gen.state):
-                point = GeneratorResult(energies=energies, jx=None, kernel=kernel, t=t)
+                point = GeneratorResult(energies=energies, kernel=kernel, t=t)
                 for key, state in zip(inputs, states):
                     rows[key][i] = qfi_pure_state(point, state)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from singlewell import (
     cqfi_upper_bound,
     decompose,
     dynamical_generator,
+    eigenbasis,
     fragmented_ground_state,
     generator_at,
     prepare_input,
@@ -176,6 +179,26 @@ class TestDynamicalGenerator:
         cqfi = dynamical_generator(p).cqfi
         assert abs(qfi_pure_state(dynamical_generator(p, optimal_state(p))) - cqfi) < 1e-8 * cqfi
 
+    @pytest.mark.parametrize("protocol", [False, True], ids=["channel", "protocol"])
+    def test_a_built_point_holds_one_array(self, protocol):
+        # the kernel, built in the memory of V^T Jx V: a copy of V^T Jx V beside it would make two
+        n = 300
+        p = harmonic_params(n_particles=n, g=80.0, delta_eps=10.0)
+        psi = prepare_input(n, "fragmented", 0.5)[0] if protocol else None
+        dynamical_generator(p, psi)  # fills the caches the process keeps
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            gen = dynamical_generator(p, psi)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert gen.kernel.shape == (n + 1, n + 1)
+        assert held / (8 * (n + 1) ** 2) < 1.5
+
 
 class TestBandedKernel:
     @pytest.mark.parametrize("n", [1, 2, 5, 50, 200])
@@ -183,14 +206,14 @@ class TestBandedKernel:
         # the banded V^T Jx V and the sin(x)/x kernel against the dense
         # product and numpy's sinc(x / pi)
         p = harmonic_params(n_particles=n, g=80.0, delta_eps=10.0)
-        gen = dynamical_generator(p)
+        (energies,), (jx,), _ = eigenbasis(p)
         _, v = decompose(total_hamiltonian(p))  # the V the generator dropped
         dense = v.T @ dense_spin(n)[0] @ v
-        assert np.abs(gen.jx - dense).max() <= 1e-13 * np.abs(dense).max()
-        assert np.array_equal(gen.jx, gen.jx.T)
-        gaps = gen.energies[:, np.newaxis] - gen.energies[np.newaxis, :]
+        assert np.abs(jx - dense).max() <= 1e-13 * np.abs(dense).max()
+        assert np.array_equal(jx, jx.T)
+        gaps = energies[:, np.newaxis] - energies[np.newaxis, :]
         for t in (0.0, 0.3, 1.0, 7.5):
-            kernel = generator_at(gen.energies, dense, t).kernel
+            kernel = generator_at(energies, dense.copy(), t).kernel
             reference = dense * (t * np.sinc(gaps * (t / (2.0 * np.pi))))
             assert np.abs(kernel - reference).max() <= 1e-13 * np.abs(reference).max()
             assert np.array_equal(kernel, kernel.T)
@@ -213,10 +236,10 @@ class TestBandedKernel:
     ])
     def test_bit_identical_to_the_full_matrix_form(self, n, g, delta_eps, lambda_acc):
         p = harmonic_params(n_particles=n, g=g, delta_eps=delta_eps, lambda_acc=lambda_acc)
-        gen = dynamical_generator(p)
+        (energies,), (jx,), _ = eigenbasis(p)
         for t in (0.0, 0.3, 1.0, 7.5):
-            kernel = generator_at(gen.energies, gen.jx, t).kernel
-            assert kernel.tobytes() == self.full_matrix_kernel(gen.energies, gen.jx, t).tobytes()
+            kernel = generator_at(energies, jx.copy(), t).kernel
+            assert kernel.tobytes() == self.full_matrix_kernel(energies, jx, t).tobytes()
 
     def test_repeated_levels_in_any_order(self):
         rng = np.random.default_rng(11)
@@ -224,7 +247,7 @@ class TestBandedKernel:
         a = rng.normal(size=(7, 7))
         jx = a + a.T
         for t in (0.0, 0.8, -1.3):
-            kernel = generator_at(energies, jx, t).kernel
+            kernel = generator_at(energies, jx.copy(), t).kernel
             assert kernel.tobytes() == self.full_matrix_kernel(energies, jx, t).tobytes()
             assert np.array_equal(kernel[[0, 1, 2], [3, 4, 6]], t * jx[[0, 1, 2], [3, 4, 6]])
 
@@ -237,10 +260,10 @@ class TestBandedKernel:
             return sin(x, *args, where=where, **kwargs)
 
         for n in (50, 200):
-            gen = dynamical_generator(harmonic_params(n_particles=n, g=80.0, delta_eps=10.0))
+            (energies,), (jx,), _ = eigenbasis(harmonic_params(n_particles=n, g=80.0, delta_eps=10.0))
             evaluated.clear()
             monkeypatch.setattr(np, "sin", counting_sin)
-            generator_at(gen.energies, gen.jx, 1.0)
+            generator_at(energies, jx, 1.0)
             monkeypatch.undo()
             assert evaluated and sum(evaluated) <= n * (n + 1) // 2  # dimension n + 1
 
@@ -260,24 +283,27 @@ class TestStackedGenerator:
 
     @staticmethod
     def assert_equals_single_calls(energies, jx, t, state=None):
-        singles = [generator_at(e, j, ti, None if state is None else s) for e, j, ti, s in zip(
-            energies, np.broadcast_to(jx, (len(t), *jx.shape[-2:])), t.tolist(),
-            [None] * len(t) if state is None else state)]
-        for overwrite in (False, True) if jx.ndim == 3 else (False,):  # a shared jx is not the kernel's
-            stack = generator_at(energies, jx.copy() if overwrite else jx, t, state, overwrite_jx=overwrite)
-            assert np.array_equal(stack.kernel, [gen.kernel for gen in singles]), overwrite
-            assert np.array_equal(stack.t, t) and (stack.jx is None) == overwrite
-            if state is not None:
-                assert stack.state is state
+        # each call builds its kernel in the jx it is handed, so each gets a copy
+        singles = [generator_at(e, j.copy(), ti, None if state is None else s) for e, j, ti, s in zip(
+            energies, jx, t.tolist(), [None] * len(t) if state is None else state)]
+        stack = generator_at(energies, jx.copy(), t, state)
+        assert np.array_equal(stack.kernel, [gen.kernel for gen in singles])
+        assert np.array_equal(stack.t, t)
+        if state is not None:
+            assert stack.state is state
+
+    @staticmethod
+    def points(gs, **params):
+        """E and V^T Jx V of each g's own point, stacked."""
+        bases = [eigenbasis(harmonic_params(g=g, **params))[:2] for g in gs]
+        return [np.concatenate(arrays) for arrays in zip(*bases)]
 
     def test_points_of_an_axis(self):
-        gens = [dynamical_generator(harmonic_params(n_particles=50, g=g, delta_eps=10.0)) for g in (0.0, 26.0, 80.0)]
-        energies, jx = np.array([g.energies for g in gens]), np.array([g.jx for g in gens])
+        energies, jx = self.points((0.0, 26.0, 80.0), n_particles=50, delta_eps=10.0)
         self.assert_equals_single_calls(energies, jx, np.array([1.0, 0.3, 7.5]))
 
     def test_zero_time_makes_every_pair_a_level_pair(self):
-        gens = [dynamical_generator(harmonic_params(n_particles=12, g=g, delta_eps=5.0)) for g in (0.0, 40.0)]
-        energies, jx = np.array([g.energies for g in gens]), np.array([g.jx for g in gens])
+        energies, jx = self.points((0.0, 40.0), n_particles=12, delta_eps=5.0)
         self.assert_equals_single_calls(energies, jx, np.zeros(2))
         self.assert_equals_single_calls(energies, jx, np.array([0.0, 1.0]))
 
@@ -290,13 +316,20 @@ class TestStackedGenerator:
     def test_one_jx_shared_along_t(self):
         # the t axis: one H, so one (E, jx, V^T psi) for every slot
         psi, _ = prepare_input(20, "fragmented", 0.5)
-        gen = dynamical_generator(harmonic_params(n_particles=20, g=80.0, delta_eps=10.0), psi)
+        energies, jx, state = eigenbasis(harmonic_params(n_particles=20, g=80.0, delta_eps=10.0), psi)
         t = np.linspace(0.0, 10.0, 7)
-        energies = np.broadcast_to(gen.energies, (7, 21))
-        self.assert_equals_single_calls(energies, gen.jx, t, np.broadcast_to(gen.state, (7, 21)))
+        self.assert_equals_single_calls(np.broadcast_to(energies, (7, 21)), np.repeat(jx, 7, axis=0), t,
+                                        np.broadcast_to(state, (7, 21)))
+
+    def test_the_kernel_is_built_in_the_jx_it_is_handed(self):
+        # one point and a stack: G~ takes jx's memory and is read-only
+        energies, jx, _ = eigenbasis(harmonic_params(n_particles=12, delta_eps=5.0), None, "g", np.array([0.0, 40.0]))
+        for e, j, t in [(energies[0], jx[0].copy(), 1.0), (energies, jx, np.array([1.0, 0.3]))]:
+            kernel = generator_at(e, j, t).kernel
+            assert np.shares_memory(kernel, j) and not kernel.flags.writeable
 
     def test_overflow_names_the_first_slot_that_overflows(self):
-        jx = np.array([[0.0, 0.5], [0.5, 0.0]])
+        jx = np.array([[[0.0, 0.5], [0.5, 0.0]]] * 3)
         with pytest.raises(NumericsError, match=r"overflows a float at t = 1e\+300$"):
             generator_at(np.array([[-1e10, 1e10]] * 3), jx, np.array([1.0, 1e300, 1e301]))
 
@@ -310,7 +343,7 @@ class TestStackedGenerator:
         psi = np.stack([prepare_input(30, kind, 0.5)[0] for kind in ("fragmented", "coherent")])
         values = np.linspace(lo, hi, 5)
         stack = dynamical_generator(p, psi, axis, values)
-        assert stack.jx is None and stack.kernel.shape == (5, 31, 31)
+        assert stack.kernel.shape == (5, 31, 31)
         for i, value in enumerate(values.tolist()):
             gen = dynamical_generator(with_axis_value(p, axis, value), psi)
             for name in ("energies", "kernel", "state", "t"):
@@ -385,13 +418,13 @@ class TestQfiPureState:
         jx, state = np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([1.0, 0.0], dtype=complex)  # V = 1
         for t in (1e9, -1e9):  # a negative t overflows to -inf
             with pytest.raises(NumericsError, match=r"\(E_l - E_k\) t/2 overflows"):
-                generator_at(np.array([-1e300, 1e300]), jx, t, state)
+                generator_at(np.array([-1e300, 1e300]), jx.copy(), t, state)
         # one level pair, far from zero: the gaps fit a float, the frame's E t/2 does not
         for t in (1e10, -1e10):
-            gen = generator_at(np.array([1e300, 1e300]), jx, t, state)
+            gen = generator_at(np.array([1e300, 1e300]), jx.copy(), t, state)
             with pytest.raises(NumericsError, match="frame phase E t/2 overflows"):
                 qfi_pure_state(gen)
-        assert qfi_pure_state(generator_at(np.array([1e300, 1e300]), jx, 2.0, state)) == 4.0
+        assert qfi_pure_state(generator_at(np.array([1e300, 1e300]), jx.copy(), 2.0, state)) == 4.0
 
 
 class TestUpperBound:

@@ -142,7 +142,7 @@ class TestProtocolPoint:
     def test_eigenvector_input_carries_no_information(self):
         # G~ diagonal, H = 0: the Dicke state |k> is an exact eigenvector, so sigma = 0
         kernel = np.diag([-2.0, -1.0, 0.0, 1.0, 2.0])
-        gen = GeneratorResult(energies=np.zeros(5), jx=kernel, kernel=kernel, t=1.0, state=np.eye(5)[1])
+        gen = GeneratorResult(energies=np.zeros(5), kernel=kernel, t=1.0, state=np.eye(5)[1])
         assert qfi_pure_state(gen) == 0.0
         assert gen.cqfi == 16.0
 

@@ -9,7 +9,7 @@ PUBLIC = [
     "GeneratorResult", "NumericsError", "SweepPointError", "SweepResult",
     "SweepSpec", "SystemParams",
     "build_spin_operators", "cqfi_noninteracting", "cqfi_upper_bound", "decompose",
-    "dynamical_generator", "emit_csv", "emit_plot",
+    "dynamical_generator", "eigenbasis", "emit_csv", "emit_plot",
     "fragmented_ground_state", "generator_at", "load_csv", "phase_shift_qfi", "prepare_input",
     "qfi_pure_state", "renormalized_q", "run_sweep", "run_sweeps",
     "spin_coherent_state", "total_hamiltonian", "validity_gamma",

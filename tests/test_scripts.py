@@ -59,7 +59,7 @@ def test_limits_script_prints_one_row_per_n_and_stage():
     header, rule, *rows = proc.stdout.splitlines()
     assert header.startswith("| N | stage |") and rule.startswith("| ---: |")
     cells = [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
-    stages = ("decompose", "protocol", "cqfi", "sweep", "sweep_cqfi", "sweep_cqfi_t")
+    stages = ("decompose", "kernel", "spread", "protocol", "cqfi", "sweep", "sweep_cqfi", "sweep_cqfi_t")
     assert [(n, stage) for n, stage, *_ in cells] == [(n, stage) for n in ("20", "40") for stage in stages]
     for _, _, ms, mb, arrays in cells:
         assert float(ms) > 0.0 and float(mb) >= 0.0 and float(arrays) >= 0.0

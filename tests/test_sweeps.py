@@ -164,12 +164,10 @@ class TestRunSweep:
                 assert qfi <= cqfi * (1 + 1e-9), (kind, g)
 
     def test_point_failure_names_the_tuple(self, monkeypatch):
-        def failing_at_t0(p, psi=None):  # along t, the pass decomposes H once, at grid[0]
-            if p.t == 0.0:
-                raise NumericsError("eigendecomposition failed")
-            return dynamical_generator(p, psi)
+        def failing(p, psi=None):  # along t, the pass decomposes H once, and its failure is grid[0]'s
+            raise NumericsError("eigendecomposition failed")
 
-        monkeypatch.setattr(sweeps, "dynamical_generator", failing_at_t0)
+        monkeypatch.setattr(sweeps, "eigenbasis", failing)
         spec = small_spec(axis="t", axis_min=0.0, axis_max=1.0, steps=3)
         with pytest.raises(SweepPointError, match=r"t = 0\.0") as info:
             run_sweep(spec)
@@ -573,8 +571,13 @@ class TestRunSweeps:
         starts, thread = [], threading.Thread
         monkeypatch.setattr(threading, "Thread", lambda **kw: starts.append(kw["args"]) or thread(**kw))
         calls = _count_decompositions(monkeypatch)
+        slots = []  # the kernels built, through dynamical_generator or the pass's own call
+        for module in (dynamics, sweeps):
+            monkeypatch.setattr(module, "generator_at", lambda energies, *args, build=module.generator_at:
+                                slots.append(energies[..., 0].size) or build(energies, *args))
         run_sweep(spec)
         assert len(starts) == 1 and len(calls) == 1
+        assert sum(slots) == spec.steps  # one kernel per grid point
 
 
 # Each axis drawn from a range around the figures' points; lambda and t include 0.
