@@ -7,7 +7,7 @@ the median time and the growth of the peak resident set size (ru_maxrss)
 over its level before the first run, in MB and in dense (N+1)x(N+1)
 float64 arrays of 8 (N+1)^2 bytes. The stages:
 
-- decompose: H assembled and eigendecomposed, `decompose(total_hamiltonian(p))`
+- decompose: H assembled and eigendecomposed, `eigh_band(total_hamiltonian(p))`
 - kernel: the kernel build alone, one `generator_at` call on a prepared
   `eigenbasis(p)`, with the copy of V^T Jx V it builds the kernel in
 - spread: the spectrum of one prepared kernel alone, `dynamics.spread_squared`
@@ -39,9 +39,10 @@ import subprocess
 import sys
 import time
 
-from singlewell import (SweepSpec, SystemParams, decompose, dynamical_generator, eigenbasis, generator_at,
-                        prepare_input, qfi_pure_state, run_sweep, total_hamiltonian)
+from singlewell import (SweepSpec, SystemParams, dynamical_generator, eigenbasis, generator_at, prepare_input,
+                        qfi_pure_state, run_sweep, total_hamiltonian)
 from singlewell.dynamics import spread_squared
+from singlewell.linalg import eigh_band
 from singlewell.sweeps import stack_size
 
 STAGES = ("decompose", "kernel", "spread", "protocol", "cqfi", "sweep", "sweep_cqfi", "sweep_cqfi_t")
@@ -76,7 +77,7 @@ def _point(stage: str, n: int):
     along_t = SweepSpec(target="cqfi_interacting", axis="t", axis_min=0.5, axis_max=1.5,
                         steps=_steps("sweep_cqfi_t", n), params=p)
     return {
-        "decompose": lambda: decompose(total_hamiltonian(p)),
+        "decompose": lambda: eigh_band(total_hamiltonian(p)),
         "protocol": lambda: qfi_pure_state(dynamical_generator(p, psi)),
         "cqfi": lambda: dynamical_generator(p).cqfi,
         "sweep": lambda: run_sweep(spec),

@@ -15,12 +15,12 @@ W = V diag(exp(i E t/2)) and the real symmetric kernel
     G~_kl = (V^T Jx V)_kl * t * sin(x_kl) / x_kl,   x_kl = (E_l - E_k) t / 2.
 
 The channel QFI `cqfi` is read from the spectrum of G~ by `spread_squared`,
-which a sweep also calls on a stack of kernels, `qfi_pure_state` as 4 Var
-of G~ over W^dag psi. sin(x)/x is even, so it is evaluated once
+`qfi_pure_state` as 4 Var of G~ over W^dag psi; a sweep calls each once per
+stack of kernels. sin(x)/x is even, so it is evaluated once
 per pair of levels, and smooth through E_k = E_l, where it is 1, so exactly
 or nearly degenerate levels need no threshold and lose no precision to the
 cancellation in (e^{i w t} - 1) / (i w).
-`decompose` fixes no sign of the columns of V: flipping them is the
+`eigh_band` fixes no sign of the columns of V: flipping them is the
 similarity G~ -> D G~ D with D = diag(+-1), which changes neither readout.
 
 The generator comes in two steps: `eigenbasis` takes H to the arrays
@@ -49,7 +49,6 @@ from .spin_core import build_spin_operators, check_unit_norm
 
 __all__ = [
     "GeneratorResult",
-    "decompose",
     "dynamical_generator",
     "eigenbasis",
     "generator_at",
@@ -67,23 +66,12 @@ def spread_squared(kernels: np.ndarray) -> np.ndarray:
     return spread * spread
 
 
-def decompose(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of the real symmetric H held as its lower band,
-    band[d, k] = H[k+d, k], as `total_hamiltonian` returns it: eigenvalues
-    ascending and the matching real column eigenvectors, each with the sign
-    LAPACK gives it. Both arrays are set read-only in place, without a copy."""
-    energies, vectors = eigh_band(band)
-    energies.setflags(write=False)
-    vectors.setflags(write=False)
-    return energies, vectors
-
-
 @dataclass(frozen=True)
 class GeneratorResult:
     """Dynamical generator as the energies E of H, ascending, and the real
     kernel G~; for a protocol point, each input psi in the eigenbasis of H,
     V^T psi, as state (or its rows). A stack of generators holds each along a
-    first axis."""
+    first axis, where E and state may have length 1: one H shared by every slot."""
 
     energies: np.ndarray
     kernel: np.ndarray
@@ -96,11 +84,20 @@ class GeneratorResult:
         return float(spread_squared(self.kernel))
 
 
+def _refuse_overflow(phase: str, reach: np.ndarray, t) -> None:
+    """A NumericsError naming the first slot's t where reach, the largest |phase| of each slot, overflows."""
+    overflows = ~(abs(reach) < np.inf)  # a negative t too
+    if overflows.any():
+        first = float(np.broadcast_to(t, reach.shape)[overflows][0])
+        raise NumericsError(f"{phase} overflows a float at t = {first!r}")
+
+
 def generator_at(energies: np.ndarray, jx: np.ndarray, t, state: np.ndarray | None = None) -> GeneratorResult:
     """The generator after time t from the energies of H, the symmetric
     jx = V^T Jx V and, for a protocol point, the input's state = V^T psi; or a
     stack of c generators, from energies (c, n), t (c,), jx (c, n, n) and
-    states (c, ...), each slot bit for bit its own call's. jx must be
+    states (c, ...), each slot bit for bit its own call's; energies (1, n) and
+    states (1, ...) are one H's, shared by every slot. jx must be
     writeable and shaped like the stack: G~ is built in its memory, so jx
     becomes the read-only kernel, as `eigenbasis` hands it over.
 
@@ -115,10 +112,7 @@ def generator_at(energies: np.ndarray, jx: np.ndarray, t, state: np.ndarray | No
     t_col = np.asarray(t)[..., np.newaxis, np.newaxis]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         reach = (energies[..., -1] - energies[..., 0]) * (0.5 * np.asarray(t))
-    overflows = ~(abs(reach) < np.inf)  # a negative t too
-    if overflows.any():
-        first = float(np.broadcast_to(t, reach.shape)[overflows][0])
-        raise NumericsError(f"level phase (E_l - E_k) t/2 overflows a float at t = {first!r}")
+    _refuse_overflow("level phase (E_l - E_k) t/2", reach, t)
     kernel = jx
     x = np.empty(kernel.shape)
     np.subtract(energies[..., np.newaxis, :], energies[..., :, np.newaxis], out=x)
@@ -159,7 +153,7 @@ def eigenbasis(p: SystemParams, psi: np.ndarray | None = None, axis: str | None 
     energies, jx = np.empty(bands.shape[::2]), None
     state = None if psi is None else np.empty((len(bands), *np.shape(psi)), dtype=complex)
     for i, band in enumerate(bands):
-        energies[i], v = decompose(band)
+        energies[i], v = eigh_band(band)
         if state is not None:
             state[i] = np.array([(v.T @ _pairs(row)).view(complex).ravel() for row in inputs]).reshape(np.shape(psi))
         half = np.empty(v.shape)  # before the N x (N+1) scaled rows, whose freed slot jx then fills
@@ -191,22 +185,28 @@ def _pairs(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
 
 
-def qfi_pure_state(gen: GeneratorResult, state: np.ndarray | None = None) -> float:
+def qfi_pure_state(gen: GeneratorResult, state: np.ndarray | None = None) -> float | np.ndarray:
     """The QFI of an input psi, 4 Var_psi(G) = 4 Var_phi(G~) with phi = W^dag psi =
     diag(exp(-i E t/2)) V^T psi, where V^T psi is state: gen.state, or one of its
-    rows for a generator that carries a stack of inputs.
+    rows for a generator that carries a stack of inputs. Of a stack of c generators,
+    with state (c, n), or (1, n) shared by every slot, the QFI of each slot, bit for
+    bit its point's own call's.
 
-    G~ is real, so its products act on the (real, imag) pairs of phi.
+    G~ is real, so its products act on the (real, imag) pairs of phi, one product per
+    slot, and each slot's two sums are one dot product of its 2n floats, as for a point.
     """
     state = gen.state if state is None else state
     if state is None:
         raise ValueError("the generator carries no input state: pass psi to dynamical_generator")
-    if not max(-float(gen.energies[0]), float(gen.energies[-1])) * (0.5 * abs(gen.t)) < np.inf:
-        raise NumericsError(f"frame phase E t/2 overflows a float at t = {gen.t!r}")
-    phi = _pairs(np.exp(-0.5j * gen.t * gen.energies) * state)
-    applied = gen.kernel @ phi
-    mean = np.vdot(phi, applied)
-    return float(4.0 * max(np.vdot(applied, applied) - mean * mean, 0.0))
+    t = np.asarray(gen.t)
+    with np.errstate(over="ignore"):  # refused below
+        reach = np.maximum(-gen.energies[..., 0], gen.energies[..., -1]) * (0.5 * abs(t))
+    _refuse_overflow("frame phase E t/2", reach, t)
+    phi = (np.exp(-0.5j * t[..., np.newaxis] * gen.energies) * state).view(float)  # each slot's 2n floats
+    applied = (gen.kernel @ phi.reshape(*phi.shape[:-1], -1, 2)).reshape(phi.shape)
+    mean = np.vecdot(phi, applied)
+    qfi = 4.0 * np.maximum(np.vecdot(applied, applied) - mean * mean, 0.0)
+    return qfi if qfi.ndim else float(qfi)
 
 
 def cqfi_upper_bound(n_particles: int, t: float) -> float:

@@ -3,7 +3,7 @@
 Only Jz, Jx, Jx^2 and Jy^2 enter, so every model Hamiltonian is real
 symmetric and pentadiagonal in the Dicke basis. It is never formed dense:
 it is the 3 x (N+1) float64 array band[d, k] = H[k+d, k] (LAPACK's UPLO = 'L'
-layout, zero-padded at the end) that `dynamics.decompose` takes. The
+layout, zero-padded at the end) that `linalg.eigh_band` takes. The
 identities Jx^2 + Jy^2 = j(j+1) - Jz^2 and Jx^2 - Jy^2 = (J+^2 + J-^2)/2
 give each band from the Jz eigenvalues and the ladder of
 `build_spin_operators`, built once per N, with no matrix product. Every

@@ -7,8 +7,9 @@ checks it whole when it is built, so a bad spec fails before any point
 runs. Sweeps on one grid share one pass over it (`run_sweeps`). A pass
 reads the closed form off the grid and builds generators in chunks of
 `stack_size(N)` points: one array of their bands, one stack of their
-generators and one `eigvalsh` call for their channel QFI, each point by
-the arithmetic of its own call, so identical specs give byte-identical
+generators, one `eigvalsh` call for their channel QFI and one
+`qfi_pure_state` call per prepared input, each point by the arithmetic
+of its own call, so identical specs give byte-identical
 CSVs; a chunk that fails is read again point by point, so a failure names
 the first failing point in grid order. Given two CPUs and a one-thread
 BLAS, a pass that builds generators runs its two halves on two threads. A
@@ -25,8 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analytic import cqfi_noninteracting, phase_shift_qfi
-from .dynamics import (GeneratorResult, cqfi_upper_bound, dynamical_generator, eigenbasis, generator_at,
-                       qfi_pure_state, spread_squared)
+from .dynamics import cqfi_upper_bound, dynamical_generator, eigenbasis, generator_at, qfi_pure_state, spread_squared
 from .errors import NumericsError
 from .linalg import blas_threads
 from .modes import AXIS_FIELDS, FIELD_KEYS, SystemParams, as_float, axis_gammas, with_axis_value
@@ -165,10 +165,9 @@ def _run_pass(specs: list[SweepSpec]) -> list[SweepResult]:
             psi = np.stack([prepared for prepared, _ in inputs.values()]) if inputs else None
             build = lambda chunk: dynamical_generator(spec.params, psi, spec.axis, chunk)  # noqa: E731
             if spec.axis == "t":  # H does not change along t: decompose it once, before any thread starts
-                energies, jx, state = eigenbasis(spec.params, psi)
-                build = lambda chunk: generator_at(  # noqa: E731
-                    np.broadcast_to(energies, (len(chunk), n)), np.repeat(jx, len(chunk), axis=0), chunk,
-                    None if state is None else np.broadcast_to(state, (len(chunk), *state.shape[1:])))
+                energies, jx, state = eigenbasis(spec.params, psi)  # E and V^T psi serve every slot of a chunk
+                build = lambda chunk: generator_at(energies, np.repeat(jx, len(chunk), axis=0), chunk,  # noqa: E731
+                                                   state)
     except Exception as exc:
         failures.append((0, exc))
 
@@ -177,12 +176,8 @@ def _run_pass(specs: list[SweepSpec]) -> list[SweepResult]:
         gen = build(grid[first:stop])
         if channel is not None:
             channel[first:stop] = spread_squared(gen.kernel).tolist()
-        if inputs:
-            for i, energies, kernel, t, states in zip(range(first, stop), gen.energies, gen.kernel, gen.t.tolist(),
-                                                      gen.state):
-                point = GeneratorResult(energies=energies, kernel=kernel, t=t)
-                for key, state in zip(inputs, states):
-                    rows[key][i] = qfi_pure_state(point, state)
+        for k, key in enumerate(inputs):
+            rows[key][first:stop] = qfi_pure_state(gen, gen.state[:, k]).tolist()
 
     def run(start: int, stop: int) -> None:
         """The readouts of grid[start:stop] in chunks, until a point fails. A chunk that fails is read

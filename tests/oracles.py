@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 from scipy.linalg import expm, expm_frechet
 
-from singlewell import SystemParams, build_spin_operators, decompose, dynamical_generator, total_hamiltonian
+from singlewell import SystemParams, build_spin_operators, dynamical_generator, total_hamiltonian
+from singlewell.linalg import eigh_band
 
 
 def harmonic_params(**overrides) -> SystemParams:
@@ -93,8 +94,8 @@ def evolve(h: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
 
 def dense_generator(p: SystemParams) -> np.ndarray:
     """The Dicke-basis G = W G~ W^dag at p, with the frame W = V diag(exp(i E t/2));
-    the generator drops V, so V comes from `decompose`, which gives the same V again."""
-    energies, vectors = decompose(total_hamiltonian(p))
+    the generator drops V, so V comes from `eigh_band`, which gives the same V again."""
+    energies, vectors = eigh_band(total_hamiltonian(p))
     frame = vectors * np.exp(0.5j * p.t * energies)
     mat = frame @ dynamical_generator(p).kernel @ frame.conj().T
     return (mat + mat.conj().T) / 2.0

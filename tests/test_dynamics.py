@@ -9,7 +9,6 @@ from scipy.linalg import expm
 from singlewell import (
     cqfi_noninteracting,
     cqfi_upper_bound,
-    decompose,
     dynamical_generator,
     eigenbasis,
     fragmented_ground_state,
@@ -20,10 +19,11 @@ from singlewell import (
     total_hamiltonian,
 )
 from singlewell.errors import NumericsError
+from singlewell.linalg import eigh_band
 from singlewell.modes import with_axis_value
 from oracles import (
-    dense_generator, dense_hamiltonian, dense_of_band, dense_spin, evolve, exact_generator,
-    finite_difference_generator, harmonic_params, lower_band, random_valid_params, variance,
+    dense_generator, dense_hamiltonian, dense_spin, evolve, exact_generator, finite_difference_generator,
+    harmonic_params, random_valid_params, variance,
 )
 
 
@@ -32,41 +32,20 @@ def random_state(rng, dim) -> np.ndarray:
     return amp / np.linalg.norm(amp)
 
 
+def vdot_qfi(gen, state) -> float:
+    """4 Var of G~ over phi = W^dag psi with each sum one `np.vdot` call on the 2n floats of phi, the
+    arithmetic a stacked readout keeps bit for bit (einsum's sums, for one, differ in the last bit)."""
+    phi = (np.exp(-0.5j * gen.t * gen.energies) * state).view(float)
+    applied = (gen.kernel @ phi.reshape(-1, 2)).ravel()
+    mean = np.vdot(phi, applied)
+    return 4.0 * max(float(np.vdot(applied, applied) - mean * mean), 0.0)
+
+
 def optimal_state(p) -> np.ndarray:
     """Equal superposition of the extremal eigenvectors of G at p; it saturates the channel QFI."""
     vecs = np.linalg.eigh(dense_generator(p))[1]
     amp = vecs[:, -1] + vecs[:, 0]
     return amp / np.linalg.norm(amp)
-
-
-class TestDecompose:
-    def test_sorts_eigenvalues(self):
-        energies, vectors = decompose(lower_band(np.diag([3.0, 1.0, 2.0])))
-        assert np.allclose(energies, [1.0, 2.0, 3.0], atol=0)
-        assert not energies.flags.writeable and not vectors.flags.writeable
-
-    def test_jx_spectrum_n2(self):
-        energies, _ = decompose(lower_band(dense_spin(2)[0]))
-        assert np.abs(energies - np.array([-1.0, 0.0, 1.0])).max() < 1e-12
-
-    def test_free_hamiltonian_spectrum(self):
-        n, de = 8, 2.5
-        p = harmonic_params(n_particles=n, g=0.0, delta_eps=de, lambda_acc=0.0)
-        energies, _ = decompose(total_hamiltonian(p))
-        m = n / 2 - np.arange(n + 1)
-        assert np.abs(energies - np.sort(-de * m)).max() < 1e-12
-
-    def test_reconstruction_and_unitarity(self):
-        rng = np.random.default_rng(7)
-        cases = [rng.normal(size=(3, 9))]
-        for n in (50, 200):
-            for g in (0.0, 80.0, 200.0):
-                cases.append(total_hamiltonian(harmonic_params(n_particles=n, g=g, delta_eps=10.0)))
-        for band in cases:
-            energies, vecs = decompose(band)
-            dim = energies.shape[0]
-            assert np.abs((vecs * energies) @ vecs.T - dense_of_band(band)).max() < 1e-10 * dim
-            assert np.abs(vecs.T @ vecs - np.eye(dim)).max() < 1e-10
 
 
 class TestEvolve:
@@ -207,7 +186,7 @@ class TestBandedKernel:
         # product and numpy's sinc(x / pi)
         p = harmonic_params(n_particles=n, g=80.0, delta_eps=10.0)
         (energies,), (jx,), _ = eigenbasis(p)
-        _, v = decompose(total_hamiltonian(p))  # the V the generator dropped
+        _, v = eigh_band(total_hamiltonian(p))  # the V the generator dropped
         dense = v.T @ dense_spin(n)[0] @ v
         assert np.abs(jx - dense).max() <= 1e-13 * np.abs(dense).max()
         assert np.array_equal(jx, jx.T)
@@ -283,29 +262,41 @@ class TestStackedGenerator:
 
     @staticmethod
     def assert_equals_single_calls(energies, jx, t, state=None):
-        # each call builds its kernel in the jx it is handed, so each gets a copy
-        singles = [generator_at(e, j.copy(), ti, None if state is None else s) for e, j, ti, s in zip(
-            energies, jx, t.tolist(), [None] * len(t) if state is None else state)]
+        # each call builds its kernel in the jx it is handed, so each gets a copy; an E or a state of
+        # length 1 is one H's, which each single call reads too
+        c = len(t)
+        states = [None] * c if state is None else np.broadcast_to(state, (c, *state.shape[1:]))
+        singles = [generator_at(e, j.copy(), ti, s) for e, j, ti, s in zip(
+            np.broadcast_to(energies, (c, energies.shape[-1])), jx, t.tolist(), states)]
         stack = generator_at(energies, jx.copy(), t, state)
         assert np.array_equal(stack.kernel, [gen.kernel for gen in singles])
         assert np.array_equal(stack.t, t)
         if state is not None:
             assert stack.state is state
+            for k in range(state.shape[1]):  # each input, one call on the stack
+                alone = np.array([qfi_pure_state(gen, gen.state[k]) for gen in singles])
+                assert qfi_pure_state(stack, state[:, k]).tobytes() == alone.tobytes(), k
+                assert alone.tobytes() == np.array([vdot_qfi(gen, gen.state[k]) for gen in singles]).tobytes(), k
 
     @staticmethod
-    def points(gs, **params):
-        """E and V^T Jx V of each g's own point, stacked."""
-        bases = [eigenbasis(harmonic_params(g=g, **params))[:2] for g in gs]
+    def inputs(n):
+        """The fragmented and coherent inputs of N bosons as the rows of one stack, as a pass prepares them."""
+        return np.stack([prepare_input(n, kind, 0.5)[0] for kind in ("fragmented", "coherent")])
+
+    def points(self, gs, **params):
+        """E, V^T Jx V and V^T psi of both inputs at each g's own point, stacked."""
+        psi = self.inputs(params["n_particles"])
+        bases = [eigenbasis(harmonic_params(g=g, **params), psi) for g in gs]
         return [np.concatenate(arrays) for arrays in zip(*bases)]
 
     def test_points_of_an_axis(self):
-        energies, jx = self.points((0.0, 26.0, 80.0), n_particles=50, delta_eps=10.0)
-        self.assert_equals_single_calls(energies, jx, np.array([1.0, 0.3, 7.5]))
+        energies, jx, state = self.points((0.0, 26.0, 80.0), n_particles=50, delta_eps=10.0)
+        self.assert_equals_single_calls(energies, jx, np.array([1.0, 0.3, 7.5]), state)
 
     def test_zero_time_makes_every_pair_a_level_pair(self):
-        energies, jx = self.points((0.0, 40.0), n_particles=12, delta_eps=5.0)
-        self.assert_equals_single_calls(energies, jx, np.zeros(2))
-        self.assert_equals_single_calls(energies, jx, np.array([0.0, 1.0]))
+        energies, jx, state = self.points((0.0, 40.0), n_particles=12, delta_eps=5.0)
+        self.assert_equals_single_calls(energies, jx, np.zeros(2), state)
+        self.assert_equals_single_calls(energies, jx, np.array([0.0, 1.0]), state)
 
     def test_exactly_degenerate_levels(self):
         rng = np.random.default_rng(11)
@@ -314,16 +305,15 @@ class TestStackedGenerator:
         self.assert_equals_single_calls(energies, a + a.swapaxes(1, 2), np.array([0.8, -1.3, 0.0]))
 
     def test_one_jx_shared_along_t(self):
-        # the t axis: one H, so one (E, jx, V^T psi) for every slot
-        psi, _ = prepare_input(20, "fragmented", 0.5)
-        energies, jx, state = eigenbasis(harmonic_params(n_particles=20, g=80.0, delta_eps=10.0), psi)
+        # the t axis: one H, so the (1, n) E and the (1, 2, n) V^T psi of its eigenbasis serve every slot
+        energies, jx, state = eigenbasis(harmonic_params(n_particles=20, g=80.0, delta_eps=10.0), self.inputs(20))
         t = np.linspace(0.0, 10.0, 7)
-        self.assert_equals_single_calls(np.broadcast_to(energies, (7, 21)), np.repeat(jx, 7, axis=0), t,
-                                        np.broadcast_to(state, (7, 21)))
+        self.assert_equals_single_calls(energies, np.repeat(jx, 7, axis=0), t, state)
 
     def test_the_kernel_is_built_in_the_jx_it_is_handed(self):
         # one point and a stack: G~ takes jx's memory and is read-only
         energies, jx, _ = eigenbasis(harmonic_params(n_particles=12, delta_eps=5.0), None, "g", np.array([0.0, 40.0]))
+        assert not energies.flags.writeable
         for e, j, t in [(energies[0], jx[0].copy(), 1.0), (energies, jx, np.array([1.0, 0.3]))]:
             kernel = generator_at(e, j, t).kernel
             assert np.shares_memory(kernel, j) and not kernel.flags.writeable
@@ -332,6 +322,13 @@ class TestStackedGenerator:
         jx = np.array([[[0.0, 0.5], [0.5, 0.0]]] * 3)
         with pytest.raises(NumericsError, match=r"overflows a float at t = 1e\+300$"):
             generator_at(np.array([[-1e10, 1e10]] * 3), jx, np.array([1.0, 1e300, 1e301]))
+
+    def test_a_frame_overflow_names_the_first_slot_that_overflows(self):
+        # one level pair at 1e300 shared by every slot: the gap fits a float, the frame's E t/2 does not from 1e10 on
+        jx = np.array([[[0.0, 0.5], [0.5, 0.0]]] * 3)
+        gen = generator_at(np.array([[1e300, 1e300]]), jx, np.array([2.0, 1e10, 1e11]))
+        with pytest.raises(NumericsError, match=r"frame phase E t/2 overflows a float at t = 10000000000\.0$"):
+            qfi_pure_state(gen, np.array([[1.0, 0.0]], dtype=complex))
 
     @pytest.mark.parametrize("axis, lo, hi", [
         ("g", 0.0, 200.0), ("delta_eps", -20.0, 20.0), ("delta_a", 0.0, 1.0), ("lambda", -2.0, 2.0),

@@ -1,6 +1,6 @@
 """The two paths of `eigh_band`: LAPACK's dsbevd from numpy's OpenBLAS, and the
-dense `np.linalg.eigh` fallback where numpy bundles no such library; and
-`blas_threads`, read from the same library."""
+dense `np.linalg.eigh` fallback where numpy bundles no such library; the spectra
+and eigenvectors it gives; and `blas_threads`, read from the same library."""
 
 import os
 import subprocess
@@ -12,9 +12,9 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 from hypothesis.extra.numpy import arrays
 
-from singlewell import NumericsError, decompose, total_hamiltonian
+from singlewell import NumericsError, total_hamiltonian
 from singlewell import linalg
-from oracles import dense_of_band, harmonic_params
+from oracles import dense_of_band, dense_spin, harmonic_params, lower_band
 
 # q = g (N-1)/(2N) delta_a - delta_eps = 0, where the parity blocks of H cross
 # at lambda = 0 and levels are degenerate to rounding
@@ -26,18 +26,17 @@ DEGENERATE = [harmonic_params(g=26.0, delta_eps=1.0, lambda_acc=0.0),
 def _fallback(band):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_dsbevd", lambda: None)
-        return decompose(band)
+        return linalg.eigh_band(band)
 
 
 def _check_pair(band):
     """Both paths: eigenvalues equal to 1e-13 of the spectral scale, and each path's
     vectors orthonormal and solving H V = V diag(E); degenerate vectors may differ."""
-    banded, dense = decompose(band), _fallback(band)
+    banded, dense = linalg.eigh_band(band), _fallback(band)
     h = dense_of_band(band)
     scale = max(1.0, np.abs(dense[0]).max())
     assert np.abs(banded[0] - dense[0]).max() <= 1e-13 * scale
     for energies, vectors in (banded, dense):
-        assert not energies.flags.writeable and not vectors.flags.writeable
         assert np.abs(h @ vectors - vectors * energies).max() <= 1e-13 * scale * len(energies)
         assert np.abs(vectors.T @ vectors - np.eye(len(energies))).max() <= 1e-13 * len(energies)
 
@@ -84,4 +83,35 @@ def test_a_failed_banded_solve_is_a_numerics_error():
     band = np.ones((3, 6))
     band[0, 2] = np.nan
     with pytest.raises(NumericsError, match="eigendecomposition failed"):
-        decompose(band)
+        linalg.eigh_band(band)
+
+
+class TestEighBand:
+    """Spectra and eigenvectors of bands whose spectrum is known."""
+
+    def test_sorts_eigenvalues(self):
+        energies, _ = linalg.eigh_band(lower_band(np.diag([3.0, 1.0, 2.0])))
+        assert np.allclose(energies, [1.0, 2.0, 3.0], atol=0)
+
+    def test_jx_spectrum_n2(self):
+        energies, _ = linalg.eigh_band(lower_band(dense_spin(2)[0]))
+        assert np.abs(energies - np.array([-1.0, 0.0, 1.0])).max() < 1e-12
+
+    def test_free_hamiltonian_spectrum(self):
+        n, de = 8, 2.5
+        p = harmonic_params(n_particles=n, g=0.0, delta_eps=de, lambda_acc=0.0)
+        energies, _ = linalg.eigh_band(total_hamiltonian(p))
+        m = n / 2 - np.arange(n + 1)
+        assert np.abs(energies - np.sort(-de * m)).max() < 1e-12
+
+    def test_reconstruction_and_unitarity(self):
+        rng = np.random.default_rng(7)
+        cases = [rng.normal(size=(3, 9))]
+        for n in (50, 200):
+            for g in (0.0, 80.0, 200.0):
+                cases.append(total_hamiltonian(harmonic_params(n_particles=n, g=g, delta_eps=10.0)))
+        for band in cases:
+            energies, vecs = linalg.eigh_band(band)
+            dim = energies.shape[0]
+            assert np.abs((vecs * energies) @ vecs.T - dense_of_band(band)).max() < 1e-10 * dim
+            assert np.abs(vecs.T @ vecs - np.eye(dim)).max() < 1e-10

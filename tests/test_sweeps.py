@@ -178,7 +178,7 @@ class TestRunSweep:
     ])
     def test_a_point_peaks_below_three_and_a_half_arrays(self, target, axis, monkeypatch):
         # numpy reports its data buffers to tracemalloc, dsbevd's workspace among
-        # them, as numpy owns it: decompose holds V and 2n^2 of workspace, 3 arrays,
+        # them, as numpy owns it: eigh_band holds V and 2n^2 of workspace, 3 arrays,
         # and the kernel build, V dropped, V^T Jx V, the gaps, the kernel and two
         # boolean masks, 3.25 arrays (3.35-3.37 measured); V held through it lifts it to 4.25+
         monkeypatch.setattr(sweeps, "blas_threads", lambda: 2)  # the rule says one thread: one point at a time
@@ -571,10 +571,10 @@ class TestRunSweeps:
         starts, thread = [], threading.Thread
         monkeypatch.setattr(threading, "Thread", lambda **kw: starts.append(kw["args"]) or thread(**kw))
         calls = _count_decompositions(monkeypatch)
-        slots = []  # the kernels built, through dynamical_generator or the pass's own call
+        slots = []  # the kernels built, through dynamical_generator or the pass's own call: one per jx slot
         for module in (dynamics, sweeps):
-            monkeypatch.setattr(module, "generator_at", lambda energies, *args, build=module.generator_at:
-                                slots.append(energies[..., 0].size) or build(energies, *args))
+            monkeypatch.setattr(module, "generator_at", lambda energies, jx, *args, build=module.generator_at:
+                                slots.append(len(jx)) or build(energies, jx, *args))
         run_sweep(spec)
         assert len(starts) == 1 and len(calls) == 1
         assert sum(slots) == spec.steps  # one kernel per grid point
