@@ -193,7 +193,8 @@ def qfi_pure_state(gen: GeneratorResult, state: np.ndarray | None = None) -> flo
     bit its point's own call's.
 
     G~ is real, so its products act on the (real, imag) pairs of phi, one product per
-    slot, and each slot's two sums are one dot product of its 2n floats, as for a point.
+    slot, and each slot's two sums are one (1, 2n) @ (2n, 1) product of its 2n floats,
+    the sums np.vdot gives a point.
     """
     state = gen.state if state is None else state
     if state is None:
@@ -204,8 +205,8 @@ def qfi_pure_state(gen: GeneratorResult, state: np.ndarray | None = None) -> flo
     _refuse_overflow("frame phase E t/2", reach, t)
     phi = (np.exp(-0.5j * t[..., np.newaxis] * gen.energies) * state).view(float)  # each slot's 2n floats
     applied = (gen.kernel @ phi.reshape(*phi.shape[:-1], -1, 2)).reshape(phi.shape)
-    mean = np.vecdot(phi, applied)
-    qfi = 4.0 * np.maximum(np.vecdot(applied, applied) - mean * mean, 0.0)
+    mean, square = ((v[..., np.newaxis, :] @ applied[..., np.newaxis])[..., 0, 0] for v in (phi, applied))
+    qfi = 4.0 * np.maximum(square - mean * mean, 0.0)
     return qfi if qfi.ndim else float(qfi)
 
 
