@@ -41,6 +41,7 @@ import time
 
 from singlewell import (SweepSpec, SystemParams, dynamical_generator, eigenbasis, generator_at, prepare_input,
                         qfi_pure_state, run_sweep, total_hamiltonian)
+from singlewell.cli import MMAP_THRESHOLD, TRIM_THRESHOLD
 from singlewell.dynamics import spread_squared
 from singlewell.linalg import eigh_band
 from singlewell.sweeps import stack_size
@@ -51,7 +52,7 @@ MIN_REPEATS, MIN_SECONDS, MAX_REPEATS = 3, 1.0, 1000
 WARM_UP_N = 64  # past LAPACK's divide-and-conquer crossover (25)
 CHILD_ENV = {
     "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-    "MALLOC_MMAP_THRESHOLD_": str(32 << 20), "MALLOC_TRIM_THRESHOLD_": str(64 << 20),
+    "MALLOC_MMAP_THRESHOLD_": str(MMAP_THRESHOLD), "MALLOC_TRIM_THRESHOLD_": str(TRIM_THRESHOLD),
 }
 
 

@@ -37,19 +37,22 @@ EXIT_INVARIANT = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
 _REFUSED = (ValueError, OverflowError)  # OverflowError: Python refusing a number too large for an operation
+MMAP_THRESHOLD = 16 << 20  # between the (N+1)^2 float64 arrays of N = 1000 and N = 1450
+TRIM_THRESHOLD = 64 << 20
 
 
 def _keep_freed_arrays() -> None:
-    """Keep freed n x n arrays in glibc's heap, so the next grid point does not
-    fault them in again. Setting either threshold stops glibc adjusting the
-    other, so both are set; 32 MiB is glibc's own ceiling on 64-bit."""
+    """Keep freed n x n arrays up to N = 1000 in glibc's heap, so the next grid point
+    does not fault them in again; larger ones are mmapped, as a second sweep thread's
+    arena would not reuse the first's freed space. Setting either threshold stops
+    glibc adjusting the other, so both are set."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):  # no mallopt: not glibc
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+    mallopt(-1, TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
 
 
 _CHOICES = {"target": TARGETS, "axis": AXES, "state_kind": STATE_KINDS}

@@ -37,7 +37,6 @@ channel QFI is read; the QFI of a state needs only products with G~.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -78,9 +77,9 @@ class GeneratorResult:
     t: float | np.ndarray
     state: np.ndarray | None = None
 
-    @cached_property
+    @property
     def cqfi(self) -> float:
-        """Channel QFI of one generator: the squared spectral spread of G~ (W leaves it alone), on first read."""
+        """Channel QFI of one generator: the squared spectral spread of G~ (W leaves it alone), on each read."""
         return float(spread_squared(self.kernel))
 
 

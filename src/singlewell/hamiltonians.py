@@ -6,7 +6,7 @@ it is the 3 x (N+1) float64 array band[d, k] = H[k+d, k] (LAPACK's UPLO = 'L'
 layout, zero-padded at the end) that `linalg.eigh_band` takes. The
 identities Jx^2 + Jy^2 = j(j+1) - Jz^2 and Jx^2 - Jy^2 = (J+^2 + J-^2)/2
 give each band from the Jz eigenvalues and the ladder of
-`build_spin_operators`, built once per N, with no matrix product. Every
+`build_spin_operators`, built per call, with no matrix product. Every
 parameter passed `SystemParams`, but an entry can still overflow a float
 (e.g. delta_eps * m near the float limit): such a band fails its point as a
 `NumericsError`, a numerical failure, instead of reaching the eigensolver.

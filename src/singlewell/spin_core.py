@@ -10,7 +10,6 @@ so the spin operators are two read-only vectors of N, m and the ladder
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import lgamma
 
 import numpy as np
@@ -46,15 +45,11 @@ def build_spin_operators(n_particles: int) -> tuple[np.ndarray, np.ndarray]:
     """The spin j = N/2 in the Dicke basis as the read-only pair (m, ladder): Jz = diag(m),
     m = N/2 - k, and ladder[k] = <k|J+|k+1>, J+ moving a particle from mode 1 to mode 0
     (k+1 -> k), with the standard element <j,m+1|J+|j,m> = sqrt(j(j+1) - m(m+1)).
+    Built on every call, after N is checked: a few microseconds, once per chunk of a sweep.
     """
-    check_particle_number(n_particles)  # before the cache, so 1.0 or True never hit 1's entry
-    return _spin_operators(int(n_particles))
-
-
-@lru_cache(maxsize=8)  # every point of a sweep reads the pair of one N; bounded, as N can be large
-def _spin_operators(n: int) -> tuple[np.ndarray, np.ndarray]:
-    j = n / 2.0
-    m = j - np.arange(n + 1)
+    check_particle_number(n_particles)
+    j = n_particles / 2.0
+    m = j - np.arange(n_particles + 1)
     return _read_only(m), _read_only(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)))
 
 

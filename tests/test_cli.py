@@ -16,7 +16,8 @@ import yaml
 from hypothesis import example, given, settings
 
 from singlewell.cli import (
-    EXIT_INVARIANT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _build_parser, _classify, _tables, main,
+    EXIT_INVARIANT, EXIT_IO, EXIT_NUMERIC, EXIT_OK, MMAP_THRESHOLD, TRIM_THRESHOLD, _build_parser, _classify,
+    _tables, main,
 )
 from singlewell.config import SCHEMA, build_run, load_config, parse_config
 from singlewell.errors import NumericsError
@@ -513,7 +514,7 @@ class TestSweepCommand:
             code, _ = run_cli(*small, *bad)
             assert code == EXIT_INVARIANT, bad
 
-    @pytest.mark.parametrize("where", ["sweeps.dynamical_generator", "spin_core._spin_operators",
+    @pytest.mark.parametrize("where", ["sweeps.dynamical_generator", "hamiltonians.build_spin_operators",
                                        "sweeps.SweepSpec.grid"],
                              ids=["dynamical_generator", "build_spin_operators", "SweepSpec.grid"])
     def test_out_of_memory_exits_three_naming_n(self, monkeypatch, capsys, where):
@@ -559,7 +560,11 @@ class TestHeapSetting:
         libc = self.FakeLibc()
         monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
         assert run_cli("params")[0] == EXIT_OK
-        assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+        assert libc.calls == [(-3, MMAP_THRESHOLD), (-1, TRIM_THRESHOLD)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    def test_arrays_past_n_1000_are_mmapped(self):
+        # (N+1)^2 float64 arrays stay in the heap up to N = 1000 and are mmapped from N = 1450 on
+        assert 8 * 1001**2 < MMAP_THRESHOLD < 8 * 1451**2
 
     @pytest.mark.parametrize("error", [OSError, AttributeError])
     def test_missing_mallopt_changes_nothing(self, monkeypatch, error):

