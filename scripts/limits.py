@@ -5,7 +5,11 @@ runs the stage at least three times, and then until a second has passed
 or it has run 1000 times, whichever comes first. It reports
 the median time and the growth of the peak resident set size (ru_maxrss)
 over its level before the first run, in MB and in dense (N+1)x(N+1)
-float64 arrays of 8 (N+1)^2 bytes. The stages:
+float64 arrays of 8 (N+1)^2 bytes. ru_maxrss is a high-water mark, so the
+inputs of `kernel` and `spread`, which take an eigensolve at N to build,
+are built by another fresh interpreter, which writes them to .npy files
+that the measuring one loads; this parent builds none itself, since a
+child's ru_maxrss starts at its parent's peak. The stages:
 
 - decompose: H assembled and eigendecomposed, `eigh_band(total_hamiltonian(p))`
 - kernel: the kernel build alone, one `generator_at` call on a prepared
@@ -37,7 +41,11 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
+
+import numpy as np
 
 from singlewell import (SweepSpec, SystemParams, dynamical_generator, eigenbasis, generator_at, prepare_input,
                         qfi_pure_state, run_sweep, total_hamiltonian)
@@ -47,6 +55,7 @@ from singlewell.linalg import eigh_band
 from singlewell.sweeps import stack_size
 
 STAGES = ("decompose", "kernel", "spread", "protocol", "cqfi", "sweep", "sweep_cqfi", "sweep_cqfi_t")
+INPUT_STAGES = ("kernel", "spread")  # measured above inputs that another process writes
 SWEEP_STEPS = 4  # two points per thread
 MIN_REPEATS, MIN_SECONDS, MAX_REPEATS = 3, 1.0, 1000
 WARM_UP_N = 64  # past LAPACK's divide-and-conquer crossover (25)
@@ -60,16 +69,28 @@ def _peak_rss_bytes() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024  # KiB on Linux
 
 
-def _point(stage: str, n: int):
-    """The stage at N as a call with no arguments, its inputs built."""
+def _params(n: int) -> SystemParams:
     # near q = 0, where the channel QFI peaks: g (N-1)/(2N) delta_a = delta_eps
-    p = SystemParams(n_particles=n, g=80.0, delta_eps=10.0)
+    return SystemParams(n_particles=n, g=80.0, delta_eps=10.0)
+
+
+def _inputs(stage: str, n: int) -> dict:
+    """The arrays an input stage reads at N, by name: E and V^T Jx V for kernel, one kernel for spread."""
+    p = _params(n)
     if stage == "kernel":  # only this stage holds a prepared eigenbasis
         (energies,), (jx,), _ = eigenbasis(p)
-        return lambda: generator_at(energies, jx.copy(), p.t)
-    if stage == "spread":
-        kernel = dynamical_generator(p).kernel
-        return lambda: spread_squared(kernel)
+        return {"energies": energies, "jx": jx}
+    return {"kernel": dynamical_generator(p).kernel}
+
+
+def _point(stage: str, n: int, inputs: dict | None = None):
+    """The stage at N as a call with no arguments, its inputs built, or an input stage's given."""
+    p = _params(n)
+    if stage in INPUT_STAGES:
+        arrays = inputs or _inputs(stage, n)
+        if stage == "kernel":
+            return lambda: generator_at(arrays["energies"], arrays["jx"].copy(), p.t)
+        return lambda: spread_squared(arrays["kernel"])
     psi, _ = prepare_input(n, "fragmented", 0.5)
     spec = SweepSpec(target="protocol_qfi", axis="g", axis_min=40.0, axis_max=120.0, steps=SWEEP_STEPS,
                      params=p)
@@ -93,10 +114,12 @@ def _steps(stage: str, n: int) -> int:
             "sweep_cqfi_t": SWEEP_STEPS * stack_size(n)}.get(stage, 1)
 
 
-def measure(stage: str, n: int) -> dict:
-    """Run one stage at N in this process: its median seconds per point and its peak RSS growth in bytes."""
+def measure(stage: str, n: int, inputs_dir: str | None = None) -> dict:
+    """Run one stage at N in this process: its median seconds per point and its peak RSS growth in bytes;
+    an input stage reads its inputs from the .npy files in inputs_dir, if given."""
     _point(stage, WARM_UP_N)()  # pages in LAPACK's code, which would otherwise count as growth
-    run = _point(stage, n)
+    inputs = {path.stem: np.load(path) for path in Path(inputs_dir).glob("*.npy")} if inputs_dir else None
+    run = _point(stage, n, inputs)
     before = _peak_rss_bytes()
     seconds = []
     while len(seconds) < MIN_REPEATS or (sum(seconds) < MIN_SECONDS and len(seconds) < MAX_REPEATS):
@@ -107,19 +130,36 @@ def measure(stage: str, n: int) -> dict:
     return {"seconds": seconds, "rss_growth": _peak_rss_bytes() - before}
 
 
-def _in_fresh_process(stage: str, n: int) -> dict:
-    proc = subprocess.run([sys.executable, __file__, "--stage", stage, "--n", str(n)],
+def _child(*args: str) -> str:
+    proc = subprocess.run([sys.executable, __file__, *args],
                           stdout=subprocess.PIPE, text=True, env={**os.environ, **CHILD_ENV}, check=True)
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def _in_fresh_process(stage: str, n: int) -> dict:
+    args = ("--stage", stage, "--n", str(n))
+    if stage not in INPUT_STAGES:
+        return json.loads(_child(*args))
+    with tempfile.TemporaryDirectory() as tmp:
+        _child(*args, "--write-inputs", tmp)
+        return json.loads(_child(*args, "--read-inputs", tmp))
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, nargs="+", default=[50, 200, 500, 1000, 2000])
     parser.add_argument("--stage", choices=STAGES, help="run one stage in this process and print JSON")
+    parser.add_argument("--write-inputs", metavar="DIR",
+                        help="with --stage kernel or spread: write its inputs at N to DIR as .npy files")
+    parser.add_argument("--read-inputs", metavar="DIR",
+                        help="with --stage kernel or spread: read its inputs at N from DIR")
     args = parser.parse_args()
+    if args.write_inputs:
+        for name, array in _inputs(args.stage, args.n[0]).items():
+            np.save(Path(args.write_inputs) / f"{name}.npy", array)
+        return
     if args.stage:
-        print(json.dumps(measure(args.stage, args.n[0])))
+        print(json.dumps(measure(args.stage, args.n[0], args.read_inputs)))
         return
     print("| N | stage | ms per point | peak RSS growth (MB) | in (N+1)^2 float64 arrays |")
     print("| ---: | --- | ---: | ---: | ---: |")

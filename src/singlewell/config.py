@@ -82,14 +82,14 @@ def load_config(path: str | None) -> dict[str, dict]:
         return parse_config(fh.read())
 
 
-def _system_fields(tables: dict[str, dict]) -> dict:
-    """SystemParams field -> value from [system]."""
-    return {KEY_FIELDS.get(key, key): value for key, value in tables["system"].items()}
+def _fields(tables: dict[str, dict], *names: str) -> dict:
+    """Spec field -> value from the named tables, each YAML key read as its field."""
+    return {KEY_FIELDS.get(key, key): value for name in names for key, value in tables[name].items()}
 
 
 def system_params(tables: dict[str, dict]) -> SystemParams:
     """The fixed parameter point of the [system] table."""
-    return SystemParams(**_system_fields(tables))
+    return SystemParams(**_fields(tables, "system"))
 
 
 def build_run(tables: dict[str, dict]) -> tuple[SweepSpec, str | None, str | None]:
@@ -101,10 +101,8 @@ def build_run(tables: dict[str, dict]) -> tuple[SweepSpec, str | None, str | Non
     for key, value in tables["output"].items():
         if value is not None and not (isinstance(value, str) and value):
             raise ValueError(f"[output] {key} must be a non-empty string or null, got {value!r}")
-    fixed = _system_fields(tables)
-    grid = {KEY_FIELDS.get(key, key): value
-            for key, value in {**tables["protocol"], **tables["sweep"]}.items()}
-    spec = SweepSpec(params=SystemParams(**fixed), **grid)
+    fixed = _fields(tables, "system")
+    spec = SweepSpec(params=SystemParams(**fixed), **_fields(tables, "protocol", "sweep"))
     if KEY_FIELDS[spec.axis] in fixed:
         raise ValueError(f"swept axis {spec.axis!r} must not also be fixed in [system]")
     return spec, tables["output"].get("csv"), tables["output"].get("svg")

@@ -44,7 +44,7 @@ def total_hamiltonian(p: SystemParams, axis: str | None = None, values: np.ndarr
     Given a sweepable axis and an array of c values, the bands of p with that
     axis at each value, as one (c, 3, N+1) array: the swept field enters as a
     column, so each element is the same arithmetic on the same floats as in
-    total_hamiltonian(with_axis_value(p, axis, value)). The values are refused
+    total_hamiltonian of p with that field at value. The values are refused
     first as `SystemParams` refuses them (`modes.axis_gammas`).
     """
     n = p.n_particles

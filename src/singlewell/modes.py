@@ -6,7 +6,7 @@ reduced by the 1D contact strength and normalized so the mode-0
 self-interaction integral equals one. `SystemParams` refuses a bad point
 with a `ValueError` as it is built; `renormalized_q(p)` and
 `validity_gamma(p)` read a point that has passed those checks, and
-`axis_gammas` makes one field's checks on many values at once.
+`axis_gammas`, the one gamma formula, checks one field on many values at once.
 """
 
 from __future__ import annotations
@@ -77,7 +77,12 @@ class SystemParams:
             )
         if not (self.xi <= 1e-12 or self.xi >= 1.0 - 1e-12):
             raise ValueError(f"xi must be <= 0 or >= 1, got {self.xi!r}")
-        validity_gamma(self)
+        try:  # the float gamma that every grid point reports needs a float g_1d^(4/3)
+            float(self.g_1d) ** (4.0 / 3.0)
+        except OverflowError as exc:
+            raise ValueError(
+                f"two-mode validity gamma overflows a float at g_1d = {self.g_1d!r}, N = {self.n_particles}"
+            ) from exc
         root = float(self.n_particles * self.t)
         if not root * root < np.inf:  # float * float gives inf where ** would raise
             raise ValueError(
@@ -111,17 +116,12 @@ def renormalized_q(p: SystemParams) -> float:
 def validity_gamma(p: SystemParams) -> tuple[float, bool]:
     """Lieb-Liniger-type diagnostic for the two-mode truncation.
 
-    gamma = 1.5 * g_1d^(4/3) * N^(-2/3); the truncation is trusted for
-    gamma of order one or below. The boolean flag uses gamma <= 1 and is
-    advisory only.
+    gamma = 1.5 * g_1d^(4/3) * N^(-2/3), read off `axis_gammas` at p's own g;
+    the truncation is trusted for gamma of order one or below. The boolean
+    flag uses gamma <= 1 and is advisory only.
     """
-    try:
-        gamma = 1.5 * p.g_1d ** (4.0 / 3.0) * p.n_particles ** (-2.0 / 3.0)
-    except OverflowError as exc:
-        raise ValueError(
-            f"two-mode validity gamma overflows a float at g_1d = {p.g_1d!r}, N = {p.n_particles}"
-        ) from exc
-    return float(gamma), bool(gamma <= 1.0)
+    gamma = float(axis_gammas(p, "g", p.g))
+    return gamma, gamma <= 1.0
 
 
 # Sweepable axis name -> SystemParams field. An axis is named as its YAML
@@ -139,15 +139,10 @@ KEY_FIELDS = {**AXIS_FIELDS, "min": "axis_min", "max": "axis_max"}
 FIELD_KEYS = {name: key for key, name in KEY_FIELDS.items()}
 
 
-def with_axis_value(p: SystemParams, axis: str, value: float) -> SystemParams:
-    """Return a copy of p with one sweepable axis, checked by `SweepSpec`, replaced."""
-    return replace(p, **{AXIS_FIELDS[axis]: float(value)})
-
-
 def axis_gammas(p: SystemParams, axis: str, values: np.ndarray) -> np.ndarray:
-    """The validity gamma of p with one sweepable axis at each of values, once the values pass, all at
-    once, the checks `SystemParams` makes on that field: finite, g and t nonnegative, and a finite
-    g_1d^(4/3) and (N t)^2. The first value refused raises as `with_axis_value` raises for it."""
+    """The validity gamma 1.5 g_1d^(4/3) N^(-2/3), its one formula, of p with one sweepable axis at each of
+    values, once they pass, all at once, the checks `SystemParams` makes on that field: finite, g and t
+    nonnegative, and a finite g_1d^(4/3) and (N t)^2. The first value refused raises as `SystemParams` does."""
     name, n, values = AXIS_FIELDS[axis], p.n_particles, np.asarray(values, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # each overflow or NaN is refused below
         power = ((values if name == "g" else p.g) / n) ** (4.0 / 3.0)
@@ -156,5 +151,5 @@ def axis_gammas(p: SystemParams, axis: str, values: np.ndarray) -> np.ndarray:
         if name in ("g", "t"):
             valid &= values >= 0.0
     if not valid.all():
-        with_axis_value(p, axis, values[~valid][0])
+        replace(p, **{name: float(values[~valid][0])})
     return np.broadcast_to(1.5 * power * n ** (-2.0 / 3.0), values.shape)

@@ -29,7 +29,7 @@ from .analytic import cqfi_noninteracting, phase_shift_qfi
 from .dynamics import cqfi_upper_bound, dynamical_generator, eigenbasis, generator_at, qfi_pure_state, spread_squared
 from .errors import NumericsError
 from .linalg import blas_threads
-from .modes import AXIS_FIELDS, FIELD_KEYS, SystemParams, as_float, axis_gammas, with_axis_value
+from .modes import AXIS_FIELDS, FIELD_KEYS, SystemParams, as_float, axis_gammas
 from .plotting import render_svg
 from .protocols import STATE_KINDS, prepare_input
 
@@ -84,8 +84,7 @@ class SweepSpec:
         # np.linspace allocates float(steps) entries, 2^60 from 2^60 - 64 on; int first: float() overflows
         if 8 * self.steps > limit or 8 * float(self.steps) > limit:
             raise ValueError(f"steps = {self.steps} is too large: the grid does not fit in the address space")
-        for end in (self.axis_min, self.axis_max):
-            with_axis_value(self.params, self.axis, end)  # e.g. g < 0 fails here, not mid-sweep
+        axis_gammas(self.params, self.axis, [self.axis_min, self.axis_max])  # e.g. g < 0 fails here, not mid-sweep
         # The protocol input is checked whatever the target.
         if not 0.0 <= as_float("theta", self.theta) <= np.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")

@@ -20,10 +20,9 @@ from singlewell import (
 )
 from singlewell.errors import NumericsError
 from singlewell.linalg import eigh_band
-from singlewell.modes import with_axis_value
 from oracles import (
     dense_generator, dense_hamiltonian, dense_spin, evolve, exact_generator, finite_difference_generator,
-    harmonic_params, random_valid_params, variance,
+    harmonic_params, random_valid_params, variance, with_axis_value,
 )
 
 

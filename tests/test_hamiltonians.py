@@ -11,8 +11,7 @@ from singlewell import (
     total_hamiltonian,
 )
 from singlewell.errors import NumericsError
-from singlewell.modes import with_axis_value
-from oracles import dense_hamiltonian, dense_spin, harmonic_params, random_valid_params
+from oracles import dense_hamiltonian, dense_spin, harmonic_params, random_valid_params, with_axis_value
 
 
 def system_hamiltonian(p):

@@ -8,8 +8,8 @@ from singlewell import (
     renormalized_q,
     validity_gamma,
 )
-from singlewell.modes import FIELD_KEYS, HARMONIC_KAPPA, axis_gammas, with_axis_value
-from oracles import harmonic_shape
+from singlewell.modes import AXIS_FIELDS, FIELD_KEYS, HARMONIC_KAPPA, axis_gammas
+from oracles import harmonic_shape, with_axis_value
 
 
 class TestHarmonicModeIntegrals:
@@ -142,6 +142,11 @@ class TestSystemParamsInvariants:
         with pytest.raises(ValueError, match="gamma overflows"):
             with_axis_value(SystemParams(n_particles=7), "g", 1e300)
 
+    def test_g_whose_gamma_overflows_rejected_at_a_numpy_n(self):
+        # g / np.int64 is a numpy float, whose power overflows to inf with a warning instead of raising
+        with pytest.raises(ValueError, match="gamma overflows"):
+            SystemParams(n_particles=np.int64(7), g=7e232)
+
     def test_t_whose_heisenberg_ceiling_overflows_rejected(self):
         # (N t)^2 bounds every row of a sweep, so it must be a float too
         SystemParams(n_particles=4, t=1e153)
@@ -160,15 +165,10 @@ class TestSystemParamsInvariants:
                 SystemParams(n, 1.0, 1.0, 0.1, 0.5, -0.5, 1.0, 1.0)
 
 
-def test_with_axis_value_maps_every_axis():
-    p = SystemParams(10, 1.0, 2.0, 0.25, 0.625, -0.6, 3.0, 4.0)
-    assert with_axis_value(p, "g", 7.0).g == 7.0
-    assert with_axis_value(p, "delta_eps", 7.0).delta_eps == 7.0
-    assert with_axis_value(p, "t", 7.0).t == 7.0
-    assert with_axis_value(p, "lambda", 7.0).lambda_acc == 7.0
-    assert with_axis_value(p, "delta_a", 7.0).delta_a == 7.0
-    with pytest.raises(KeyError):  # SweepSpec refuses an unknown axis before it gets here
-        with_axis_value(p, "n_particles", 7.0)
+def test_axis_fields_map_every_axis():
+    # each sweepable axis, named as its YAML key, to its SystemParams field; N is no axis
+    assert AXIS_FIELDS == {"g": "g", "delta_eps": "delta_eps", "t": "t", "lambda": "lambda_acc",
+                           "delta_a": "delta_a"}
 
 
 @pytest.mark.parametrize("axis, values", [
@@ -202,4 +202,4 @@ def test_axis_gammas_reads_each_points_gamma(axis):
     gammas = axis_gammas(p, axis, values)
     assert gammas.shape == values.shape
     expected = [validity_gamma(with_axis_value(p, axis, v))[0] for v in values.tolist()]
-    np.testing.assert_allclose(gammas, expected, rtol=4 * np.finfo(float).eps, atol=0)
+    assert gammas.tolist() == expected  # one formula: bit for bit

@@ -27,12 +27,12 @@ from singlewell import (
     run_sweeps,
     validity_gamma,
 )
-from singlewell.modes import AXIS_FIELDS, FIELD_KEYS, with_axis_value
+from singlewell.modes import AXIS_FIELDS, FIELD_KEYS
 from singlewell import dynamics, sweeps
 from singlewell.protocols import STATE_KINDS
 from singlewell.sweeps import AXES, TARGETS, SweepPointError
 from singlewell.errors import NumericsError
-from oracles import dense_hamiltonian, dense_spin, exact_generator, harmonic_params, variance
+from oracles import dense_hamiltonian, dense_spin, exact_generator, harmonic_params, variance, with_axis_value
 
 
 def small_spec(**overrides):
